@@ -1,0 +1,143 @@
+"""Pinned trees: every CMP builder's exact output on fixed small inputs.
+
+Each case records the sha256 of ``repr(tree_signature(tree))`` together
+with the build's scan count and simulated cost.  Refactors of the level
+loop must leave all three unchanged; a changed digest means some split
+parameter or class count moved, a changed scan count or cost means the
+I/O accounting did.
+
+The pinned values live in ``tests/data/tree_signatures.json``.  To
+regenerate them after an *intended* behaviour change, run::
+
+    PYTHONPATH=src python tests/test_tree_signatures.py
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.config import BuilderConfig
+from repro.core.cmp_b import CMPBBuilder
+from repro.core.cmp_full import CMPBuilder
+from repro.core.cmp_s import CMPSBuilder
+from repro.core.parallel import process_backend_available
+from repro.data.dataset import Dataset
+from repro.data.schema import Schema, categorical, continuous
+from repro.data.synthetic import generate_agrawal
+from repro.ensemble import BaggedForestBuilder
+from repro.verify.differential import tree_signature
+
+PINNED = Path(__file__).parent / "data" / "tree_signatures.json"
+N_RECORDS = 4_000
+CFG = BuilderConfig(
+    n_intervals=32,
+    max_depth=6,
+    min_records=20,
+    reservoir_capacity=1_000,
+    page_records=100,
+)
+BUILDERS = {"CMP-S": CMPSBuilder, "CMP-B": CMPBBuilder, "CMP": CMPBuilder}
+
+
+def mixed_dataset(n: int, seed: int) -> Dataset:
+    """Two continuous and two categorical attributes, all carrying signal."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 1.0, n)
+    b = rng.uniform(0.0, 10.0, n)
+    color = rng.integers(0, 6, n)
+    size = rng.integers(0, 3, n)
+    y = ((color % 2 == 0) & (a > -0.3)) | ((size == 2) & (b > 6.0))
+    flip = rng.random(n) < 0.05
+    y = (y ^ flip).astype(np.int64)
+    schema = Schema(
+        (
+            continuous("a"),
+            categorical("color", tuple("rgbcmy")),
+            continuous("b"),
+            categorical("size", ("s", "m", "l")),
+        ),
+        ("no", "yes"),
+    )
+    X = np.column_stack([a, color.astype(float), b, size.astype(float)])
+    return Dataset(X, y, schema)
+
+
+@functools.lru_cache(maxsize=None)
+def dataset(name: str) -> Dataset:
+    if name == "mixed":
+        return mixed_dataset(N_RECORDS, seed=3)
+    return generate_agrawal(name, N_RECORDS, seed=11)
+
+
+def _digest(signature) -> str:
+    return hashlib.sha256(repr(signature).encode()).hexdigest()
+
+
+def _pin(signature, stats) -> dict:
+    return {
+        "sha256": _digest(signature),
+        "scans": int(stats.io.scans),
+        "simulated_ms": float(stats.simulated_ms),
+    }
+
+
+def _case_ids() -> list[str]:
+    ids = [
+        f"{builder}/{data}/{prune}"
+        for builder in BUILDERS
+        for data in ("F2", "F7", "Ff", "mixed")
+        for prune in ("none", "public")
+    ]
+    ids += ["CMP-S/F2/budget2048", "bagged-CMP-S/F2/T3"]
+    ids += ["CMP-S/F2/process2", "CMP/F2/process2"]
+    return ids
+
+
+def run_case(case: str) -> dict:
+    """Build one case and return its pinned values."""
+    builder, data, variant = case.split("/")
+    ds = dataset(data)
+    if builder == "bagged-CMP-S":
+        result = BaggedForestBuilder(CFG.with_(prune="public"), n_trees=3).build(ds)
+        signature = tuple(tree_signature(t) for t in result.forest.members)
+        return _pin(signature, result.stats)
+    if variant == "budget2048":
+        cfg = CFG.with_(buffer_budget_bytes=2048)
+    elif variant == "process2":
+        cfg = CFG.with_(scan_workers=2, scan_backend="process")
+    else:
+        cfg = CFG.with_(prune=variant)
+    result = BUILDERS[builder](cfg).build(ds)
+    if variant == "budget2048":
+        # The case exists to drive the overflow rescan; make sure it does.
+        assert result.stats.buffer_overflow_rescans > 0
+    return _pin(tree_signature(result.tree), result.stats)
+
+
+@pytest.fixture(scope="module")
+def pinned() -> dict:
+    return json.loads(PINNED.read_text())
+
+
+@pytest.mark.parametrize("case", _case_ids())
+def test_tree_matches_pinned(case, pinned):
+    if case.endswith("process2") and not process_backend_available():
+        pytest.skip("fork start method unavailable")
+    assert run_case(case) == pinned[case]
+
+
+def test_pinned_file_covers_every_case(pinned):
+    assert sorted(pinned) == sorted(_case_ids())
+
+
+if __name__ == "__main__":
+    PINNED.write_text(
+        json.dumps({case: run_case(case) for case in _case_ids()}, indent=2) + "\n"
+    )
+    print(f"wrote {PINNED}")
