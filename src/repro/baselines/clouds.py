@@ -141,7 +141,7 @@ class CloudsBuilder(TreeBuilder):
                 stats.memory.allocate(f"hist/{t.node.node_id}", t.part.nbytes())
             for chunk in table.scan():
                 self._histogram_chunk(chunk, nid, routers, root_task if first_scan else None)
-            self._charge_nid(stats, n)
+            stats.io.count_nid_swap(n)
             routers = []
             first_scan = False
 
@@ -165,7 +165,7 @@ class CloudsBuilder(TreeBuilder):
                 pending_by_slot = {p.slot: p for p in pendings}
                 for chunk in table.scan():
                     self._probe_chunk(chunk, nid, pending_by_slot)
-                self._charge_nid(stats, n)
+                stats.io.count_nid_swap(n)
                 for p in pendings:
                     stats.memory.allocate(
                         f"probe/{p.node.node_id}",
@@ -457,8 +457,3 @@ class CloudsBuilder(TreeBuilder):
             and node.gini > cfg.min_gini
             and node.depth < cfg.max_depth
         )
-
-    @staticmethod
-    def _charge_nid(stats: BuildStats, n: int) -> None:
-        stats.io.count_aux_read(n)
-        stats.io.count_aux_write(n)

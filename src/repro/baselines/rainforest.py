@@ -101,7 +101,7 @@ class RainForestBuilder(TreeBuilder):
                 batch_slots = {w.slot: w for w in batch}
                 for chunk in table.scan():
                     self._gather_chunk(chunk, nid, pending_routers, batch_slots)
-                self._charge_nid(stats, n)
+                stats.io.count_nid_swap(n)
                 # Routers must only run once per level; afterwards nids are
                 # final and later batches match on the child slots directly.
                 pending_routers = []
@@ -269,8 +269,3 @@ class RainForestBuilder(TreeBuilder):
         counts = np.zeros((len(values), n_classes), dtype=np.float64)
         np.add.at(counts, (inverse, y), 1.0)
         return _AvcSet(values, counts)
-
-    @staticmethod
-    def _charge_nid(stats: BuildStats, n: int) -> None:
-        stats.io.count_aux_read(n)
-        stats.io.count_aux_write(n)

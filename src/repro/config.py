@@ -29,14 +29,6 @@ class BuilderConfig:
     min_gain: float = 1e-4
     #: Reservoir size used for root-grid quantiling during the first scan.
     reservoir_capacity: int = 10_000
-    #: Where the CMP-S root grid's equal-depth edges come from during the
-    #: quantiling scan: ``"reservoir"`` (uniform sample, the paper's
-    #: default) or ``"sketch"`` (deterministic mergeable quantile sketch
-    #: with an explicit rank-error bound — the streaming interval source,
-    #: see :mod:`repro.stream.sketch`).
-    interval_source: str = "reservoir"
-    #: Target rank-error fraction when ``interval_source="sketch"``.
-    sketch_eps: float = 0.02
     #: Simulated page capacity in records.
     page_records: int = 200
     #: Seed for any randomized tie-breaking / sampling inside builders.
@@ -97,10 +89,12 @@ class BuilderConfig:
     #: (otherwise build from scratch).  The resumed tree is bit-identical
     #: to an uninterrupted build.
     resume: bool = False
-    #: Memory budget in bytes for each CMP-S alive-interval record buffer
-    #: (0 = unbounded).  On overflow the buffer is dropped and the level
-    #: falls back to a CLOUDS-style extra scan that re-collects the alive
-    #: records — correctness preserved, one extra scan charged.
+    #: Memory budget in bytes for each alive-interval record buffer of
+    #: CMP-S and the bagged CMP-S forest (0 = unbounded).  On overflow the
+    #: buffer is dropped and the level falls back to a CLOUDS-style extra
+    #: scan that re-collects the alive records — correctness preserved,
+    #: one extra scan charged.  CMP-B and CMP have no such fallback for
+    #: their two-level and linear buffers and reject a nonzero budget.
     buffer_budget_bytes: int = 0
 
     # --- Parallelism knobs --------------------------------------------------
@@ -128,10 +122,6 @@ class BuilderConfig:
             raise ValueError("criterion must be 'gini' or 'entropy'")
         if self.clouds_mode not in ("ss", "sse"):
             raise ValueError("clouds_mode must be 'ss' or 'sse'")
-        if self.interval_source not in ("reservoir", "sketch"):
-            raise ValueError("interval_source must be 'reservoir' or 'sketch'")
-        if not 0.0 < self.sketch_eps < 1.0:
-            raise ValueError("sketch_eps must be in (0, 1)")
         if not 0.0 < self.linear_accept_ratio <= 1.0:
             raise ValueError("linear_accept_ratio must be in (0, 1]")
         if self.scan_retries < 0:

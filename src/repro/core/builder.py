@@ -7,6 +7,10 @@ holds the pieces common to the CMP family and the baselines:
 
 * :class:`BuildResult` — what ``build()`` returns.
 * :class:`TreeBuilder` — the abstract base: timing, pruning, validation.
+* :class:`LevelBuilder` — the one-scan-per-level driver of CMP-S, CMP-B
+  and CMP: quantiling and root scans, the level loop, overflow rescans,
+  slot remapping, PUBLIC(1) pruning and checkpoints.  Subclasses supply
+  only their root accumulator, routing, decision and resolution.
 * Zone arithmetic for preliminary splits around alive intervals.
 * :func:`resolve_exact_threshold` — the "from approximate split to exact
   split" computation (§2.1): combine boundary ginis with the sorted records
@@ -16,20 +20,29 @@ holds the pieces common to the CMP family and the baselines:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from repro.config import BuilderConfig
-from repro.core.checkpoint import CheckpointManager, build_fingerprint
+from repro.core.checkpoint import (
+    CheckpointManager,
+    SlotCounter,
+    build_fingerprint,
+    loop_state,
+)
 from repro.core.gini import gini_partition
 from repro.core.parallel import ScanEngine
 from repro.core import native_scan
 from repro.core.histogram import CategoryHistogram, ClassHistogram
+from repro.core.splits import Split
 from repro.core.tree import DecisionTree, Node, TreeAccount
 from repro.data.dataset import Dataset
+from repro.data.discretize import ReservoirSampler
 from repro.data.schema import Schema
 from repro.io.metrics import BuildStats, Stopwatch
+from repro.io.pager import ScanChunk
 from repro.io.retry import RetryingTable
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
@@ -310,6 +323,219 @@ class RecordBuffer:
         )
 
 
+@dataclass
+class PendingSplit:
+    """A split decided (possibly only estimated) but not yet materialized.
+
+    ``exact_split`` is set for splits known exactly at decision time
+    (categorical subsets, boundary splits with no alive interval); then the
+    pending merely routes records into two parts on the next scan.
+    Otherwise the split is *estimated*: records are routed into
+    ``len(alive_bounds) + 1`` preliminary parts, alive-interval records are
+    buffered, and the threshold is resolved after the scan.
+
+    ``parts`` hold :class:`PartState` for CMP-S; CMP-B's subclass holds
+    matrix parts.  ``child_edges`` are the CMP-S children's grids.
+    """
+
+    node: Node
+    parent_slot: int
+    child_edges: dict[int, np.ndarray] = field(default_factory=dict)
+    exact_split: Split | None = None
+    attr: int = -1
+    zone_bounds: np.ndarray = field(default_factory=lambda: np.empty(0))
+    alive_bounds: list[tuple[float, float]] = field(default_factory=list)
+    alive_cum_below: list[np.ndarray] = field(default_factory=list)
+    totals: np.ndarray = field(default_factory=lambda: np.empty(0))
+    best_boundary_value: float | None = None
+    best_boundary_gini: float = np.inf
+    parts: list = field(default_factory=list)
+    buffer: RecordBuffer = field(default_factory=RecordBuffer)
+
+    def all_parts(self) -> list:
+        """Every preliminary part this pending accumulates into."""
+        return self.parts
+
+    @property
+    def n_parts(self) -> int:
+        """Preliminary parts of a single-level split: two for an exact
+        split, one per region around the alive intervals otherwise."""
+        return 2 if self.exact_split is not None else len(self.alive_bounds) + 1
+
+    def split_values(self, X: np.ndarray) -> np.ndarray:
+        """The records' coordinates on the estimated split's axis."""
+        return X[:, self.attr]
+
+    def estimate(self) -> tuple:
+        """The scan-time estimate :func:`resolve_exact_threshold` refines.
+
+        Returns ``(totals, best_boundary_value, best_boundary_gini,
+        alive_bounds, alive_cum_below)``.
+        """
+        return (
+            self.totals,
+            self.best_boundary_value,
+            self.best_boundary_gini,
+            self.alive_bounds,
+            self.alive_cum_below,
+        )
+
+    def buffered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Buffered ``(X, y, rids)`` and the records' split-axis values."""
+        Xb, yb, rids = self.buffer.concatenated()
+        return Xb, yb, rids, (self.split_values(Xb) if len(yb) else np.empty(0))
+
+    def route(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        rids: np.ndarray,
+        nid: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> None:
+        """Route this node's records of one chunk (Figure 4, lines 05-09).
+
+        An exact split sends each record to one of its two parts.  An
+        estimated split sends each preliminary region's records to that
+        region's part and buffers the alive intervals' records.  New slots
+        are written to ``nid``.  ``weights`` (bootstrap multiplicities)
+        weight the part updates and repeat the buffered records.
+        """
+        if self.exact_split is not None:
+            left = self.exact_split.goes_left(X)
+            for part, m in zip(self.parts, (left, ~left)):
+                _update_part(part, X, y, m, weights)
+                nid[rids[m]] = part.slot
+            return
+        zones = classify_zones(self.split_values(X), self.zone_bounds)
+        alive = (zones & 1) == 1
+        if alive.any():
+            self.buffer.append(
+                *expand_weighted(
+                    X[alive],
+                    y[alive],
+                    rids[alive],
+                    None if weights is None else weights[alive],
+                )
+            )
+        for r, part in enumerate(self.parts):
+            m = zones == 2 * r
+            if m.any():
+                _update_part(part, X, y, m, weights)
+                nid[rids[m]] = part.slot
+
+    def collapse(self, remap: dict[int, int]) -> list:
+        """Keep the node a leaf: its parts' records return to its slot."""
+        for part in self.all_parts():
+            remap[part.slot] = self.parent_slot
+        return []
+
+    def resolve_exact(self, remap: dict[int, int], account: TreeAccount) -> list:
+        """Materialize a split known at decision time; ``(child, part)`` pairs."""
+        lpart, rpart = self.parts
+        if lpart.class_counts.sum() == 0 or rpart.class_counts.sum() == 0:
+            # Degenerate in practice (can happen when the deciding
+            # histogram was approximate at the edges): keep as a leaf.
+            return self.collapse(remap)
+        node = self.node
+        node.split = self.exact_split
+        node.left = account.new_node(node.depth + 1, lpart.class_counts.copy())
+        node.right = account.new_node(node.depth + 1, rpart.class_counts.copy())
+        return [(node.left, lpart), (node.right, rpart)]
+
+    def scan_delta(self) -> "PendingSplit":
+        """Structural clone with empty accumulators (one worker's delta).
+
+        Decision-time fields (split, zones, part slots) are shared
+        read-only; parts and buffer are fresh so each worker
+        accumulates privately during a parallel scan.
+        """
+        return replace(
+            self,
+            parts=[part.clone_empty() for part in self.parts],
+            buffer=RecordBuffer(budget_bytes=self.buffer.budget_bytes),
+        )
+
+    def merge_scan_delta(self, delta: "PendingSplit") -> None:
+        """Fold one worker's delta in; callers merge in chunk order."""
+        for part, dpart in zip(self.parts, delta.parts):
+            part.merge_from(dpart)
+        self.buffer.extend_from(delta.buffer)
+
+    def parts_nbytes(self) -> int:
+        """Bytes held by the preliminary parts (the ``parts/`` ledger entry)."""
+        return sum(part.nbytes() for part in self.all_parts())
+
+    def delta_nbytes(self) -> int:
+        """Bytes one fresh scan delta occupies (buffers start empty)."""
+        return self.parts_nbytes()
+
+    def buffer_nbytes(self) -> int:
+        """Bytes of buffered records after the scan (the ``buf/`` entry)."""
+        return self.buffer.nbytes()
+
+    def region_tops(self) -> list[float]:
+        """Upper value bound of each preliminary region's part, in order."""
+        return [lo for lo, __ in self.alive_bounds] + [np.inf]
+
+
+def _update_part(
+    part, X: np.ndarray, y: np.ndarray, m: np.ndarray, weights: np.ndarray | None
+) -> None:
+    """Add the records selected by ``m`` to ``part`` (weighted when given)."""
+    if weights is None:
+        part.update(X[m], y[m])
+    else:
+        part.update(X[m], y[m], weights[m])
+
+
+def expand_weighted(
+    X: np.ndarray, y: np.ndarray, rids: np.ndarray, weights: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Repeat each record ``weight`` times (unchanged without weights)."""
+    if weights is None:
+        return X, y, rids
+    reps = weights.astype(np.int64)
+    return np.repeat(X, reps, axis=0), np.repeat(y, reps), np.repeat(rids, reps)
+
+
+def alive_run_bounds(
+    hist: ClassHistogram, runs: list[tuple[int, int]]
+) -> list[tuple[float, float]]:
+    """Value bounds ``(lo, hi]`` of inclusive interval-index runs of ``hist``."""
+    q = hist.n_intervals
+    return [
+        (
+            -np.inf if i0 == 0 else float(hist.edges[i0 - 1]),
+            np.inf if i1 == q - 1 else float(hist.edges[i1]),
+        )
+        for i0, i1 in runs
+    ]
+
+
+def estimated_fields(winner, hist: ClassHistogram, runs: list[tuple[int, int]]) -> dict:
+    """:class:`PendingSplit` fields of a split estimated around ``runs``.
+
+    ``winner`` is the split attribute's
+    :class:`~repro.core.intervals.AttributeAnalysis` and ``hist`` its
+    histogram at the node; ``runs`` are the merged alive-interval runs.
+    """
+    alive_bounds = alive_run_bounds(hist, runs)
+    return dict(
+        attr=winner.attr,
+        zone_bounds=zone_boundaries(alive_bounds),
+        alive_bounds=alive_bounds,
+        alive_cum_below=[hist.cum_below(i0) for i0, __ in runs],
+        totals=hist.totals(),
+        best_boundary_value=(
+            float(winner.edges[winner.best_boundary])
+            if winner.has_boundaries
+            else None
+        ),
+        best_boundary_gini=winner.gini_min,
+    )
+
+
 def adaptive_intervals(configured: int, n_records: float) -> int:
     """Grid size for a child node: never more than one interval per ~20
     records, floored at 4.
@@ -412,7 +638,6 @@ def resolve_exact_threshold(
     Returns ``None`` when no valid split exists at all.
     """
     totals = np.asarray(totals, dtype=np.float64)
-    n = totals.sum()
     best_gini = np.inf
     best_thr = np.nan
     best_from_buffer = False
@@ -425,45 +650,460 @@ def resolve_exact_threshold(
     n_classes = len(totals)
     for (lo, hi), cum_below in zip(alive_bounds, alive_cum_below):
         in_interval = (buf_values > lo) & (buf_values <= hi)
-        v = buf_values[in_interval]
-        if len(v) == 0:
-            continue
-        lab = buf_labels[in_interval]
-        order = np.argsort(v, kind="stable")
-        v = v[order]
-        lab = lab[order]
-        onehot = np.zeros((len(v), n_classes), dtype=np.float64)
-        onehot[np.arange(len(v)), lab] = 1.0
-        cum = np.cumsum(onehot, axis=0) + cum_below[None, :]
         # Candidates: after the last record of each distinct value.  The
         # final record's threshold equals the interval's upper-boundary
         # split, which the boundary ginis already cover (when valid).
-        distinct = np.nonzero(v[:-1] < v[1:])[0]
-        if len(distinct) == 0:
+        thresholds, left = prefix_cuts(
+            buf_values[in_interval], buf_labels[in_interval], cum_below, n_classes
+        )
+        if len(thresholds) == 0:
             continue
-        n_candidates += len(distinct)
-        left = cum[distinct]
-        nl = left.sum(axis=1)
-        valid = (nl > 0) & (nl < n)
-        if not np.any(valid):
+        n_candidates += len(thresholds)
+        best = best_cut(left, totals)
+        if best is None:
             continue
-        right = totals[None, :] - left
-        ginis = np.asarray(gini_partition(left, right), dtype=np.float64)
-        ginis = np.where(valid, ginis, np.inf)
-        t = int(np.argmin(ginis))
-        if ginis[t] < best_gini - 1e-15:
-            best_gini = float(ginis[t])
-            best_thr = float(v[distinct[t]])
+        t, g = best
+        if g < best_gini - 1e-15:
+            best_gini = g
+            best_thr = float(thresholds[t])
             best_from_buffer = True
     if not np.isfinite(best_gini):
         return None
     return ResolvedThreshold(best_thr, best_gini, best_from_buffer, n_candidates)
 
 
+def prefix_cuts(
+    values: np.ndarray,
+    labels: np.ndarray,
+    base: np.ndarray,
+    n_classes: int,
+    include_last: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cut points of a run of buffered records and the class counts left of each.
+
+    The records are sorted stably by value.  A cut falls after the last
+    record of each distinct value; the cut after the run's final record
+    is included only with ``include_last``.  Returns the cut thresholds
+    ``(k,)`` and, per cut, ``base`` plus the class counts of the sorted
+    prefix ``(k, n_classes)``.
+    """
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    onehot = np.zeros((len(v), n_classes), dtype=np.float64)
+    onehot[np.arange(len(v)), labels[order]] = 1.0
+    cum = np.cumsum(onehot, axis=0) + base[None, :]
+    cuts = np.nonzero(v[:-1] < v[1:])[0]
+    if include_last and len(v):
+        cuts = np.append(cuts, len(v) - 1)
+    return v[cuts], cum[cuts]
+
+
+def best_cut(left: np.ndarray, totals: np.ndarray) -> tuple[int, float] | None:
+    """Index and gini of the best valid candidate split, or ``None``.
+
+    ``left`` holds each candidate's left-side class counts; a candidate
+    is valid when both sides are non-empty.  Ties go to the first
+    candidate.
+    """
+    n = totals.sum()
+    nl = left.sum(axis=1)
+    valid = (nl > 0) & (nl < n)
+    if not valid.any():
+        return None
+    ginis = np.asarray(gini_partition(left, totals[None, :] - left), dtype=np.float64)
+    ginis = np.where(valid, ginis, np.inf)
+    k = int(np.argmin(ginis))
+    return k, float(ginis[k])
+
+
+# ---------------------------------------------------------------------------
+# The level-synchronous driver (CMP-S, CMP-B, CMP; shared with bagging)
+# ---------------------------------------------------------------------------
+
+
+def apply_remap(nid: np.ndarray, remap: dict[int, int]) -> None:
+    """Rewrite ``nid`` slots through ``remap`` (others map to themselves).
+
+    Merged preliminary parts hand their records to the surviving child's
+    slot.  The lookup is shifted by one so a ``-1`` sentinel (a bagged
+    member's never-drawn records) stays ``-1``.
+    """
+    if not remap:
+        return
+    upper = max(int(nid.max()), max(remap))
+    lookup = np.arange(-1, upper + 1, dtype=np.int64)
+    for src, dst in remap.items():
+        lookup[src + 1] = dst
+    nid[:] = lookup[nid + 1]
+
+
+def public_pass(root: Node, pendings: dict[int, PendingSplit]) -> dict[int, PendingSplit]:
+    """Integrated PUBLIC(1) pruning between levels.
+
+    Drops the pendings of frontier nodes that the pass closed.
+    """
+    from repro.pruning.public import public_prune_pass
+
+    open_ids = {p.node.node_id for p in pendings.values()}
+    removed = public_prune_pass(root, open_ids)
+    if not removed:
+        return pendings
+    return {slot: p for slot, p in pendings.items() if p.node.node_id not in removed}
+
+
+def refill_overflowed(
+    table,
+    engine: ScanEngine,
+    stats: BuildStats,
+    n: int,
+    groups: list[tuple[np.ndarray, np.ndarray | None, list[PendingSplit]]],
+) -> None:
+    """Re-collect dropped alive-interval records with one extra scan.
+
+    The CLOUDS-style degradation path: when a node's alive buffer blew
+    its memory budget during the level's scan, its records are
+    recoverable — alive records keep their parent's ``nid`` slot (only
+    preliminary-region records were reassigned).  One shared pass
+    (chunk-parallel like any other scan; worker sub-buffers concatenate
+    in chunk order) refills every overflowed buffer, preserving the exact
+    append order of the un-budgeted path, so resolution — and the final
+    tree — is unchanged; only the extra scan is charged.
+
+    Each group is one tree's ``(nid column, per-record weights or None,
+    overflowed pendings)``.  Weighted records are appended ``weight``
+    times, as the bagged forest's routing does.
+    """
+    stats.buffer_overflow_rescans += 1
+    by_key: dict[tuple[int, int], PendingSplit] = {}
+    for g, (__, __, overflowed) in enumerate(groups):
+        for p in overflowed:
+            p.buffer = RecordBuffer()  # unbounded: contents fit by paper's premise
+            by_key[(g, p.parent_slot)] = p
+
+    def route(chunk: ScanChunk, buffers: dict[tuple[int, int], RecordBuffer]) -> None:
+        for (g, slot), buf in buffers.items():
+            nid, weights, __ = groups[g]
+            mask = nid[chunk.start : chunk.stop] == slot
+            if mask.any():
+                w = None if weights is None else weights[chunk.start : chunk.stop][mask]
+                buf.append(
+                    *expand_weighted(chunk.X[mask], chunk.y[mask], chunk.rids[mask], w)
+                )
+
+    engine.scan(
+        table,
+        route=route,
+        live={key: p.buffer for key, p in by_key.items()},
+        make_delta=lambda: {key: RecordBuffer() for key in by_key},
+        merge_delta=lambda delta: [
+            by_key[key].buffer.extend_from(buf) for key, buf in delta.items()
+        ],
+    )
+    stats.io.count_aux_read(n * len(groups))
+
+
+class LevelBuilder(TreeBuilder):
+    """The level-synchronous CMP driver: one scan per tree level.
+
+    Two scans precede the loop: a quantiling pass that fixes the root
+    interval grid (charged to CLOUDS identically, see DESIGN.md §3) and
+    the root-accumulator pass (Figures 4 and 10, line 03).  Then each
+    level makes one scan that routes every record from its pending parent
+    into preliminary parts and buffers alive-interval records, followed
+    by resolution of the exact splits and the children's decisions.
+
+    Subclasses supply the strategy:
+
+    * :meth:`_root_part` — the root accumulator scan 2 fills;
+    * :meth:`_decide` — a node's pending split, or ``None`` for a leaf;
+    * :meth:`_resolve` — a scanned pending's children and their parts.
+
+    Bookkeeping follows the paper: the training set is never sorted,
+    copied or modified; a ``nid`` array maps each record to its node
+    (slot) and is charged as disk-swapped auxiliary I/O.
+    """
+
+    supports_integrated_pruning = True
+
+    def _build(self, dataset: Dataset, stats: BuildStats) -> DecisionTree:
+        self._validate(dataset)
+        engine = self._scan_engine()
+        try:
+            return self._grow(dataset, stats, engine)
+        finally:
+            stats.parallel_batches += engine.batches_dispatched
+            engine.close()
+
+    def _validate(self, dataset: Dataset) -> None:
+        """Reject configurations or data the builder cannot handle."""
+        if self.config.criterion != "gini":
+            raise ValueError(f"{self.name} supports only the gini criterion")
+
+    # -- strategy hooks --------------------------------------------------------
+
+    @abstractmethod
+    def _root_part(
+        self,
+        schema: Schema,
+        root_edges: dict[int, np.ndarray],
+        rng: np.random.Generator,
+    ):
+        """The root accumulator (slot 0) on the quantiled root grid."""
+
+    def _route_chunk(
+        self,
+        chunk: ScanChunk,
+        nid: np.ndarray,
+        pendings: dict[int, PendingSplit],
+        weights: np.ndarray | None = None,
+    ) -> None:
+        """Route one chunk's records through one tree's pending splits.
+
+        ``weights`` (one per table record) are the bagged forest's
+        bootstrap multiplicities; its never-drawn records carry a negative
+        ``nid`` and so match no pending.
+        """
+        slots = nid[chunk.start : chunk.stop]
+        if weights is not None:
+            weights = weights[chunk.start : chunk.stop]
+        for slot, p in pendings.items():
+            mask = slots == slot
+            if mask.any():
+                p.route(
+                    chunk.X[mask],
+                    chunk.y[mask],
+                    chunk.rids[mask],
+                    nid,
+                    None if weights is None else weights[mask],
+                )
+
+    @abstractmethod
+    def _decide(
+        self,
+        node: Node,
+        part,
+        next_slot: Callable[[], int],
+        schema: Schema,
+        stats: BuildStats,
+    ) -> PendingSplit | None:
+        """Pick the node's split from its complete accumulator, or leaf it."""
+
+    @abstractmethod
+    def _resolve(
+        self,
+        p: PendingSplit,
+        nid: np.ndarray,
+        remap: dict[int, int],
+        next_slot: Callable[[], int],
+        account: TreeAccount,
+        schema: Schema,
+        stats: BuildStats,
+    ) -> list[tuple[Node, object]]:
+        """Materialize a scanned pending; returns ``(child, part)`` pairs."""
+
+    # -- the loop --------------------------------------------------------------
+
+    def _grow(
+        self, dataset: Dataset, stats: BuildStats, engine: ScanEngine
+    ) -> DecisionTree:
+        cfg = self.config
+        schema = dataset.schema
+        n = dataset.n_records
+        table = self._open_table(dataset, stats)
+        ckpt = self._checkpointer(dataset)
+
+        state = None
+        if ckpt is not None and cfg.resume and ckpt.exists():
+            level, state = ckpt.load(stats)
+        if state is not None:
+            account: TreeAccount = state["account"]
+            root: Node = state["root"]
+            nid: np.ndarray = state["nid"]
+            pendings: dict[int, PendingSplit] = state["pendings"]
+            next_slot: SlotCounter = state["next_slot"]
+        else:
+            account = TreeAccount()
+            rng = np.random.default_rng(cfg.seed)
+            # --- Scan 1: quantiling pass (root grid + class totals). ------
+            totals, root_edges = self._quantile_scan(table, schema, rng, stats)
+            root = account.new_node(0, totals)
+            nid = np.zeros(n, dtype=np.int64)
+            next_slot = SlotCounter()
+
+            # --- Scan 2: root accumulator. ---------------------------------
+            root_part = self._root_part(schema, root_edges, rng)
+            stats.memory.allocate("hist/root", root_part.nbytes())
+            with stats.phase("scan"):
+                engine.scan(
+                    table,
+                    route=lambda chunk, part: part.update(chunk.X, chunk.y),
+                    live=root_part,
+                    make_delta=root_part.clone_empty,
+                    merge_delta=root_part.merge_from,
+                    memory=stats.memory,
+                    delta_nbytes=root_part.nbytes(),
+                )
+            stats.io.count_nid_swap(n)
+
+            pendings = {}
+            with stats.phase("resolve"):
+                first = self._open_pending(root, root_part, next_slot, schema, stats)
+            stats.memory.release("hist/root")
+            if first is not None:
+                pendings[0] = first
+            level = 0
+            if ckpt is not None:
+                with stats.phase("checkpoint"):
+                    ckpt.save(level, loop_state(account, root, nid, pendings, next_slot), stats)
+
+        # --- One scan per level. -------------------------------------------
+        while pendings:
+            with stats.tracer.span("level", level=level + 1, pendings=len(pendings)):
+                self._scan_level(table, engine, stats, nid, {0: (nid, None, pendings)})
+                for p in pendings.values():
+                    stats.memory.allocate(f"buf/{p.node.node_id}", p.buffer_nbytes())
+                with stats.phase("resolve"):
+                    pendings = self._advance(
+                        root, pendings, nid, account, next_slot, schema, stats
+                    )
+                level += 1
+                if ckpt is not None:
+                    with stats.phase("checkpoint"):
+                        ckpt.save(level, loop_state(account, root, nid, pendings, next_slot), stats)
+
+        if ckpt is not None:
+            ckpt.clear()
+        return DecisionTree(root, schema)
+
+    def _scan_level(
+        self,
+        table,
+        engine: ScanEngine,
+        stats: BuildStats,
+        nid: np.ndarray,
+        trees: dict[int, tuple[np.ndarray, np.ndarray | None, dict[int, PendingSplit]]],
+    ) -> None:
+        """One level's scan, shared by every tree that is still growing.
+
+        ``trees`` maps a tree id to its ``(nid column, per-record weights
+        or None, pendings)``: one entry for a solo build, one per live
+        member for the bagged forest.  Workers route private deltas that
+        merge in chunk order and write new slots back into ``nid``.  The
+        node-id swap is charged per tree, and buffers that overflowed
+        their budget are refilled by one extra scan.
+        """
+        n = len(nid)
+        live = {t: pendings for t, (__, __, pendings) in trees.items()}
+
+        def route(chunk: ScanChunk, tgt: dict[int, dict[int, PendingSplit]]) -> None:
+            for t, pendings in tgt.items():
+                nid_t, weights, __ = trees[t]
+                self._route_chunk(chunk, nid_t, pendings, weights)
+
+        with stats.phase("scan"):
+            engine.scan(
+                table,
+                route=route,
+                live=live,
+                make_delta=lambda: {
+                    t: {slot: p.scan_delta() for slot, p in d.items()}
+                    for t, d in live.items()
+                },
+                merge_delta=lambda delta: [
+                    live[t][slot].merge_scan_delta(dp)
+                    for t, d in delta.items()
+                    for slot, dp in d.items()
+                ],
+                memory=stats.memory,
+                delta_nbytes=sum(
+                    p.delta_nbytes() for d in live.values() for p in d.values()
+                ),
+                writeback=nid,
+            )
+        stats.io.count_nid_swap(n * len(trees))
+        overflowed = [
+            (nid_t, weights, ps)
+            for nid_t, weights, pendings in trees.values()
+            if (ps := [p for p in pendings.values() if p.buffer.overflowed])
+        ]
+        if overflowed:
+            with stats.phase("scan"):
+                refill_overflowed(table, engine, stats, n, overflowed)
+
+    def _quantile_scan(
+        self, table, schema: Schema, rng: np.random.Generator, stats: BuildStats
+    ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Scan 1: root class totals and equal-depth root grids.
+
+        Reservoir sampling consumes records in stream order, so this scan
+        stays serial under every worker count.
+        """
+        cfg = self.config
+        c = schema.n_classes
+        cont = schema.continuous_indices()
+        reservoirs = {j: ReservoirSampler(cfg.reservoir_capacity, rng) for j in cont}
+        totals = np.zeros(c, dtype=np.float64)
+        with stats.phase("scan"):
+            for chunk in table.scan():
+                totals += np.bincount(chunk.y, minlength=c)
+                for j in cont:
+                    reservoirs[j].extend(chunk.X[:, j])
+        return totals, {j: reservoirs[j].edges(cfg.n_intervals) for j in cont}
+
+    def _open_pending(
+        self,
+        node: Node,
+        part,
+        next_slot: Callable[[], int],
+        schema: Schema,
+        stats: BuildStats,
+    ) -> PendingSplit | None:
+        """Decide ``node`` and charge the new pending's parts to the ledger."""
+        p = self._decide(node, part, next_slot, schema, stats)
+        if p is not None:
+            stats.memory.allocate(f"parts/{node.node_id}", p.parts_nbytes())
+        return p
+
+    def _advance(
+        self,
+        root: Node,
+        pendings: dict[int, PendingSplit],
+        nid: np.ndarray,
+        account: TreeAccount,
+        next_slot: Callable[[], int],
+        schema: Schema,
+        stats: BuildStats,
+    ) -> dict[int, PendingSplit]:
+        """One tree's post-scan step; returns the next level's pendings.
+
+        Resolves every scanned pending, decides each child from its
+        complete accumulator, remaps merged parts in ``nid`` and, under
+        ``prune="public"``, runs the PUBLIC(1) pass.  The pendings'
+        buffers must already be charged to the ledger as ``buf/``.
+        """
+        new_pendings: dict[int, PendingSplit] = {}
+        remap: dict[int, int] = {}
+        for p in pendings.values():
+            children = self._resolve(p, nid, remap, next_slot, account, schema, stats)
+            stats.memory.release(f"parts/{p.node.node_id}")
+            stats.memory.release(f"buf/{p.node.node_id}")
+            for child, part in children:
+                stats.memory.allocate(f"hist/{child.node_id}", part.nbytes())
+                q = self._open_pending(child, part, next_slot, schema, stats)
+                stats.memory.release(f"hist/{child.node_id}")
+                if q is not None:
+                    new_pendings[part.slot] = q
+        apply_remap(nid, remap)
+        if self.config.prune == "public":
+            new_pendings = public_pass(root, new_pendings)
+        return new_pendings
+
 __all__ = [
     "BuildResult",
     "TreeBuilder",
+    "LevelBuilder",
     "PartState",
+    "PendingSplit",
     "RecordBuffer",
     "ResolvedThreshold",
     "make_part_hists",

@@ -17,111 +17,39 @@ and after the scan:
 4. analyzes the now-complete child histograms, picks each child's splitting
    attribute, estimates its split and its alive intervals (lines 15-19).
 
-Bookkeeping follows the paper: the training set is never sorted, copied or
-modified; a ``nid`` array maps each record to its node (slot) and is charged
-as disk-swapped auxiliary I/O.  Two extra scans precede the loop: a
-quantiling pass that fixes the root interval grid (charged to CLOUDS
-identically, see DESIGN.md §3) and the root-histogram pass of line 03.
-Child grids are re-quantiled from the parent's histograms without touching
-the data (:func:`repro.data.discretize.edges_from_histogram`).
+The scan loop itself — the quantiling and root scans, the per-level scan
+with its routing (:meth:`~repro.core.builder.PendingSplit.route`),
+overflow rescans, slot remapping, PUBLIC(1) pruning and checkpoints — is
+:class:`~repro.core.builder.LevelBuilder`'s; this module supplies the
+CMP-S strategy: per-attribute histograms as the root accumulator,
+decisions and resolution.  Child grids are re-quantiled from the parent's
+histograms without touching the data
+(:func:`repro.data.discretize.edges_from_histogram`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from repro.core.builder import (
+    LevelBuilder,
     PartState,
-    adaptive_intervals,
+    PendingSplit,
     RecordBuffer,
-    TreeBuilder,
-    classify_zones,
+    adaptive_intervals,
+    estimated_fields,
     make_part_hists,
     resolve_exact_threshold,
-    zone_boundaries,
 )
-from repro.core.checkpoint import SlotCounter, loop_state as _loop_state
 from repro.core.histogram import CategoryHistogram, ClassHistogram
-from repro.core.parallel import ScanEngine
 from repro.core.intervals import analyze_attribute, choose_split_attribute
-from repro.core.splits import CategoricalSplit, NumericSplit, Split
-from repro.core.tree import DecisionTree, Node, TreeAccount
-from repro.data.dataset import Dataset
-from repro.data.discretize import ReservoirSampler, edges_from_histogram, equal_depth_edges
+from repro.core.splits import CategoricalSplit, NumericSplit
+from repro.core.tree import Node, TreeAccount
+from repro.data.discretize import edges_from_histogram
 from repro.data.schema import Schema
 from repro.io.metrics import BuildStats
-from repro.io.pager import ScanChunk
-
-Hists = dict[int, ClassHistogram | CategoryHistogram]
-
-
-@dataclass
-class PendingSplit:
-    """A split decided (possibly only estimated) but not yet materialized.
-
-    ``exact_split`` is set for splits known exactly at decision time
-    (categorical subsets, boundary splits with no alive interval); then the
-    pending merely routes records into two parts on the next scan.
-    Otherwise the split is *estimated*: records are routed into
-    ``len(alive_bounds) + 1`` preliminary parts, alive-interval records are
-    buffered, and the threshold is resolved after the scan.
-    """
-
-    node: Node
-    parent_slot: int
-    child_edges: dict[int, np.ndarray]
-    exact_split: Split | None = None
-    attr: int = -1
-    zone_bounds: np.ndarray = field(default_factory=lambda: np.empty(0))
-    alive_bounds: list[tuple[float, float]] = field(default_factory=list)
-    alive_cum_below: list[np.ndarray] = field(default_factory=list)
-    totals: np.ndarray = field(default_factory=lambda: np.empty(0))
-    best_boundary_value: float | None = None
-    best_boundary_gini: float = np.inf
-    parts: list[PartState] = field(default_factory=list)
-    buffer: RecordBuffer = field(default_factory=RecordBuffer)
-
-    @property
-    def is_estimated(self) -> bool:
-        """True when the exact threshold is still pending."""
-        return self.exact_split is None
-
-    def scan_delta(self) -> "PendingSplit":
-        """Structural clone with empty accumulators (one worker's delta).
-
-        Decision-time fields (split, zones, part slots) are shared
-        read-only; parts and buffer are fresh so each worker thread
-        accumulates privately during a parallel scan.
-        """
-        return replace(
-            self,
-            parts=[part.clone_empty() for part in self.parts],
-            buffer=RecordBuffer(budget_bytes=self.buffer.budget_bytes),
-        )
-
-    def merge_scan_delta(self, delta: "PendingSplit") -> None:
-        """Fold one worker's delta in; callers merge in chunk order."""
-        for part, dpart in zip(self.parts, delta.parts):
-            part.merge_from(dpart)
-        self.buffer.extend_from(delta.buffer)
-
-    def delta_nbytes(self) -> int:
-        """Bytes one fresh scan delta occupies (buffers start empty)."""
-        return sum(part.nbytes() for part in self.parts)
-
-    def region_bounds(self) -> list[tuple[float, float]]:
-        """Value range covered by each preliminary part, in order."""
-        bounds: list[tuple[float, float]] = []
-        prev_hi = -np.inf
-        for lo, hi in self.alive_bounds:
-            bounds.append((prev_hi, lo))
-            prev_hi = hi
-        bounds.append((prev_hi, np.inf))
-        return bounds
-
 
 def merge_contiguous(indices: list[int]) -> list[tuple[int, int]]:
     """Collapse sorted interval indices into inclusive contiguous runs."""
@@ -134,251 +62,33 @@ def merge_contiguous(indices: list[int]) -> list[tuple[int, int]]:
     return runs
 
 
-class CMPSBuilder(TreeBuilder):
+class CMPSBuilder(LevelBuilder):
     """The CMP-S classifier."""
 
     name = "CMP-S"
-    supports_integrated_pruning = True
 
-    def _build(self, dataset: Dataset, stats: BuildStats) -> DecisionTree:
-        if self.config.criterion != "gini":
-            raise ValueError(f"{self.name} supports only the gini criterion")
-        engine = self._scan_engine()
-        try:
-            return self._build_loop(dataset, stats, engine)
-        finally:
-            stats.parallel_batches += engine.batches_dispatched
-            engine.close()
-
-    def _build_loop(
-        self, dataset: Dataset, stats: BuildStats, engine: ScanEngine
-    ) -> DecisionTree:
-        cfg = self.config
-        schema = dataset.schema
-        n, c = dataset.n_records, dataset.n_classes
-        table = self._open_table(dataset, stats)
-        ckpt = self._checkpointer(dataset)
-        cont = schema.continuous_indices()
-
-        state = None
-        if ckpt is not None and cfg.resume and ckpt.exists():
-            level, state = ckpt.load(stats)
-        if state is not None:
-            account: TreeAccount = state["account"]
-            root: Node = state["root"]
-            nid: np.ndarray = state["nid"]
-            pendings: dict[int, PendingSplit] = state["pendings"]
-            next_slot: SlotCounter = state["next_slot"]
-        else:
-            account = TreeAccount()
-            rng = np.random.default_rng(cfg.seed)
-
-            # --- Scan 1: quantiling pass (root grid + class totals). ------
-            # Summaries consume records in stream order, so this scan
-            # stays serial under every worker count.  Both interval
-            # sources expose .extend(values) / .edges(q): the reservoir
-            # is the paper's uniform sample; the sketch is the streaming
-            # alternative with a deterministic rank-error bound
-            # (config.interval_source, PAPERS.md streaming split work).
-            if cfg.interval_source == "sketch":
-                from repro.stream.sketch import QuantileSketch
-
-                summaries: dict[int, object] = {
-                    j: QuantileSketch(cfg.sketch_eps) for j in cont
-                }
-            else:
-                summaries = {
-                    j: ReservoirSampler(cfg.reservoir_capacity, rng)
-                    for j in cont
-                }
-            totals = np.zeros(c, dtype=np.float64)
-            with stats.phase("scan"):
-                for chunk in table.scan():
-                    totals += np.bincount(chunk.y, minlength=c)
-                    for j in cont:
-                        summaries[j].extend(chunk.X[:, j])
-            root_edges = {
-                j: summaries[j].edges(cfg.n_intervals) for j in cont
-            }
-            del summaries
-            root = account.new_node(0, totals)
-
-            nid = np.zeros(n, dtype=np.int64)
-            next_slot = SlotCounter()
-
-            # --- Scan 2: root histograms (Figure 4, line 03). -------------
-            root_part = PartState(0, c, make_part_hists(schema, root_edges))
-            stats.memory.allocate("hist/root", root_part.nbytes())
-            with stats.phase("scan"):
-                engine.scan(
-                    table,
-                    route=lambda chunk, part: part.update(chunk.X, chunk.y),
-                    live=root_part,
-                    make_delta=root_part.clone_empty,
-                    merge_delta=root_part.merge_from,
-                    memory=stats.memory,
-                    delta_nbytes=root_part.nbytes(),
-                )
-            self._charge_nid(stats, n)
-
-            pendings = {}
-            with stats.phase("resolve"):
-                first = self._decide(root, 0, root_part.hists, next_slot, schema, stats)
-            stats.memory.release("hist/root")
-            if first is not None:
-                pendings[0] = first
-            level = 0
-            if ckpt is not None:
-                with stats.phase("checkpoint"):
-                    ckpt.save(level, _loop_state(account, root, nid, pendings, next_slot), stats)
-
-        # --- One scan per level (Figure 4, lines 01-21). ------------------
-        while pendings:
-            with stats.tracer.span("level", level=level + 1, pendings=len(pendings)):
-                live = pendings
-                with stats.phase("scan"):
-                    engine.scan(
-                        table,
-                        route=lambda chunk, tgt: self._route_chunk(chunk, nid, tgt),
-                        live=live,
-                        make_delta=lambda: {
-                            slot: p.scan_delta() for slot, p in live.items()
-                        },
-                        merge_delta=lambda delta: [
-                            live[slot].merge_scan_delta(d) for slot, d in delta.items()
-                        ],
-                        memory=stats.memory,
-                        delta_nbytes=sum(p.delta_nbytes() for p in live.values()),
-                        writeback=nid,
-                    )
-                self._charge_nid(stats, n)
-                overflowed = [
-                    p for p in pendings.values() if p.is_estimated and p.buffer.overflowed
-                ]
-                if overflowed:
-                    with stats.phase("scan"):
-                        self._refill_overflowed(table, nid, overflowed, stats, n, engine)
-                for p in pendings.values():
-                    stats.memory.allocate(f"buf/{p.node.node_id}", p.buffer.nbytes())
-
-                with stats.phase("resolve"):
-                    new_pendings: dict[int, PendingSplit] = {}
-                    remap: dict[int, int] = {}
-                    for p in pendings.values():
-                        children = self._resolve(p, nid, remap, next_slot, account, schema, stats)
-                        stats.memory.release(f"parts/{p.node.node_id}")
-                        stats.memory.release(f"buf/{p.node.node_id}")
-                        for child, slot, hists in children:
-                            stats.memory.allocate(f"hist/{child.node_id}", _hists_nbytes(hists))
-                            q = self._decide(child, slot, hists, next_slot, schema, stats)
-                            stats.memory.release(f"hist/{child.node_id}")
-                            if q is not None:
-                                new_pendings[slot] = q
-                    if remap:
-                        self._apply_remap(nid, remap, stats)
-                pendings = new_pendings
-                if cfg.prune == "public":
-                    pendings = self._public_pass(root, pendings)
-                level += 1
-                if ckpt is not None:
-                    with stats.phase("checkpoint"):
-                        ckpt.save(level, _loop_state(account, root, nid, pendings, next_slot), stats)
-
-        if ckpt is not None:
-            ckpt.clear()
-        return DecisionTree(root, schema)
-
-    def _refill_overflowed(
+    def _root_part(
         self,
-        table,
-        nid: np.ndarray,
-        overflowed: list[PendingSplit],
-        stats: BuildStats,
-        n: int,
-        engine: ScanEngine,
-    ) -> None:
-        """Re-collect dropped alive-interval records with one extra scan.
-
-        The CLOUDS-style degradation path: when a node's alive buffer
-        blew its memory budget during the level's scan, its records are
-        recoverable — alive records keep their parent's ``nid`` slot
-        (only preliminary-region records were reassigned).  One shared
-        pass (chunk-parallel like any other scan; worker sub-buffers
-        concatenate in chunk order) refills every overflowed buffer,
-        preserving the exact append order of the un-budgeted path, so
-        resolution — and the final tree — is unchanged; only the extra
-        scan is charged.
-        """
-        stats.buffer_overflow_rescans += 1
-        by_slot: dict[int, PendingSplit] = {}
-        for p in overflowed:
-            p.buffer = RecordBuffer()  # unbounded: contents fit by paper's premise
-            by_slot[p.parent_slot] = p
-
-        def route(chunk: ScanChunk, buffers: dict[int, RecordBuffer]) -> None:
-            slots = nid[chunk.start : chunk.stop]
-            for slot, buf in buffers.items():
-                mask = slots == slot
-                if mask.any():
-                    buf.append(chunk.X[mask], chunk.y[mask], chunk.rids[mask])
-
-        engine.scan(
-            table,
-            route=route,
-            live={slot: p.buffer for slot, p in by_slot.items()},
-            make_delta=lambda: {slot: RecordBuffer() for slot in by_slot},
-            merge_delta=lambda delta: [
-                by_slot[slot].buffer.extend_from(buf) for slot, buf in delta.items()
-            ],
-        )
-        stats.io.count_aux_read(n)
-
-    # -- scan-time routing ---------------------------------------------------
-
-    def _route_chunk(
-        self,
-        chunk: ScanChunk,
-        nid: np.ndarray,
-        pendings: dict[int, PendingSplit],
-    ) -> None:
-        slots = nid[chunk.start : chunk.stop]
-        for slot, p in pendings.items():
-            mask = slots == slot
-            if not mask.any():
-                continue
-            X = chunk.X[mask]
-            y = chunk.y[mask]
-            rids = chunk.rids[mask]
-            if p.exact_split is not None:
-                left = p.exact_split.goes_left(X)
-                p.parts[0].update(X[left], y[left])
-                p.parts[1].update(X[~left], y[~left])
-                nid[rids[left]] = p.parts[0].slot
-                nid[rids[~left]] = p.parts[1].slot
-                continue
-            zones = classify_zones(X[:, p.attr], p.zone_bounds)
-            alive = (zones & 1) == 1
-            if alive.any():
-                p.buffer.append(X[alive], y[alive], rids[alive])
-            for r, part in enumerate(p.parts):
-                m = zones == 2 * r
-                if m.any():
-                    part.update(X[m], y[m])
-                    nid[rids[m]] = part.slot
+        schema: Schema,
+        root_edges: dict[int, np.ndarray],
+        rng: np.random.Generator,
+    ) -> PartState:
+        """Root histograms on the quantiled grid (Figure 4, line 03)."""
+        return PartState(0, schema.n_classes, make_part_hists(schema, root_edges))
 
     # -- decisions (Figure 4, lines 15-19) ------------------------------------
 
     def _decide(
         self,
         node: Node,
-        slot: int,
-        hists: Hists,
+        part: PartState,
         next_slot: Callable[[], int],
         schema: Schema,
         stats: BuildStats,
     ) -> PendingSplit | None:
         """Pick the node's split (estimated or exact) or make it a leaf."""
         cfg = self.config
+        slot, hists = part.slot, part.hists
         if (
             node.n_records < cfg.min_records
             or node.gini <= cfg.min_gini
@@ -408,80 +118,31 @@ class CMPSBuilder(TreeBuilder):
         child_edges = self._refined_edges(hists, cont, node.n_records)
         if best_cat is not None and best_cat_gini < cont_score:
             j, mask = best_cat
-            split: Split = CategoricalSplit(j, tuple(bool(b) for b in mask))
-            return self._new_pending_exact(node, slot, split, child_edges, next_slot, schema, stats)
-
-        assert winner is not None
-        hist = hists[winner.attr]
-        assert isinstance(hist, ClassHistogram)
-        if not winner.alive:
+            fields = dict(exact_split=CategoricalSplit(j, tuple(bool(b) for b in mask)))
+        elif not winner.alive:
             split = NumericSplit(
                 winner.attr,
                 float(winner.edges[winner.best_boundary]),
                 n_candidates=max(1, len(winner.edges)),
             )
-            return self._new_pending_exact(node, slot, split, child_edges, next_slot, schema, stats)
-
-        # Estimated split around the alive intervals.
-        q = hist.n_intervals
-        runs = merge_contiguous(winner.alive)
-        alive_bounds: list[tuple[float, float]] = []
-        alive_cum_below: list[np.ndarray] = []
-        for i0, i1 in runs:
-            lo = -np.inf if i0 == 0 else float(hist.edges[i0 - 1])
-            hi = np.inf if i1 == q - 1 else float(hist.edges[i1])
-            alive_bounds.append((lo, hi))
-            alive_cum_below.append(hist.cum_below(i0))
-        best_val = (
-            float(winner.edges[winner.best_boundary])
-            if winner.has_boundaries
-            else None
-        )
-        p = PendingSplit(
-            node=node,
-            parent_slot=slot,
-            child_edges=child_edges,
-            attr=winner.attr,
-            zone_bounds=zone_boundaries(alive_bounds),
-            alive_bounds=alive_bounds,
-            alive_cum_below=alive_cum_below,
-            totals=hist.totals(),
-            best_boundary_value=best_val,
-            best_boundary_gini=winner.gini_min,
-            buffer=RecordBuffer(budget_bytes=cfg.buffer_budget_bytes),
-        )
-        n_parts = len(alive_bounds) + 1
+            fields = dict(exact_split=split)
+        else:
+            # Estimated split around the alive intervals.
+            hist = hists[winner.attr]
+            assert isinstance(hist, ClassHistogram)
+            fields = dict(
+                buffer=RecordBuffer(budget_bytes=cfg.buffer_budget_bytes),
+                **estimated_fields(winner, hist, merge_contiguous(winner.alive)),
+            )
+        p = PendingSplit(node=node, parent_slot=slot, child_edges=child_edges, **fields)
         p.parts = [
             PartState(next_slot(), schema.n_classes, make_part_hists(schema, child_edges))
-            for _ in range(n_parts)
+            for _ in range(p.n_parts)
         ]
-        stats.memory.allocate(
-            f"parts/{node.node_id}", sum(part.nbytes() for part in p.parts)
-        )
-        return p
-
-    def _new_pending_exact(
-        self,
-        node: Node,
-        slot: int,
-        split: Split,
-        child_edges: dict[int, np.ndarray],
-        next_slot: Callable[[], int],
-        schema: Schema,
-        stats: BuildStats,
-    ) -> PendingSplit:
-        p = PendingSplit(node=node, parent_slot=slot, child_edges=child_edges, exact_split=split)
-        p.parts = [
-            PartState(next_slot(), schema.n_classes, make_part_hists(schema, child_edges))
-            for _ in range(2)
-        ]
-        stats.memory.allocate(
-            f"parts/{node.node_id}", sum(part.nbytes() for part in p.parts)
-        )
         return p
 
     def _refined_edges(
-        self, hists: Hists, cont: list[int], n_records: float
+        self, hists: dict, cont: list[int], n_records: float
     ) -> dict[int, np.ndarray]:
         """Re-quantile each continuous attribute from the node's histogram."""
         q = adaptive_intervals(self.config.n_intervals, n_records)
@@ -505,41 +166,15 @@ class CMPSBuilder(TreeBuilder):
         account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
-    ) -> list[tuple[Node, int, Hists]]:
+    ) -> list[tuple[Node, PartState]]:
         """Materialize a pending split; returns the children to decide on."""
-        node = p.node
         if p.exact_split is not None:
-            lpart, rpart = p.parts
-            if lpart.class_counts.sum() == 0 or rpart.class_counts.sum() == 0:
-                # Degenerate in practice (can happen when the deciding
-                # histogram was approximate at the edges): keep as a leaf.
-                for part in p.parts:
-                    remap[part.slot] = p.parent_slot
-                return []
-            node.split = p.exact_split
-            left = account.new_node(node.depth + 1, lpart.class_counts)
-            right = account.new_node(node.depth + 1, rpart.class_counts)
-            node.left, node.right = left, right
-            return [
-                (left, lpart.slot, lpart.hists),
-                (right, rpart.slot, rpart.hists),
-            ]
+            return p.resolve_exact(remap, account)
 
-        Xb, yb, rids = p.buffer.concatenated()
-        buf_vals = Xb[:, p.attr] if len(yb) else np.empty(0)
-        res = resolve_exact_threshold(
-            p.totals,
-            p.best_boundary_value,
-            p.best_boundary_gini,
-            p.alive_bounds,
-            p.alive_cum_below,
-            buf_vals,
-            yb,
-        )
+        Xb, yb, rids, buf_vals = p.buffered()
+        res = resolve_exact_threshold(*p.estimate(), buf_vals, yb)
         if res is None:
-            for part in p.parts:
-                remap[part.slot] = p.parent_slot
-            return []
+            return p.collapse(remap)
         if res.from_buffer:
             stats.splits_resolved_exactly += 1
         threshold = res.threshold
@@ -549,7 +184,7 @@ class CMPSBuilder(TreeBuilder):
         right_hists = make_part_hists(schema, p.child_edges)
         left_counts = np.zeros(schema.n_classes, dtype=np.float64)
         right_counts = np.zeros(schema.n_classes, dtype=np.float64)
-        for part, (__, hi) in zip(p.parts, p.region_bounds()):
+        for part, hi in zip(p.parts, p.region_tops()):
             if hi <= threshold:
                 target_hists, target_slot = left_hists, lslot
                 left_counts += part.class_counts
@@ -572,48 +207,15 @@ class CMPSBuilder(TreeBuilder):
 
         if left_counts.sum() == 0 or right_counts.sum() == 0:
             # Defensive: candidate validation should prevent this.
-            for part in p.parts:
-                remap[part.slot] = p.parent_slot
-            remap[lslot] = p.parent_slot
-            remap[rslot] = p.parent_slot
-            return []
+            remap[lslot] = remap[rslot] = p.parent_slot
+            return p.collapse(remap)
 
+        node = p.node
         node.split = NumericSplit(p.attr, threshold, n_candidates=res.n_candidates)
         left = account.new_node(node.depth + 1, left_counts)
         right = account.new_node(node.depth + 1, right_counts)
         node.left, node.right = left, right
-        return [(left, lslot, left_hists), (right, rslot, right_hists)]
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    @staticmethod
-    def _charge_nid(stats: BuildStats, n: int) -> None:
-        """Charge the per-scan nid array swap (paper: kept on disk)."""
-        stats.io.count_aux_read(n)
-        stats.io.count_aux_write(n)
-
-    @staticmethod
-    def _apply_remap(nid: np.ndarray, remap: dict[int, int], stats: BuildStats) -> None:
-        max_slot = int(nid.max())
-        lookup = np.arange(max(max_slot + 1, max(remap) + 1), dtype=np.int64)
-        for src, dst in remap.items():
-            lookup[src] = dst
-        nid[:] = lookup[nid]
-
-    def _public_pass(
-        self, root: Node, pendings: dict[int, PendingSplit]
-    ) -> dict[int, PendingSplit]:
-        """Integrated PUBLIC(1) pruning between levels."""
-        from repro.pruning.public import public_prune_pass
-
-        open_ids = {p.node.node_id for p in pendings.values()}
-        removed = public_prune_pass(root, open_ids)
-        if not removed:
-            return pendings
-        return {
-            slot: p for slot, p in pendings.items() if p.node.node_id not in removed
-        }
-
-
-def _hists_nbytes(hists: Hists) -> int:
-    return sum(h.nbytes() for h in hists.values())
+        return [
+            (left, PartState(lslot, schema.n_classes, left_hists, left_counts)),
+            (right, PartState(rslot, schema.n_classes, right_hists, right_counts)),
+        ]

@@ -30,9 +30,12 @@ harness — is that member ``t`` is **bit-identical** to::
     CMPSBuilder(cfg_t).build(dataset.take(np.sort(bootstrap_indices(config.seed, t, n))))
 
 while the shared loop reads the table once per level instead of ``T``
-times.  All split decisions and resolutions reuse the
-:class:`~repro.core.cmp_s.CMPSBuilder` methods verbatim through
-per-member helper instances, so the two code paths cannot drift apart.
+times.  Each level runs through the solo driver: one
+:meth:`~repro.core.builder.LevelBuilder._scan_level` call routes every
+live member (overflow rescan included), then each member takes the solo
+post-scan step — resolve, decide, slot remap, PUBLIC(1) — with the
+:class:`~repro.core.cmp_s.CMPSBuilder` strategy on a per-member helper
+instance, so the two code paths cannot drift apart.
 """
 
 from __future__ import annotations
@@ -43,12 +46,11 @@ from repro.config import BuilderConfig
 from repro.core import native_scan
 from repro.core.builder import (
     PartState,
-    RecordBuffer,
-    classify_zones,
+    PendingSplit,
     make_part_hists,
 )
 from repro.core.checkpoint import SlotCounter
-from repro.core.cmp_s import CMPSBuilder, PendingSplit, _hists_nbytes
+from repro.core.cmp_s import CMPSBuilder
 from repro.core.parallel import ScanEngine
 from repro.core.tree import DecisionTree, TreeAccount
 from repro.data.dataset import Dataset
@@ -64,7 +66,7 @@ from repro.obs.trace import NULL_TRACER
 class _PrefixedLedger:
     """Namespaces one member's ledger keys inside the shared tracker.
 
-    ``CMPSBuilder._decide`` / ``_resolve`` allocate keys like
+    The reused CMP-S steps allocate keys like
     ``parts/{node_id}`` — node ids restart at zero for every member, so
     without a prefix the members would silently replace each other's
     allocations.
@@ -82,7 +84,7 @@ class _PrefixedLedger:
 
 
 class _MemberStats:
-    """The slice of :class:`BuildStats` the reused CMP-S helpers touch.
+    """The slice of :class:`BuildStats` the reused CMP-S steps touch.
 
     A full ``BuildStats`` per member would double-count wall clock and
     I/O; the helpers only need a memory ledger and the exact-resolution
@@ -286,13 +288,13 @@ class BaggedForestBuilder:
                 memory=stats.memory,
                 delta_nbytes=sum(p.nbytes() for p in root_parts),
             )
-        CMPSBuilder._charge_nid(stats, n * T)
+        stats.io.count_nid_swap(n * T)
 
         pendings: list[dict[int, PendingSplit]] = [{} for _ in range(T)]
         with stats.phase("resolve"):
             for t in range(T):
-                first = helpers[t]._decide(
-                    roots[t], 0, root_parts[t].hists, slot_counters[t], schema, mstats[t]
+                first = helpers[t]._open_pending(
+                    roots[t], root_parts[t], slot_counters[t], schema, mstats[t]
                 )
                 mstats[t].memory.release("hist/root")
                 if first is not None:
@@ -310,198 +312,36 @@ class BaggedForestBuilder:
                 members=len(live),
                 pendings=sum(len(d) for d in live.values()),
             ):
-                with stats.phase("scan"):
-                    engine.scan(
-                        table,
-                        route=lambda chunk, tgt: self._route_members(
-                            chunk, nid, weights, tgt
-                        ),
-                        live=live,
-                        make_delta=lambda: {
-                            t: {slot: p.scan_delta() for slot, p in d.items()}
-                            for t, d in live.items()
-                        },
-                        merge_delta=lambda delta: [
-                            live[t][slot].merge_scan_delta(dp)
-                            for t, d in delta.items()
-                            for slot, dp in d.items()
-                        ],
-                        memory=stats.memory,
-                        delta_nbytes=sum(
-                            p.delta_nbytes() for d in live.values() for p in d.values()
-                        ),
-                        writeback=nid,
-                    )
-                CMPSBuilder._charge_nid(stats, n * len(live))
-                overflowed = {
-                    t: [
-                        p
-                        for p in d.values()
-                        if p.is_estimated and p.buffer.overflowed
-                    ]
-                    for t, d in live.items()
-                }
-                overflowed = {t: ps for t, ps in overflowed.items() if ps}
-                if overflowed:
-                    with stats.phase("scan"):
-                        self._refill_overflowed(
-                            table, nid, weights, overflowed, stats, n, engine
-                        )
+                helpers[0]._scan_level(
+                    table,
+                    engine,
+                    stats,
+                    nid,
+                    {t: (nid[:, t], weights[t], d) for t, d in live.items()},
+                )
                 for t, d in live.items():
                     for p in d.values():
                         mstats[t].memory.allocate(
-                            f"buf/{p.node.node_id}", p.buffer.nbytes()
+                            f"buf/{p.node.node_id}", p.buffer_nbytes()
                         )
 
                 with stats.phase("resolve"):
                     for t in sorted(live):
-                        nid_col = nid[:, t]
-                        new_pendings: dict[int, PendingSplit] = {}
-                        remap: dict[int, int] = {}
-                        for p in live[t].values():
-                            children = helpers[t]._resolve(
-                                p,
-                                nid_col,
-                                remap,
-                                slot_counters[t],
-                                accounts[t],
-                                schema,
-                                mstats[t],
-                            )
-                            mstats[t].memory.release(f"parts/{p.node.node_id}")
-                            mstats[t].memory.release(f"buf/{p.node.node_id}")
-                            for child, slot, hists in children:
-                                mstats[t].memory.allocate(
-                                    f"hist/{child.node_id}", _hists_nbytes(hists)
-                                )
-                                q = helpers[t]._decide(
-                                    child, slot, hists, slot_counters[t], schema, mstats[t]
-                                )
-                                mstats[t].memory.release(f"hist/{child.node_id}")
-                                if q is not None:
-                                    new_pendings[slot] = q
-                        if remap:
-                            self._apply_member_remap(nid_col, remap)
-                        pendings[t] = new_pendings
-                        if cfg.prune == "public":
-                            pendings[t] = helpers[t]._public_pass(
-                                roots[t], pendings[t]
-                            )
+                        pendings[t] = helpers[t]._advance(
+                            roots[t],
+                            live[t],
+                            nid[:, t],
+                            accounts[t],
+                            slot_counters[t],
+                            schema,
+                            mstats[t],
+                        )
                 level += 1
 
         stats.splits_resolved_exactly += sum(
             ms.splits_resolved_exactly for ms in mstats
         )
         return [DecisionTree(root, schema) for root in roots]
-
-    # -- scan-time routing ----------------------------------------------------
-
-    @staticmethod
-    def _route_members(
-        chunk: ScanChunk,
-        nid: np.ndarray,
-        weights: list[np.ndarray],
-        tgt: dict[int, dict[int, PendingSplit]],
-    ) -> None:
-        """Route one chunk through every live member's pending splits.
-
-        The per-member body mirrors ``CMPSBuilder._route_chunk`` with
-        weighted part updates and ``np.repeat``-expanded buffer appends;
-        see the module docstring for why both are exact.
-        """
-        for t, pendings in tgt.items():
-            nid_col = nid[:, t]
-            slots = nid_col[chunk.start : chunk.stop]
-            w_col = weights[t][chunk.start : chunk.stop]
-            for slot, p in pendings.items():
-                mask = slots == slot
-                if not mask.any():
-                    continue
-                X = chunk.X[mask]
-                y = chunk.y[mask]
-                rids = chunk.rids[mask]
-                wm = w_col[mask]
-                if p.exact_split is not None:
-                    left = p.exact_split.goes_left(X)
-                    p.parts[0].update(X[left], y[left], wm[left])
-                    p.parts[1].update(X[~left], y[~left], wm[~left])
-                    nid_col[rids[left]] = p.parts[0].slot
-                    nid_col[rids[~left]] = p.parts[1].slot
-                    continue
-                zones = classify_zones(X[:, p.attr], p.zone_bounds)
-                alive = (zones & 1) == 1
-                if alive.any():
-                    reps = wm[alive].astype(np.int64)
-                    p.buffer.append(
-                        np.repeat(X[alive], reps, axis=0),
-                        np.repeat(y[alive], reps),
-                        np.repeat(rids[alive], reps),
-                    )
-                for r, part in enumerate(p.parts):
-                    m = zones == 2 * r
-                    if m.any():
-                        part.update(X[m], y[m], wm[m])
-                        nid_col[rids[m]] = part.slot
-
-    def _refill_overflowed(
-        self,
-        table,
-        nid: np.ndarray,
-        weights: list[np.ndarray],
-        overflowed: dict[int, list[PendingSplit]],
-        stats: BuildStats,
-        n: int,
-        engine: ScanEngine,
-    ) -> None:
-        """Re-collect dropped alive-interval buffers with one extra scan.
-
-        Same degradation path as ``CMPSBuilder._refill_overflowed`` —
-        alive records keep their parent slot, so one shared pass refills
-        every overflowed member buffer in the exact append order of the
-        un-budgeted path (expanded rows, ascending record order).
-        """
-        stats.buffer_overflow_rescans += 1
-        by_key: dict[tuple[int, int], PendingSplit] = {}
-        for t, ps in overflowed.items():
-            for p in ps:
-                p.buffer = RecordBuffer()  # unbounded, as in the solo path
-                by_key[(t, p.parent_slot)] = p
-
-        def route(chunk: ScanChunk, buffers: dict[tuple[int, int], RecordBuffer]) -> None:
-            for (t, slot), buf in buffers.items():
-                mask = nid[chunk.start : chunk.stop, t] == slot
-                if mask.any():
-                    reps = weights[t][chunk.start : chunk.stop][mask].astype(np.int64)
-                    buf.append(
-                        np.repeat(chunk.X[mask], reps, axis=0),
-                        np.repeat(chunk.y[mask], reps),
-                        np.repeat(chunk.rids[mask], reps),
-                    )
-
-        engine.scan(
-            table,
-            route=route,
-            live={key: p.buffer for key, p in by_key.items()},
-            make_delta=lambda: {key: RecordBuffer() for key in by_key},
-            merge_delta=lambda delta: [
-                by_key[key].buffer.extend_from(buf) for key, buf in delta.items()
-            ],
-        )
-        stats.io.count_aux_read(n * len(overflowed))
-
-    @staticmethod
-    def _apply_member_remap(nid_col: np.ndarray, remap: dict[int, int]) -> None:
-        """Slot remap for one member column, preserving the ``-1`` sentinel.
-
-        ``CMPSBuilder._apply_remap`` gathers ``lookup[nid]``, which would
-        send ``-1`` to the table's last entry; shifting the lookup by one
-        keeps never-drawn records parked at ``-1``.
-        """
-        upper = max(int(nid_col.max()), max(remap))
-        lookup = np.arange(-1, upper + 1, dtype=np.int64)
-        for src, dst in remap.items():
-            lookup[src + 1] = dst
-        nid_col[:] = lookup[nid_col + 1]
 
 
 __all__ = ["BaggedForestBuilder"]

@@ -90,6 +90,16 @@ class IOStats:
         with self._lock:
             self.aux_records_written += records
 
+    def count_nid_swap(self, records: int) -> None:
+        """Record one read and one write of a ``records``-long node-id map.
+
+        Level-synchronous builders keep the record-to-node map on disk
+        (as the paper does) and swap it in and out once per scan.
+        """
+        with self._lock:
+            self.aux_records_read += records
+            self.aux_records_written += records
+
     def count_seek(self, n: int = 1) -> None:
         """Record ``n`` random seeks (e.g. hash-probe driven I/O)."""
         with self._lock:

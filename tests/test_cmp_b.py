@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.sprint import SprintBuilder
 from repro.core.cmp_b import CMPBBuilder
+from repro.core.cmp_full import CMPBuilder
 from repro.core.cmp_s import CMPSBuilder
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema, continuous
@@ -68,6 +69,14 @@ class TestCMPBEndToEnd:
         )
         with pytest.raises(ValueError, match="two continuous"):
             CMPBBuilder(fast_config).build(ds)
+
+    @pytest.mark.parametrize("builder_cls", [CMPBBuilder, CMPBuilder])
+    def test_rejects_buffer_budget(self, f2_small, fast_config, builder_cls):
+        # CMP-B and CMP buffer two-level and linear bands with no overflow
+        # rescan, so a budget could not be honoured: refuse it rather than
+        # silently ignoring the memory bound.
+        with pytest.raises(ValueError, match="buffer_budget_bytes"):
+            builder_cls(fast_config.with_(buffer_budget_bytes=2_048)).build(f2_small)
 
     def test_categorical_splits_supported(self, mixed_types, fast_config):
         result = CMPBBuilder(fast_config).build(mixed_types)
