@@ -271,8 +271,7 @@ class HistGradientBoostingBuilder:
                             )
                     # Record→leaf routing is an in-memory nid rewrite,
                     # charged like the CMP nid swap.
-                    stats.io.count_aux_read(n * K)
-                    stats.io.count_aux_write(n * K)
+                    stats.io.count_nid_swap(n * K)
                     frontier = next_frontier
 
                 # Fold this round's trees into the raw scores — column
