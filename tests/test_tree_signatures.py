@@ -1,4 +1,4 @@
-"""Pinned trees: every CMP builder's exact output on fixed small inputs.
+"""Pinned trees: every level-scan builder's exact output on fixed small inputs.
 
 Each case records the sha256 of ``repr(tree_signature(tree))`` together
 with the build's scan count and simulated cost.  Refactors of the level
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines.clouds import CloudsBuilder
 from repro.config import BuilderConfig
 from repro.core.cmp_b import CMPBBuilder
 from repro.core.cmp_full import CMPBuilder
@@ -43,6 +44,7 @@ CFG = BuilderConfig(
     page_records=100,
 )
 BUILDERS = {"CMP-S": CMPSBuilder, "CMP-B": CMPBBuilder, "CMP": CMPBuilder}
+CLOUDS_MODES = {"CLOUDS-SS": "ss", "CLOUDS-SSE": "sse"}
 
 
 def mixed_dataset(n: int, seed: int) -> Dataset:
@@ -96,6 +98,11 @@ def _case_ids() -> list[str]:
     ]
     ids += ["CMP-S/F2/budget2048", "bagged-CMP-S/F2/T3"]
     ids += ["CMP-S/F2/process2", "CMP/F2/process2"]
+    ids += [
+        f"{builder}/{data}/none"
+        for builder in CLOUDS_MODES
+        for data in ("F2", "F7", "mixed")
+    ]
     return ids
 
 
@@ -107,6 +114,10 @@ def run_case(case: str) -> dict:
         result = BaggedForestBuilder(CFG.with_(prune="public"), n_trees=3).build(ds)
         signature = tuple(tree_signature(t) for t in result.forest.members)
         return _pin(signature, result.stats)
+    if builder in CLOUDS_MODES:
+        cfg = CFG.with_(clouds_mode=CLOUDS_MODES[builder], prune=variant)
+        result = CloudsBuilder(cfg).build(ds)
+        return _pin(tree_signature(result.tree), result.stats)
     if variant == "budget2048":
         cfg = CFG.with_(buffer_budget_bytes=2048)
     elif variant == "process2":
