@@ -28,14 +28,20 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.builder import PartState, TreeBuilder, adaptive_intervals, make_part_hists
-from repro.core.gini import gini_partition
+from repro.core.builder import (
+    PartState,
+    TreeBuilder,
+    adaptive_intervals,
+    best_cut,
+    make_part_hists,
+    prefix_cuts,
+)
 from repro.core.histogram import CategoryHistogram, ClassHistogram
 from repro.core.intervals import AttributeAnalysis, analyze_attribute
 from repro.core.splits import CategoricalSplit, NumericSplit, Split
 from repro.core.tree import DecisionTree, Node, TreeAccount
 from repro.data.dataset import Dataset
-from repro.data.discretize import ReservoirSampler, edges_from_histogram, equal_depth_edges
+from repro.data.discretize import edges_from_histogram
 from repro.data.schema import Schema
 from repro.io.metrics import BuildStats
 from repro.io.pager import ScanChunk
@@ -111,19 +117,9 @@ class CloudsBuilder(TreeBuilder):
         table = self._open_table(dataset, stats)
         account = TreeAccount()
         rng = np.random.default_rng(cfg.seed)
-        cont = schema.continuous_indices()
 
         # --- Quantiling pass: root interval grid (charged as in CMP). ------
-        reservoirs = {j: ReservoirSampler(cfg.reservoir_capacity, rng) for j in cont}
-        totals = np.zeros(c, dtype=np.float64)
-        for chunk in table.scan():
-            totals += np.bincount(chunk.y, minlength=c)
-            for j in cont:
-                reservoirs[j].extend(chunk.X[:, j])
-        root_edges = {
-            j: equal_depth_edges(reservoirs[j].sample(), cfg.n_intervals) for j in cont
-        }
-        del reservoirs
+        totals, root_edges = self._quantile_scan(table, schema, rng)
 
         nid = np.zeros(n, dtype=np.int64)
         next_slot = iter(range(1, 2**62)).__next__
@@ -356,7 +352,6 @@ class CloudsBuilder(TreeBuilder):
         cfg = self.config
         node = p.node
         totals = np.asarray(p.totals, dtype=np.float64)
-        n = totals.sum()
         best_gini = p.fallback_gini
         best_split = p.fallback_split
         best_left = p.fallback_left_counts
@@ -364,31 +359,20 @@ class CloudsBuilder(TreeBuilder):
         for probe in p.probes:
             if not probe.values:
                 continue
-            v = np.concatenate(probe.values)
-            lab = np.concatenate(probe.labels)
-            order = np.argsort(v, kind="stable")
-            v, lab = v[order], lab[order]
-            onehot = np.zeros((len(v), schema.n_classes), dtype=np.float64)
-            onehot[np.arange(len(v)), lab] = 1.0
-            cum = np.cumsum(onehot, axis=0) + probe.cum_below[None, :]
-            distinct = np.nonzero(v[:-1] < v[1:])[0]
-            if len(distinct) == 0:
-                continue
-            left = cum[distinct]
-            nl = left.sum(axis=1)
-            valid = (nl > 0) & (nl < n)
-            if not valid.any():
-                continue
-            ginis = np.where(
-                valid,
-                np.asarray(gini_partition(left, totals[None, :] - left)),
-                np.inf,
+            thresholds, left = prefix_cuts(
+                np.concatenate(probe.values),
+                np.concatenate(probe.labels),
+                probe.cum_below,
+                schema.n_classes,
             )
-            k = int(np.argmin(ginis))
-            if ginis[k] < best_gini - _EPS:
-                best_gini = float(ginis[k])
+            best = best_cut(left, totals)
+            if best is None:
+                continue
+            k, g = best
+            if g < best_gini - _EPS:
+                best_gini = g
                 best_split = NumericSplit(
-                    probe.attr, float(v[distinct[k]]), n_candidates=len(distinct)
+                    probe.attr, float(thresholds[k]), n_candidates=len(thresholds)
                 )
                 best_left = left[k]
                 improved = True
