@@ -268,7 +268,10 @@ class BuildStats:
     predictions_correct: int = 0
     buffer_overflow_rescans: int = 0
     resumed_from_level: int = -1
-    #: Chunk-routing workers the build was configured with.
+    #: Chunk-routing workers of the build's scan engine.  Builders that
+    #: scan serially, without a scan engine, leave it at 1 whatever
+    #: ``config.scan_workers`` says, so the cost model's CPU charge is
+    #: divided only for builds whose scans really ran in parallel.
     scan_workers: int = 1
     #: Backend the scan engine actually used ("thread" or "process").
     scan_backend: str = "thread"

@@ -183,7 +183,9 @@ def record_build_stats(
         "cmp_build_levels", "Depth of the last built tree.", labels
     ).set(float(stats.levels_built))
     registry.gauge(
-        "cmp_build_scan_workers", "Configured chunk-routing workers.", labels
+        "cmp_build_scan_workers",
+        "Chunk-routing workers of the build's scan engine (1 for serial builders).",
+        labels,
     ).set(float(stats.scan_workers))
 
 

@@ -1,10 +1,15 @@
-"""Tests for shared builder machinery (zones, buffers, exact resolution)."""
+"""Tests for shared builder machinery (zones, buffers, exact resolution,
+scan-worker accounting)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.clouds import CloudsBuilder
+from repro.baselines.rainforest import RainForestBuilder
+from repro.baselines.sliq import SliqBuilder
+from repro.baselines.sprint import SprintBuilder
 from repro.core.builder import (
     RecordBuffer,
     ResolvedThreshold,
@@ -157,3 +162,19 @@ class TestResolveExactThreshold:
             right = np.bincount(labels[values > cand], minlength=2)
             best = min(best, gini_partition(left, right))
         assert res.gini == pytest.approx(best)
+
+
+class TestSerialScanAccounting:
+    """Builders that scan serially get no scan-worker CPU discount."""
+
+    @pytest.mark.parametrize(
+        "builder_cls", [RainForestBuilder, CloudsBuilder, SprintBuilder, SliqBuilder]
+    )
+    def test_workers_setting_ignored_by_serial_builders(
+        self, builder_cls, f2_small, fast_config
+    ):
+        serial = builder_cls(fast_config).build(f2_small)
+        asked = builder_cls(fast_config.with_(scan_workers=4)).build(f2_small)
+        assert asked.stats.parallel_batches == 0
+        assert asked.stats.scan_workers == 1
+        assert asked.stats.simulated_ms == serial.stats.simulated_ms
