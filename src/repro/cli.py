@@ -927,7 +927,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             else:
                 builder = HistGradientBoostingBuilder(
-                    config,
+                    config.with_(prune="none"),
                     n_iterations=args.n_trees,
                     learning_rate=args.learning_rate,
                     tracer=tracer,

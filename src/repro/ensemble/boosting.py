@@ -103,6 +103,8 @@ class HistGradientBoostingBuilder:
             raise ValueError("l2 must be non-negative")
         if self.config.checkpoint_path:
             raise ValueError(f"{self.name} does not support checkpointing")
+        if self.config.prune != "none":
+            raise ValueError(f"{self.name} does not support pruning")
         self.n_iterations = int(n_iterations)
         self.learning_rate = float(learning_rate)
         self.l2 = float(l2)

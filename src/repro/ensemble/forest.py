@@ -12,7 +12,7 @@ forest's content hash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class ForestBuildResult:
 
     forest: Forest
     stats: BuildStats
-    member_stats: list[BuildStats] = field(default_factory=list)
 
     @property
     def summary(self) -> dict[str, float]:

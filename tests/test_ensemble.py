@@ -217,6 +217,11 @@ class TestHistGradientBoosting:
         with pytest.raises(ValueError):
             HistGradientBoostingBuilder(ENSEMBLE_CONFIG, learning_rate=0.0)
 
+    @pytest.mark.parametrize("prune", ["public", "mdl"])
+    def test_rejects_pruning(self, prune):
+        with pytest.raises(ValueError, match="pruning"):
+            HistGradientBoostingBuilder(ENSEMBLE_CONFIG.with_(prune=prune))
+
 
 class TestPackedForestServing:
     def test_packed_scoring_matches_member_loop(self, small_mixed):
