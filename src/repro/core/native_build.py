@@ -1,10 +1,9 @@
-"""Race-safe, on-demand compilation shared by the native kernels.
+"""Race-safe, on-demand compilation of the native kernel library.
 
-Both kernel modules (:mod:`repro.core.native` for prediction,
-:mod:`repro.core.native_scan` for training) compile a small dependency-free
-C source with whatever ``cc`` / ``gcc`` / ``clang`` the machine has and load
-the result through :mod:`ctypes`.  This module owns the build step so both
-share one cache and one concurrency story:
+:mod:`repro.core.native` compiles its small dependency-free C source with
+whatever ``cc`` / ``gcc`` / ``clang`` the machine has and loads the result
+through :mod:`ctypes`.  This module owns the build step, its cache and its
+concurrency story:
 
 * Libraries land in a **shared cache directory** (``CMP_NATIVE_CACHE`` in
   the environment, or ``<tmpdir>/cmp-repro-native``), keyed by a hash of

@@ -1,388 +1,44 @@
-"""Optional native C kernels for the training-scan hot loops.
+"""Dispatch to the native training kernels of :mod:`repro.core.native`.
 
 The builders' per-chunk work — class-histogram and matrix accumulation —
 and the post-scan analysis sweeps — boundary ginis and the
-``giniNegativeSlope`` intercept walk — are the training-side analog of the
-prediction walker in :mod:`repro.core.native`: tight per-record loops that
-numpy evaluates as a chain of whole-array temporaries.  This module
-compiles them to C (via :mod:`repro.core.native_build`) under the same
-contract as the predict kernel:
+``giniNegativeSlope`` intercept walk — are tight per-record loops that
+numpy evaluates as a chain of whole-array temporaries.  The C versions
+live in the one native library; this module decides, call by call,
+whether a kernel may stand in for the numpy expression:
 
-* **bit-identical to numpy** — compiled with ``-ffp-contract=off``, every
-  floating-point operation mirrors the numpy expression's op-by-op
-  rounding, and the single order-sensitive reduction (``p2.sum(axis=-1)``
-  inside the gini) is only taken over class counts when ``n_classes < 8``,
-  where numpy provably sums sequentially (its pairwise/SIMD machinery
-  engages at 8 elements).  Histogram/matrix counts, extrema and the walk's
-  partition sums are integer-valued, hence exact in any order.
-* **always optional** — no compiler, a failed build, an unusual platform
-  or ``CMP_NO_NATIVE=1`` resolve to "kernel unavailable" and every caller
-  keeps its pure-numpy path, which remains the reference implementation.
+* **bit-identical to numpy** — every floating-point operation mirrors
+  the numpy expression's op-by-op rounding, and the single
+  order-sensitive reduction (``p2.sum(axis=-1)`` inside the gini) is only
+  taken over class counts when ``n_classes < 8``, where numpy provably
+  sums sequentially (its pairwise/SIMD machinery engages at 8 elements).
+  Histogram/matrix counts, extrema and the walk's partition sums are
+  integer-valued, hence exact in any order.
+* **always optional** — when the library is unavailable (see
+  :mod:`repro.core.native`) or a call falls outside the envelope above,
+  the entry point returns ``False``/``None`` and the caller keeps its
+  pure-numpy path, which remains the reference implementation.
 
 Kernels bounds-check label/category indices (mirroring numpy's
 ``IndexError``, including negative-index wraparound) and replicate
 ``np.searchsorted``'s sort-order comparison, under which NaN is larger
-than every number.
-
-ABI (all pointers 8-byte aligned, sizes/strides int64, refused on
-platforms where ``np.intp`` is not 64-bit):
-
-====================  =====================================================
-``cmp_hist_accum``    searchsorted + scatter-add into ``(q, c)`` float64
-                      counts, per-bin value extrema (NaN-propagating).
-``cmp_cat_accum``     float→int64 category cast + scatter-add into
-                      ``(ncat, c)`` float64 counts.
-``cmp_matrix_accum``  y-binning + scatter-add into a ``(qx, qy, c)``
-                      int32 or int64 cube with y extrema (two variants).
-``cmp_boundary_ginis``  partition gini at every interval boundary.
-``cmp_slope_walk``    the full Figure-12 greedy intercept walk.
-====================  =====================================================
+than every number.  Every applied call is counted per kernel
+(:func:`kernel_counts`); routing and forest scoring are not.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
 import threading
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
-from repro.core import native_build
-
-_SOURCE = r"""
-#include <stdint.h>
-
-/* numpy's sort-order less-than for doubles (npy_sort.h): NaN compares
- * greater than every number, so searchsorted keeps NaN in the last bin. */
-static int lt(double a, double b)
-{
-    return a < b || (b != b && a == a);
-}
-
-/* np.searchsorted(edges, v, side="left") on a sorted edges[0..m). */
-static int64_t bin_of(double v, const double *edges, int64_t m)
-{
-    int64_t lo = 0, hi = m;
-    while (lo < hi) {
-        int64_t mid = lo + ((hi - lo) >> 1);
-        if (lt(edges[mid], v))
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
-/* np.minimum / np.maximum semantics: NaN propagates from either side. */
-static void fold_min(double *slot, double v)
-{
-    double cur = *slot;
-    if (cur == cur && (v != v || v < cur))
-        *slot = v;
-}
-
-static void fold_max(double *slot, double v)
-{
-    double cur = *slot;
-    if (cur == cur && (v != v || v > cur))
-        *slot = v;
-}
-
-/* bins = searchsorted(edges, values); np.add.at(counts, (bins, labels), 1);
- * np.minimum.at(vmin, bins, values); np.maximum.at(vmax, bins, values).
- * Returns 1 on a label out of range (numpy raises IndexError). */
-int cmp_hist_accum(int64_t n, int64_t vstride, const double *values,
-                   const int64_t *labels, const double *edges, int64_t m,
-                   int64_t c, double *counts, double *vmin, double *vmax)
-{
-    for (int64_t r = 0; r < n; ++r) {
-        double v = values[r * vstride];
-        int64_t lab = labels[r];
-        if (lab < 0)
-            lab += c;
-        if (lab < 0 || lab >= c)
-            return 1;
-        int64_t b = bin_of(v, edges, m);
-        counts[b * c + lab] += 1.0;
-        fold_min(vmin + b, v);
-        fold_max(vmax + b, v);
-    }
-    return 0;
-}
-
-/* Weighted variant: np.add.at(counts, (bins, labels), weights).  Counts
- * stay exact (integer-valued weights on integer-valued counts), so a
- * weight-w add is bit-identical to w unit adds in any order.  Extrema
- * fold every record, like the unweighted kernel — callers drop
- * zero-weight records beforehand so phantom values never pollute the
- * per-bin min/max. */
-int cmp_hist_accum_w(int64_t n, int64_t vstride, const double *values,
-                     const int64_t *labels, const double *weights,
-                     const double *edges, int64_t m, int64_t c,
-                     double *counts, double *vmin, double *vmax)
-{
-    for (int64_t r = 0; r < n; ++r) {
-        double v = values[r * vstride];
-        int64_t lab = labels[r];
-        if (lab < 0)
-            lab += c;
-        if (lab < 0 || lab >= c)
-            return 1;
-        int64_t b = bin_of(v, edges, m);
-        counts[b * c + lab] += weights[r];
-        fold_min(vmin + b, v);
-        fold_max(vmax + b, v);
-    }
-    return 0;
-}
-
-/* np.add.at(counts, (codes.astype(intp), labels), 1) — C-cast code
- * conversion, negative indices wrap, out of range returns 1. */
-int cmp_cat_accum(int64_t n, int64_t vstride, const double *codes,
-                  const int64_t *labels, int64_t ncat, int64_t c,
-                  double *counts)
-{
-    for (int64_t r = 0; r < n; ++r) {
-        double cv = codes[r * vstride];
-        /* Guard the undefined float->int cast numpy performs on junk
-         * input: any such code indexes out of range either way. */
-        if (cv != cv || cv >= 9.2233720368547758e18 || cv < -9.2233720368547758e18)
-            return 1;
-        int64_t k = (int64_t)cv;
-        int64_t lab = labels[r];
-        if (k < 0)
-            k += ncat;
-        if (lab < 0)
-            lab += c;
-        if (k < 0 || k >= ncat || lab < 0 || lab >= c)
-            return 1;
-        counts[k * c + lab] += 1.0;
-    }
-    return 0;
-}
-
-/* Weighted variant: np.add.at(counts, (codes, labels), weights). */
-int cmp_cat_accum_w(int64_t n, int64_t vstride, const double *codes,
-                    const int64_t *labels, const double *weights,
-                    int64_t ncat, int64_t c, double *counts)
-{
-    for (int64_t r = 0; r < n; ++r) {
-        double cv = codes[r * vstride];
-        if (cv != cv || cv >= 9.2233720368547758e18 || cv < -9.2233720368547758e18)
-            return 1;
-        int64_t k = (int64_t)cv;
-        int64_t lab = labels[r];
-        if (k < 0)
-            k += ncat;
-        if (lab < 0)
-            lab += c;
-        if (k < 0 || k >= ncat || lab < 0 || lab >= c)
-            return 1;
-        counts[k * c + lab] += weights[r];
-    }
-    return 0;
-}
-
-/* y_bins = searchsorted(y_edges, y); np.add.at(counts, (x_bins, y_bins,
- * labels), 1); y extrema.  Two count dtypes (the matrix cube widens from
- * int32 to int64 on demand). */
-#define MATRIX_ACCUM(NAME, CTYPE)                                           \
-int NAME(int64_t n, const int64_t *x_bins, int64_t ystride,                 \
-         const double *y_values, const int64_t *labels,                     \
-         const double *y_edges, int64_t m, int64_t qx, int64_t qy,          \
-         int64_t c, CTYPE *counts, double *vmin, double *vmax)              \
-{                                                                           \
-    for (int64_t r = 0; r < n; ++r) {                                       \
-        double yv = y_values[r * ystride];                                  \
-        int64_t xb = x_bins[r];                                             \
-        int64_t lab = labels[r];                                            \
-        if (xb < 0)                                                         \
-            xb += qx;                                                       \
-        if (lab < 0)                                                        \
-            lab += c;                                                       \
-        if (xb < 0 || xb >= qx || lab < 0 || lab >= c)                      \
-            return 1;                                                       \
-        int64_t yb = bin_of(yv, y_edges, m);                                \
-        counts[(xb * qy + yb) * c + lab] += 1;                              \
-        fold_min(vmin + yb, yv);                                            \
-        fold_max(vmax + yb, yv);                                            \
-    }                                                                       \
-    return 0;                                                               \
-}
-
-MATRIX_ACCUM(cmp_matrix_accum32, int32_t)
-MATRIX_ACCUM(cmp_matrix_accum64, int64_t)
-
-/* gini() of one class-count row whose (sequential) total is s, using a
- * c-element scratch for the squared proportions.  Mirrors, op for op:
- *   p2 = where(n > 0, counts / maximum(n, 1.0), 0.0) ** 2
- *   1.0 - p2.sum(axis=-1)
- * The p2 sum is the one order-sensitive reduction of the whole module;
- * callers guarantee c < 8 so numpy's sum is plain left-to-right too. */
-static double gini_one(const double *cnt, int64_t c, double s, double *p2)
-{
-    if (!(s > 0.0))
-        return 0.0;
-    double den = s > 1.0 ? s : 1.0;
-    for (int64_t j = 0; j < c; ++j) {
-        double p = cnt[j] / den;
-        p2[j] = p * p;
-    }
-    double total = 0.0;
-    for (int64_t j = 0; j < c; ++j)
-        total += p2[j];
-    return 1.0 - total;
-}
-
-/* boundary_ginis(cum, totals): right = totals - cum per row, then
- * gini_partition(cum, right).  scratch holds 2*c doubles. */
-void cmp_boundary_ginis(int64_t b, int64_t c, const double *cum,
-                        const double *totals, double *out, double *scratch)
-{
-    double *right = scratch;
-    double *p2 = scratch + c;
-    for (int64_t k = 0; k < b; ++k) {
-        const double *left = cum + k * c;
-        double nl = 0.0, nr = 0.0;
-        for (int64_t j = 0; j < c; ++j) {
-            right[j] = totals[j] - left[j];
-            nl += left[j];
-            nr += right[j];
-        }
-        double n = nl + nr;
-        if (n > 0.0) {
-            double gl = gini_one(left, c, nl, p2);
-            double gr = gini_one(right, c, nr, p2);
-            double den = n > 1.0 ? n : 1.0;
-            out[k] = (nl * gl + nr * gr) / den;
-        } else {
-            out[k] = 0.0;
-        }
-    }
-}
-
-/* One _WalkScratch.evaluate: three-way gini of a line plus whether any
- * cell lies above it.  The under/above partition counts are integer-
- * valued, so their accumulation order is exact; only the final
- * acc += s - dot/s chain is order-sensitive and replicates the Python
- * loop (cu, ca, co in that order, one rounding per op). */
-static double walk_eval(const double *counts, const double *total,
-                        int64_t qx, int64_t qy, int64_t c,
-                        double lx, double ly, double n,
-                        double *cu, double *ca, double *co, int *above_any)
-{
-    double rhs = lx * ly;
-    for (int64_t k = 0; k < c; ++k) {
-        cu[k] = 0.0;
-        ca[k] = 0.0;
-    }
-    int any_above = 0;
-    for (int64_t i = 0; i < qx; ++i) {
-        for (int64_t j = 0; j < qy; ++j) {
-            const double *cell = counts + (i * qy + j) * c;
-            double under_lhs = (double)(i + 1) * ly + (double)(j + 1) * lx;
-            double above_lhs = (double)i * ly + (double)j * lx;
-            if (under_lhs <= rhs)
-                for (int64_t k = 0; k < c; ++k)
-                    cu[k] += cell[k];
-            if (above_lhs >= rhs) {
-                any_above = 1;
-                for (int64_t k = 0; k < c; ++k)
-                    ca[k] += cell[k];
-            }
-        }
-    }
-    for (int64_t k = 0; k < c; ++k)
-        co[k] = total[k] - cu[k] - ca[k];
-    double acc = 0.0;
-    const double *parts[3];
-    parts[0] = cu;
-    parts[1] = ca;
-    parts[2] = co;
-    for (int p = 0; p < 3; ++p) {
-        const double *v = parts[p];
-        double s = 0.0, dot = 0.0;
-        for (int64_t k = 0; k < c; ++k) {
-            s += v[k];
-            dot += v[k] * v[k];
-        }
-        if (s > 0.0)
-            acc += s - dot / s;
-    }
-    *above_any = any_above;
-    return n > 0.0 ? acc / n : 0.0;
-}
-
-/* gini_slope_walk (Figure 12): greedy intercept walk from (1, 1).
- * scratch holds 4*c doubles; out receives {best_gini, best_x, best_y}. */
-void cmp_slope_walk(int64_t qx, int64_t qy, int64_t c, const double *counts,
-                    int64_t max_steps, double *scratch, double *out)
-{
-    double *total = scratch;
-    double *cu = scratch + c;
-    double *ca = scratch + 2 * c;
-    double *co = scratch + 3 * c;
-    for (int64_t k = 0; k < c; ++k)
-        total[k] = 0.0;
-    int64_t cells = qx * qy;
-    for (int64_t i = 0; i < cells; ++i)
-        for (int64_t k = 0; k < c; ++k)
-            total[k] += counts[i * c + k];
-    double n = 0.0;
-    for (int64_t k = 0; k < c; ++k)
-        n += total[k];
-    double x_cap = (double)(qx + qy), y_cap = x_cap;
-    double x = 1.0, y = 1.0;
-    int above_any;
-    double best = walk_eval(counts, total, qx, qy, c, x, y, n,
-                            cu, ca, co, &above_any);
-    double bx = x, by = y;
-    for (int64_t step = 0; step < max_steps; ++step) {
-        if (!above_any || (x >= x_cap && y >= y_cap))
-            break;
-        double gx, gy, g;
-        int ax = above_any, ay = above_any;
-        if (x < x_cap)
-            gx = walk_eval(counts, total, qx, qy, c, x + 1.0, y, n,
-                           cu, ca, co, &ax);
-        else
-            gx = 1.0 / 0.0;
-        if (y < y_cap)
-            gy = walk_eval(counts, total, qx, qy, c, x, y + 1.0, n,
-                           cu, ca, co, &ay);
-        else
-            gy = 1.0 / 0.0;
-        if (gx <= gy) {
-            x += 1.0;
-            g = gx;
-            above_any = ax;
-        } else {
-            y += 1.0;
-            g = gy;
-            above_any = ay;
-        }
-        if (g < best) {
-            best = g;
-            bx = x;
-            by = y;
-        }
-    }
-    out[0] = best;
-    out[1] = bx;
-    out[2] = by;
-}
-"""
+from repro.core import native
+from repro.core.native import available, force_numpy, warm_up
 
 #: Class-count width above which the sweep kernels decline: numpy's sum
 #: switches from plain sequential to pairwise/SIMD accumulation at 8
 #: elements, and only the sequential order is replicated in C.
 _MAX_SEQUENTIAL_CLASSES = 8
-
-_lock = threading.Lock()
-_kernels: dict[str, object] | None = None
-_resolved = False
 
 #: Per-process tally of applied kernel calls, by kernel name.  Plain int
 #: increments under the GIL; read via :func:`kernel_counts`.  With the
@@ -411,69 +67,6 @@ def _count(name: str) -> None:
         counts = {}
         _THREAD_COUNTS.counts = counts
     counts[name] = counts.get(name, 0) + 1
-
-_PTR = ctypes.c_void_p
-_I64 = ctypes.c_int64
-
-
-def _build() -> dict[str, object] | None:
-    if np.intp(0).itemsize != 8 or np.dtype(np.int64).byteorder not in ("=", "<", ">"):
-        return None
-    lib = native_build.load_library("scan", _SOURCE)
-    if lib is None:
-        return None
-    sig = {
-        "hist_accum": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR]),
-        "hist_accum_w": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR]),
-        "cat_accum": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR]),
-        "cat_accum_w": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _I64, _I64, _PTR]),
-        "matrix_accum32": (ctypes.c_int, [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR]),
-        "matrix_accum64": (ctypes.c_int, [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR]),
-        "boundary_ginis": (None, [_I64, _I64, _PTR, _PTR, _PTR, _PTR]),
-        "slope_walk": (None, [_I64, _I64, _I64, _PTR, _I64, _PTR, _PTR]),
-    }
-    fns: dict[str, object] = {}
-    for name, (restype, argtypes) in sig.items():
-        fn = getattr(lib, f"cmp_{name}")
-        fn.restype = restype
-        fn.argtypes = argtypes
-        fns[name] = fn
-    return fns
-
-
-def _resolve() -> dict[str, object] | None:
-    """The kernel table, resolved once per process (``CMP_NO_NATIVE=1``
-    and any build failure resolve to ``None``)."""
-    global _kernels, _resolved
-    if _resolved:
-        return _kernels
-    with _lock:
-        if _resolved:
-            return _kernels
-        if os.environ.get("CMP_NO_NATIVE"):
-            _kernels = None
-        else:
-            try:
-                _kernels = _build()
-            except Exception:
-                _kernels = None
-        _resolved = True
-    return _kernels
-
-
-def available() -> bool:
-    """True when the training kernels built (or will build) here."""
-    return _resolve() is not None
-
-
-def warm_up() -> bool:
-    """Resolve (and if needed compile) the kernels now.
-
-    The process scan backend calls this before forking workers so every
-    child inherits the already-loaded library instead of racing to build
-    its own copy.
-    """
-    return available()
 
 
 def kernel_counts() -> dict[str, int]:
@@ -509,25 +102,6 @@ def merge_counts(delta: dict[str, int]) -> None:
     for name, calls in delta.items():
         if name in _COUNTS and calls:
             _COUNTS[name] += int(calls)
-
-
-@contextmanager
-def force_numpy() -> Iterator[None]:
-    """Temporarily report the kernels as unavailable (tests/benchmarks).
-
-    In-process counterpart of ``CMP_NO_NATIVE=1``: every dispatch inside
-    the block takes the numpy path.  Under the process scan backend the
-    forced state is inherited by workers forked inside the block.
-    """
-    global _kernels, _resolved
-    with _lock:
-        saved = (_kernels, _resolved)
-        _kernels, _resolved = None, True
-    try:
-        yield
-    finally:
-        with _lock:
-            _kernels, _resolved = saved
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +168,7 @@ def hist_accum(
     float64 weights on integer-valued counts stay exact, so the result
     is bit-identical to repeating each record ``weight`` times.
     """
-    fns = _resolve()
+    fns = native._resolve()
     if fns is None:
         return False
     vstride = _f64_stride(values)
@@ -653,7 +227,7 @@ def cat_accum(
     weights: object | None = None,
 ) -> bool:
     """Native ``CategoryHistogram.update`` body; False = use numpy."""
-    fns = _resolve()
+    fns = native._resolve()
     if fns is None:
         return False
     vstride = _f64_stride(codes)
@@ -704,7 +278,7 @@ def matrix_accum(
     vmax: np.ndarray,
 ) -> bool:
     """Native ``HistogramMatrix.update_binned`` body; False = use numpy."""
-    fns = _resolve()
+    fns = native._resolve()
     if fns is None:
         return False
     if counts.dtype == np.int32:
@@ -759,7 +333,7 @@ def boundary_ginis(cum: np.ndarray, totals: np.ndarray) -> np.ndarray | None:
     switches to pairwise (possibly SIMD-dispatched) accumulation whose
     rounding the sequential C loop does not reproduce.
     """
-    fns = _resolve()
+    fns = native._resolve()
     if fns is None:
         return None
     b, c = cum.shape
@@ -788,7 +362,7 @@ def slope_walk(
     accumulation order irrelevant and its result bit-identical to numpy's.
     (Builder matrices always qualify; arbitrary float counts fall back.)
     """
-    fns = _resolve()
+    fns = native._resolve()
     if fns is None:
         return None
     if counts.ndim != 3:
