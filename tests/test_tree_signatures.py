@@ -1,10 +1,12 @@
 """Pinned trees: every level-scan builder's exact output on fixed small inputs.
 
 Each case records the sha256 of ``repr(tree_signature(tree))`` together
-with the build's scan count and simulated cost.  Refactors of the level
-loop must leave all three unchanged; a changed digest means some split
-parameter or class count moved, a changed scan count or cost means the
-I/O accounting did.
+with the build's scan count, simulated cost and memory-ledger peak (the
+boosted forest, whose members carry leaf values, is pinned by its
+compiled fingerprint instead).  Refactors of the level loop must leave
+all four unchanged; a changed digest means some split parameter or class
+count moved, a changed scan count or cost means the I/O accounting did,
+and a changed peak means the ledger entries did.
 
 The pinned values live in ``tests/data/tree_signatures.json``.  To
 regenerate them after an *intended* behaviour change, run::
@@ -31,7 +33,7 @@ from repro.core.parallel import process_backend_available
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema, categorical, continuous
 from repro.data.synthetic import generate_agrawal
-from repro.ensemble import BaggedForestBuilder
+from repro.ensemble import BaggedForestBuilder, HistGradientBoostingBuilder
 from repro.verify.differential import tree_signature
 
 PINNED = Path(__file__).parent / "data" / "tree_signatures.json"
@@ -86,6 +88,7 @@ def _pin(signature, stats) -> dict:
         "sha256": _digest(signature),
         "scans": int(stats.io.scans),
         "simulated_ms": float(stats.simulated_ms),
+        "peak_memory_bytes": int(stats.memory.peak),
     }
 
 
@@ -97,6 +100,12 @@ def _case_ids() -> list[str]:
         for prune in ("none", "public")
     ]
     ids += ["CMP-S/F2/budget2048", "bagged-CMP-S/F2/T3"]
+    ids += [
+        "bagged-CMP-S/mixed/T3",
+        "bagged-CMP-S/F2/budget2048",
+        "bagged-CMP-S/F2/process2",
+        "hist-gbdt/mixed/I3",
+    ]
     ids += ["CMP-S/F2/process2", "CMP/F2/process2"]
     ids += [
         f"{builder}/{data}/none"
@@ -110,10 +119,11 @@ def run_case(case: str) -> dict:
     """Build one case and return its pinned values."""
     builder, data, variant = case.split("/")
     ds = dataset(data)
-    if builder == "bagged-CMP-S":
-        result = BaggedForestBuilder(CFG.with_(prune="public"), n_trees=3).build(ds)
-        signature = tuple(tree_signature(t) for t in result.forest.members)
-        return _pin(signature, result.stats)
+    if builder == "hist-gbdt":
+        result = HistGradientBoostingBuilder(CFG, n_iterations=3).build(ds)
+        pin = _pin(None, result.stats)
+        pin["sha256"] = result.forest.compiled().fingerprint
+        return pin
     if builder in CLOUDS_MODES:
         cfg = CFG.with_(clouds_mode=CLOUDS_MODES[builder], prune=variant)
         result = CloudsBuilder(cfg).build(ds)
@@ -122,13 +132,20 @@ def run_case(case: str) -> dict:
         cfg = CFG.with_(buffer_budget_bytes=2048)
     elif variant == "process2":
         cfg = CFG.with_(scan_workers=2, scan_backend="process")
+    elif variant == "T3":
+        cfg = CFG
     else:
         cfg = CFG.with_(prune=variant)
-    result = BUILDERS[builder](cfg).build(ds)
+    if builder == "bagged-CMP-S":
+        result = BaggedForestBuilder(cfg.with_(prune="public"), n_trees=3).build(ds)
+        signature = tuple(tree_signature(t) for t in result.forest.members)
+    else:
+        result = BUILDERS[builder](cfg).build(ds)
+        signature = tree_signature(result.tree)
     if variant == "budget2048":
         # The case exists to drive the overflow rescan; make sure it does.
         assert result.stats.buffer_overflow_rescans > 0
-    return _pin(tree_signature(result.tree), result.stats)
+    return _pin(signature, result.stats)
 
 
 @pytest.fixture(scope="module")
