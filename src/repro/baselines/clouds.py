@@ -119,7 +119,7 @@ class CloudsBuilder(TreeBuilder):
         rng = np.random.default_rng(cfg.seed)
 
         # --- Quantiling pass: root interval grid (charged as in CMP). ------
-        totals, root_edges = self._quantile_scan(table, schema, rng)
+        [(totals, root_edges)] = self._quantile_scan(table, schema, [(None, rng)])
 
         nid = np.zeros(n, dtype=np.int64)
         next_slot = iter(range(1, 2**62)).__next__

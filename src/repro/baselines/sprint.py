@@ -63,13 +63,7 @@ class SprintBuilder(TreeBuilder):
         account = TreeAccount()
 
         # --- Presort pass: one scan + attribute-list creation. ------------
-        X_parts, y_parts = [], []
-        for chunk in table.scan():
-            X_parts.append(np.array(chunk.X, copy=True))
-            y_parts.append(np.array(chunk.y, copy=True))
-        X = np.concatenate(X_parts)
-        y = np.concatenate(y_parts)
-        del X_parts, y_parts
+        X, y = self._read_table(table)
         stats.io.count_aux_write(n * p)  # writing the attribute lists
 
         cont = set(schema.continuous_indices())

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import BuilderConfig
-from repro.core import native_scan
+from repro.core.builder import TreeBuilder
 from repro.core.checkpoint import SlotCounter
 from repro.core.parallel import ScanEngine
 from repro.core.splits import CategoricalSplit, NumericSplit
@@ -35,10 +35,8 @@ from repro.core.tree import DecisionTree, Node, TreeAccount
 from repro.data.dataset import Dataset
 from repro.data.discretize import bin_index, equal_depth_edges
 from repro.ensemble.forest import Forest, ForestBuildResult
-from repro.io.metrics import BuildStats, Stopwatch
+from repro.io.metrics import BuildStats
 from repro.io.pager import ScanChunk
-from repro.io.retry import RetryingTable
-from repro.obs.trace import NULL_TRACER
 
 
 @dataclass
@@ -81,10 +79,15 @@ class _ChunkSums:
         return out
 
 
-class HistGradientBoostingBuilder:
-    """Softmax gradient boosting with shared per-level scans."""
+class HistGradientBoostingBuilder(TreeBuilder):
+    """Softmax gradient boosting with shared per-level scans.
+
+    It keeps its own level loop: float gradient sums fold per chunk (see
+    :class:`_ChunkSums`), which the CMP driver's accumulators do not.
+    """
 
     name = "hist-gbdt"
+    result_type = ForestBuildResult
 
     def __init__(
         self,
@@ -94,7 +97,7 @@ class HistGradientBoostingBuilder:
         l2: float = 1.0,
         tracer=None,
     ) -> None:
-        self.config = config if config is not None else BuilderConfig()
+        super().__init__(config, tracer)
         if n_iterations < 1:
             raise ValueError("n_iterations must be positive")
         if not (learning_rate > 0.0):
@@ -108,56 +111,21 @@ class HistGradientBoostingBuilder:
         self.n_iterations = int(n_iterations)
         self.learning_rate = float(learning_rate)
         self.l2 = float(l2)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
 
-    def build(self, dataset: Dataset) -> ForestBuildResult:
+    def _span_attrs(self) -> dict[str, object]:
+        return {"iterations": self.n_iterations}
+
+    def _build(self, dataset: Dataset, stats: BuildStats) -> Forest:
         """Train the boosted forest (``n_iterations * n_classes`` members)."""
-        if dataset.n_records == 0:
-            raise ValueError("cannot build a forest on an empty dataset")
-        stats = BuildStats()
-        stats.scan_workers = self.config.scan_workers
-        stats.tracer = self.tracer
-        kernel_calls_before = native_scan.kernel_calls_total()
-        engine = ScanEngine(
-            self.config.scan_workers,
-            tracer=self.tracer,
-            backend=self.config.scan_backend,
-        )
-        stats.scan_backend = engine.effective_backend
-        with Stopwatch(stats):
-            with self.tracer.span(
-                "build",
-                builder=self.name,
-                records=dataset.n_records,
-                iterations=self.n_iterations,
-            ) as build_span:
-                try:
-                    trees, values, base = self._boost(dataset, stats, engine)
-                finally:
-                    stats.parallel_batches += engine.batches_dispatched
-                    engine.close()
-        stats.nodes_created = sum(t.n_nodes for t in trees)
-        stats.leaves = sum(t.n_leaves for t in trees)
-        stats.levels_built = max(t.depth for t in trees)
-        stats.ensemble_members = len(trees)
-        stats.native_kernel_calls = (
-            native_scan.kernel_calls_total() - kernel_calls_before
-        )
-        build_span.annotate(
-            scans=stats.io.scans,
-            pages_read=stats.io.pages_read,
-            levels=stats.levels_built,
-            nodes=stats.nodes_created,
-            wall_seconds=round(stats.wall_seconds, 6),
-        )
-        forest = Forest(
+        with self._scan_engine(stats) as engine:
+            trees, values, base = self._boost(dataset, stats, engine)
+        return Forest(
             trees,
             mode="sum_softmax",
             values=values,
             base=base,
             counts=dataset.class_counts()[None, :].astype(np.float64),
         )
-        return ForestBuildResult(forest=forest, stats=stats)
 
     # -- the boosting loop ----------------------------------------------------
 
@@ -168,23 +136,11 @@ class HistGradientBoostingBuilder:
         lam, lr = self.l2, self.learning_rate
         cont = schema.continuous_indices()
         cats = schema.categorical_indices()
-        table = RetryingTable(
-            dataset.as_paged(stats.io, cfg.page_records),
-            cfg.scan_retries,
-            cfg.retry_backoff_ms,
-            tracer=self.tracer,
-        )
+        table = self._open_table(dataset, stats)
 
         # --- One quantiling/binning pass fixes the global bin grid. -------
         with stats.phase("scan"):
-            pieces_X: list[np.ndarray] = []
-            pieces_y: list[np.ndarray] = []
-            for chunk in table.scan():
-                pieces_X.append(chunk.X)
-                pieces_y.append(chunk.y)
-            Xfull = np.concatenate(pieces_X)
-            y = np.concatenate(pieces_y)
-            del pieces_X, pieces_y
+            Xfull, y = self._read_table(table)
         edges = {j: equal_depth_edges(Xfull[:, j], cfg.n_intervals) for j in cont}
         binned: dict[int, np.ndarray] = {
             j: bin_index(Xfull[:, j], edges[j]) for j in cont
@@ -242,39 +198,44 @@ class HistGradientBoostingBuilder:
                         opened, k, frontier, leaf_values[k], slot_values[k], lam, lr
                     )
 
+                level = 0
                 while frontier:
                     stats.shared_level_scans += 1
-                    sums = self._scan_level(
-                        table, engine, stats, frontier, nid, grad, hess,
-                        binned, n_bins, attr_order,
-                    )
-                    folded = sums.folded()
-                    next_frontier: dict[tuple[int, int], _OpenNode] = {}
-                    with stats.phase("resolve"):
-                        for key in sorted(frontier):
-                            open_node = frontier[key]
-                            self._split_or_leaf(
-                                key,
-                                open_node,
-                                folded.get(key, {}),
-                                attr_order,
-                                cont,
-                                edges,
-                                nid,
-                                binned,
-                                counters[key[0]],
-                                accounts[key[0]],
-                                next_frontier,
-                                leaf_values[key[0]],
-                                slot_values[key[0]],
-                                lam,
-                                lr,
-                                K,
-                            )
-                    # Record→leaf routing is an in-memory nid rewrite,
-                    # charged like the CMP nid swap.
-                    stats.io.count_nid_swap(n * K)
-                    frontier = next_frontier
+                    level += 1
+                    with self.tracer.span(
+                        "level", level=level, pendings=len(frontier)
+                    ):
+                        sums = self._scan_level(
+                            table, engine, stats, frontier, nid, grad, hess,
+                            binned, n_bins, attr_order,
+                        )
+                        folded = sums.folded()
+                        next_frontier: dict[tuple[int, int], _OpenNode] = {}
+                        with stats.phase("resolve"):
+                            for key in sorted(frontier):
+                                open_node = frontier[key]
+                                self._split_or_leaf(
+                                    key,
+                                    open_node,
+                                    folded.get(key, {}),
+                                    attr_order,
+                                    cont,
+                                    edges,
+                                    nid,
+                                    binned,
+                                    counters[key[0]],
+                                    accounts[key[0]],
+                                    next_frontier,
+                                    leaf_values[key[0]],
+                                    slot_values[key[0]],
+                                    lam,
+                                    lr,
+                                    K,
+                                )
+                        # Record→leaf routing is an in-memory nid rewrite,
+                        # charged like the CMP nid swap.
+                        stats.io.count_nid_swap(n * K)
+                        frontier = next_frontier
 
                 # Fold this round's trees into the raw scores — column
                 # ``k`` gets tree ``k``'s leaf value per record, in the

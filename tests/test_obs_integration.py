@@ -24,6 +24,7 @@ from repro.core.cmp_full import CMPBuilder
 from repro.core.cmp_s import CMPSBuilder
 from repro.core.serialize import tree_to_json
 from repro.data.synthetic import generate_agrawal
+from repro.ensemble import BaggedForestBuilder, HistGradientBoostingBuilder
 from repro.io.faults import FaultInjector, FaultyDataset
 from repro.obs import (
     Tracer,
@@ -89,6 +90,33 @@ class TestScanCrossCheck:
         per_level = check.scans_per_level
         assert all(per_level[lv] == 1 for lv in per_level if lv != -1)
         assert sum(per_level.values()) == check.counted_scans
+
+    def test_boosted_scans_file_under_levels(self, dataset, config):
+        tracer = Tracer()
+        result = HistGradientBoostingBuilder(
+            config, n_iterations=2, tracer=tracer
+        ).build(dataset)
+        summary = summarize_trace(tracer.spans())
+        assert summary.consistent
+        (check,) = summary.builds
+        assert check.builder == "hist-gbdt"
+        assert check.counted_scans == result.stats.io.scans
+        # Only the binning pass runs before the first level.
+        assert check.scans_per_level[-1] == 1
+        assert sum(check.scans_per_level.values()) == check.counted_scans
+
+    def test_bagged_scans_file_under_levels(self, dataset, config):
+        tracer = Tracer()
+        result = BaggedForestBuilder(config, n_trees=3, tracer=tracer).build(
+            dataset
+        )
+        summary = summarize_trace(tracer.spans())
+        assert summary.consistent
+        (check,) = summary.builds
+        assert check.builder == "bagged-CMP-S"
+        assert check.counted_scans == result.stats.io.scans
+        # The shared quantiling and root scans precede the first level.
+        assert check.scans_per_level[-1] == 2
 
     def test_parallel_scan_spans_carry_worker_children(self, dataset, config):
         tracer = Tracer()
