@@ -177,15 +177,20 @@ class ModelRegistry:
         self._pending_removal.discard(fingerprint)
 
     @contextmanager
-    def lease(self, fingerprint: str) -> Iterator[object]:
-        """Hold a model for one request's execution (drain accounting).
+    def lease_route(
+        self, target: str, route_key: object = None
+    ) -> Iterator[tuple[str, str, object, ServingStats]]:
+        """Resolve ``target`` and hold its model for one request.
 
-        A leased fingerprint cannot disappear mid-request: deferred
-        removal waits for the in-flight count to hit zero.  Leasing a
-        draining model is refused like an unknown one.
+        Yields ``(fingerprint, route, model, stats)``.  A leased
+        fingerprint cannot disappear mid-request: deferred removal waits
+        for the in-flight count to hit zero, and leasing a draining
+        model is refused like an unknown one.  Resolution and lease
+        happen under one registry lock, so a concurrent :meth:`hot_swap`
+        cannot retire the resolved model in between.
         """
         with self._lock:
-            fingerprint = self._canonical_locked(fingerprint)
+            fingerprint, route = self._resolve_route_locked(target, route_key)
             if fingerprint in self._pending_removal:
                 raise KeyError(f"model {fingerprint!r} is draining for removal")
             try:
@@ -193,8 +198,9 @@ class ModelRegistry:
             except KeyError:
                 raise KeyError(f"no model registered as {fingerprint!r}") from None
             self._inflight[fingerprint] = self._inflight.get(fingerprint, 0) + 1
+            stats = self._stats[fingerprint]
         try:
-            yield model
+            yield fingerprint, route, model, stats
         finally:
             with self._lock:
                 remaining = self._inflight.get(fingerprint, 1) - 1
@@ -296,12 +302,18 @@ class ModelRegistry:
         for endpoint traffic, ``"direct"`` for raw fingerprint targets
         — the per-request attribution the access log records.
         """
+        with self._lock:
+            return self._resolve_route_locked(target, route_key)
+
+    def _resolve_route_locked(
+        self, target: str, route_key: object
+    ) -> tuple[str, str]:
+        # Registry lock, then rollout lock: the order unregister takes.
         if self._rollout.has_endpoint(target):
             return self._rollout.resolve_with_route(target, route_key)
-        with self._lock:
-            target = self._canonical_locked(target)
-            if target in self._models:
-                return target, "direct"
+        target = self._canonical_locked(target)
+        if target in self._models:
+            return target, "direct"
         raise KeyError(f"no endpoint or model registered as {target!r}")
 
     def _require_registered(self, fingerprint: str) -> str:
@@ -492,10 +504,14 @@ class ServingEngine:
             )
 
     def _degrade(
-        self, fingerprint: str, model: object, X: np.ndarray, method: str
+        self,
+        fingerprint: str,
+        model: object,
+        X: np.ndarray,
+        method: str,
+        stats: ServingStats,
     ) -> np.ndarray:
         """Answer from the fallback path while the breaker holds traffic."""
-        stats = self.registry.stats(fingerprint)
         if self.fallback is None:
             raise CircuitOpen(
                 f"circuit open for model {fingerprint!r} and no fallback "
@@ -562,44 +578,47 @@ class ServingEngine:
         ) as req_span:
             try:
                 dl = as_deadline(deadline)
-                fingerprint, route = self.registry.resolve_route(target, route_key)
-                stats = self.registry.stats(fingerprint)
-                model = self.registry.get(fingerprint)
-                X = _as_batch(X)
-                rows = len(X)
-                self._validate_batch(fingerprint, model, X)
-                if self.admission is not None and not self.admission.try_acquire():
-                    stats.count_shed()
-                    outcome = "shed"
-                    raise Overloaded(
-                        f"serve queue full ({self.admission.max_depth} in "
-                        f"flight); request for {fingerprint!r} shed",
-                        depth=self.admission.max_depth,
-                        max_depth=self.admission.max_depth,
-                    )
-                try:
-                    if dl.expired:
-                        stats.count_timeout()
-                        outcome = "deadline"
-                        raise DeadlineExceeded(
-                            f"deadline expired before executing request for "
-                            f"{fingerprint!r}"
+                # Resolve and lease at once: a hot swap between the two
+                # would retire the resolved model under the request.
+                with self.registry.lease_route(target, route_key) as leased:
+                    fingerprint, route, model, stats = leased
+                    X = _as_batch(X)
+                    rows = len(X)
+                    self._validate_batch(fingerprint, model, X)
+                    if self.admission is not None and not self.admission.try_acquire():
+                        stats.count_shed()
+                        outcome = "shed"
+                        raise Overloaded(
+                            f"serve queue full ({self.admission.max_depth} in "
+                            f"flight); request for {fingerprint!r} shed",
+                            depth=self.admission.max_depth,
+                            max_depth=self.admission.max_depth,
                         )
-                    breaker = self.breaker(fingerprint)
-                    if breaker is not None and not breaker.allow():
-                        stats.count_breaker_rejection()
-                        # _degrade either answers (fallback) or raises
-                        # CircuitOpen, in which case "breaker" stands.
-                        outcome = "breaker"
-                        out = self._degrade(fingerprint, model, X, method)
-                        outcome = "fallback"
+                    try:
+                        if dl.expired:
+                            stats.count_timeout()
+                            outcome = "deadline"
+                            raise DeadlineExceeded(
+                                f"deadline expired before executing request for "
+                                f"{fingerprint!r}"
+                            )
+                        breaker = self.breaker(fingerprint)
+                        if breaker is not None and not breaker.allow():
+                            stats.count_breaker_rejection()
+                            # _degrade either answers (fallback) or raises
+                            # CircuitOpen, in which case "breaker" stands.
+                            outcome = "breaker"
+                            out = self._degrade(fingerprint, model, X, method, stats)
+                            outcome = "fallback"
+                            return out
+                        out = self._execute(
+                            fingerprint, model, X, method, dl, breaker, stats
+                        )
+                        outcome = "ok"
                         return out
-                    out = self._execute(fingerprint, X, method, dl, breaker, stats)
-                    outcome = "ok"
-                    return out
-                finally:
-                    if self.admission is not None:
-                        self.admission.release()
+                    finally:
+                        if self.admission is not None:
+                            self.admission.release()
             except DeadlineExceeded:
                 outcome = "deadline"
                 raise
@@ -629,6 +648,7 @@ class ServingEngine:
     def _execute(
         self,
         fingerprint: str,
+        model: object,
         X: np.ndarray,
         method: str,
         dl: Deadline,
@@ -636,32 +656,31 @@ class ServingEngine:
         stats: ServingStats,
     ) -> np.ndarray:
         n = len(X)
-        with self.registry.lease(fingerprint) as model:
-            fn = getattr(model, method)
-            with self.tracer.span(
-                "serve_batch", model=fingerprint[:12], method=method, rows=n
-            ) as span:
-                start = time.perf_counter()
-                try:
-                    if self.workers == 1 or n < 2 * self.min_shard_rows:
-                        out = self._shard_call(fn, X, stats)
-                    else:
-                        out = self._run_sharded(fn, X, n, dl, stats, span)
-                except FutureTimeout:
-                    stats.count_timeout()
-                    if breaker is not None:
-                        breaker.record_failure()
-                    raise DeadlineExceeded(
-                        f"deadline expired while executing a sharded batch "
-                        f"for {fingerprint!r}"
-                    ) from None
-                except Exception:
-                    if breaker is not None:
-                        breaker.record_failure()
-                    raise
+        fn = getattr(model, method)
+        with self.tracer.span(
+            "serve_batch", model=fingerprint[:12], method=method, rows=n
+        ) as span:
+            start = time.perf_counter()
+            try:
+                if self.workers == 1 or n < 2 * self.min_shard_rows:
+                    out = self._shard_call(fn, X, stats)
+                else:
+                    out = self._run_sharded(fn, X, n, dl, stats, span)
+            except FutureTimeout:
+                stats.count_timeout()
                 if breaker is not None:
-                    breaker.record_success()
-                stats.observe_batch(n, time.perf_counter() - start)
+                    breaker.record_failure()
+                raise DeadlineExceeded(
+                    f"deadline expired while executing a sharded batch "
+                    f"for {fingerprint!r}"
+                ) from None
+            except Exception:
+                if breaker is not None:
+                    breaker.record_failure()
+                raise
+            if breaker is not None:
+                breaker.record_success()
+            stats.observe_batch(n, time.perf_counter() - start)
         return out
 
     def _run_sharded(

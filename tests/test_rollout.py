@@ -265,6 +265,41 @@ class TestUnregisterDrain:
             t.join(5.0)
         assert key in engine.registry
 
+    def test_hot_swap_right_after_resolve_keeps_request_alive(self):
+        engine, stable_tree, canary_tree, stable, canary = _two_model_engine()
+        engine.registry.deploy("ep", stable)
+        X = random_batch(stable_tree.schema, 50, seed=66)
+        registry = engine.registry
+        resolve_route = registry.resolve_route
+
+        def resolve_then_swap(*args, **kwargs):
+            out = resolve_route(*args, **kwargs)
+            registry.hot_swap("ep", canary_tree)
+            return out
+
+        registry.resolve_route = resolve_then_swap
+        np.testing.assert_array_equal(
+            engine.predict("ep", X), stable_tree.predict(X)
+        )
+
+    def test_hot_swap_before_execution_drains_the_leased_model(self):
+        engine, stable_tree, canary_tree, stable, canary = _two_model_engine()
+        engine.registry.deploy("ep", stable)
+        X = random_batch(stable_tree.schema, 50, seed=67)
+        validate = engine._validate_batch
+
+        def validate_then_swap(fingerprint, model, batch):
+            validate(fingerprint, model, batch)
+            engine.registry.hot_swap("ep", canary_tree)
+
+        engine._validate_batch = validate_then_swap
+        # The request resolved the old stable; the swap waits for its lease.
+        np.testing.assert_array_equal(
+            engine.predict("ep", X), stable_tree.predict(X)
+        )
+        assert stable not in engine.registry
+        assert engine.registry.resolve("ep") == canary
+
     def test_hot_swap_under_concurrent_traffic(self):
         engine, stable_tree, canary_tree, stable, canary = _two_model_engine()
         engine.registry.deploy("ep", stable)
