@@ -286,9 +286,9 @@ class BuildStats:
     native_kernel_calls: int = 0
     #: Member trees trained by an ensemble build (0 = single-tree build).
     ensemble_members: int = 0
-    #: Level scans shared across all member trees of an ensemble build —
-    #: the solo equivalent would have paid ``ensemble_members`` times as
-    #: many table passes for the same levels.
+    #: Level scans of the build, each shared by every member tree still
+    #: growing.  Reported for ensemble builds, whose solo equivalent would
+    #: have paid ``ensemble_members`` times as many table passes.
     shared_level_scans: int = 0
     #: Wall-clock seconds per build phase ("scan", "resolve", "checkpoint").
     phase_seconds: dict[str, float] = field(default_factory=dict)
