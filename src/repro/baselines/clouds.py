@@ -37,7 +37,7 @@ from repro.core.builder import (
     prefix_cuts,
 )
 from repro.core.histogram import CategoryHistogram, ClassHistogram
-from repro.core.intervals import AttributeAnalysis, analyze_attribute
+from repro.core.intervals import AttributeAnalysis, analyze_attributes
 from repro.core.splits import CategoricalSplit, NumericSplit, Split
 from repro.core.tree import DecisionTree, Node, TreeAccount
 from repro.data.dataset import Dataset
@@ -244,7 +244,9 @@ class CloudsBuilder(TreeBuilder):
         ):
             return None
         cont = schema.continuous_indices()
-        analyses = [analyze_attribute(j, hists[j]) for j in cont]  # type: ignore[arg-type]
+        analyses = analyze_attributes(
+            [(j, hists[j]) for j in cont], self.tracer  # type: ignore[arg-type]
+        )
 
         # Exact candidates available right now: boundaries & subset splits.
         best_cat_gini = np.inf

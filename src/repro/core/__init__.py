@@ -19,6 +19,7 @@ from repro.core.histogram import CategoryHistogram, ClassHistogram
 from repro.core.intervals import (
     AttributeAnalysis,
     analyze_attribute,
+    analyze_attributes,
     choose_split_attribute,
     select_alive_intervals,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "CategoryHistogram",
     "AttributeAnalysis",
     "analyze_attribute",
+    "analyze_attributes",
     "choose_split_attribute",
     "select_alive_intervals",
     "best_linear_candidate",

@@ -31,11 +31,12 @@ Mechanics on top of CMP-S:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
 from repro.core.builder import (
+    Decision,
     LevelBuilder,
     PendingSplit,
     RecordBuffer,
@@ -49,6 +50,7 @@ from repro.core.builder import (
 )
 from repro.core.gini import gini
 from repro.core.histogram import ClassHistogram
+# ``analyze_attribute`` stays bound here for tools that patch it by name.
 from repro.core.intervals import (
     AttributeAnalysis,
     analyze_attribute,
@@ -320,25 +322,29 @@ class CMPBBuilder(LevelBuilder):
 
     # ------------------------------------------------------------------ decide
 
+    def _collect(self, node: Node, part: BPart) -> list[tuple[int, ClassHistogram]]:
+        """The X marginal, then every Y marginal, unless the node stops."""
+        if self._stops(node):
+            return []
+        mset = part.mset
+        return [(mset.x_attr, mset.x_marginal())] + [
+            (j, mset.y_marginal(j)) for j in mset.matrices
+        ]
+
     def _decide(
         self,
         node: Node,
         part: BPart,
+        analyses: list[AttributeAnalysis],
         next_slot: Callable[[], int],
         schema: Schema,
         stats: BuildStats,
-    ) -> BPending | None:
+    ) -> Decision:
         cfg = self.config
         slot, mset = part.slot, part.mset
-        if (
-            node.n_records < cfg.min_records
-            or node.gini <= cfg.min_gini
-            or node.depth >= cfg.max_depth
-        ):
+        if self._stops(node):
             return None
-        x_analysis = analyze_attribute(mset.x_attr, mset.x_marginal())
-        y_analyses = [analyze_attribute(j, mset.y_marginal(j)) for j in mset.matrices]
-        analyses = [x_analysis] + y_analyses
+        x_analysis = analyses[0]
         winner = choose_split_attribute(analyses, cfg.max_alive)
         if (
             winner is not None
@@ -471,11 +477,14 @@ class CMPBBuilder(LevelBuilder):
         node_hists: dict[int, ClassHistogram],
         next_slot: Callable[[], int],
         schema: Schema,
-    ) -> BPending:
+    ) -> Generator[list, list[AttributeAnalysis], BPending]:
         """A first split with deterministic sides (at most one alive run).
 
         Each side gets its own prediction, grids and — when the split fell
-        on the X axis — its own second split.
+        on the X axis — its own second split.  Both sides' histograms are
+        analysed in one batch: the generator yields them, receives their
+        analyses (batched with every other node's by the level driver)
+        and returns the pending.
         """
         first_hist = node_hists[winner.attr]
         q1 = first_hist.n_intervals
@@ -496,11 +505,16 @@ class CMPBBuilder(LevelBuilder):
             p.first_exact_candidates = max(1, len(first_hist.edges))
             ranges = [(0, k + 1), (k + 1, q1)]
 
-        for lo_i, hi_i in ranges:
-            side_hists = self._side_hists(mset, winner.attr, lo_i, hi_i)
+        sides = [self._side_hists(mset, winner.attr, lo, hi) for lo, hi in ranges]
+        wanted = [
+            list(h.items()) if self._side_open(node, h) else [] for h in sides
+        ]
+        analyses = yield wanted[0] + wanted[1]
+        k = len(wanted[0])
+        for side_hists, side_analyses in zip(sides, (analyses[:k], analyses[k:])):
             p.sides.append(
                 self._plan_side(
-                    node, mset, side_hists, node_hists, allow_second,
+                    mset, side_hists, side_analyses, node_hists, allow_second,
                     parent_scores, next_slot, schema,
                 )
             )
@@ -524,41 +538,45 @@ class CMPBBuilder(LevelBuilder):
             split_attr: mset.y_marginal_rows(split_attr, lo, hi),
         }
 
+    def _side_open(self, node: Node, side_hists: dict[int, ClassHistogram]) -> bool:
+        """True when a side may split again, so its marginals are analysed."""
+        cfg = self.config
+        side_counts = next(iter(side_hists.values())).totals()
+        return (
+            float(side_counts.sum()) >= cfg.min_records
+            and float(gini(side_counts)) > cfg.min_gini
+            and node.depth + 1 < cfg.max_depth
+        )
+
     def _plan_side(
         self,
-        node: Node,
         mset: MatrixSet,
         side_hists: dict[int, ClassHistogram],
+        analyses: list[AttributeAnalysis],
         node_hists: dict[int, ClassHistogram],
         allow_second: bool,
         parent_scores: dict[int, float],
         next_slot: Callable[[], int],
         schema: Schema,
     ) -> Side:
-        """Choose a side's second split and preliminary parts (Figure 10, line 18)."""
+        """Choose a side's second split and preliminary parts (Figure 10, line 18).
+
+        ``analyses`` cover ``side_hists`` in order, or are empty when the
+        side cannot split again.
+        """
         cfg = self.config
         side_counts = next(iter(side_hists.values())).totals()
         side_n = float(side_counts.sum())
         side_gini = float(gini(side_counts))
 
         second: SecondSplit | None = None
-        exact_scores: dict[int, float] = {}
-        if (
-            side_n >= cfg.min_records
-            and side_gini > cfg.min_gini
-            and node.depth + 1 < cfg.max_depth
-        ):
-            analyses = [analyze_attribute(j, h) for j, h in side_hists.items()]
-            exact_scores = {a.attr: a.score for a in analyses if np.isfinite(a.score)}
-            if allow_second:
-                side_winner = choose_split_attribute(analyses, self.SECOND_MAX_ALIVE)
-                if (
-                    side_winner is not None
-                    and side_winner.score < side_gini - cfg.min_gain
-                ):
-                    second = self._plan_second_split(
-                        side_winner, side_hists[side_winner.attr], schema
-                    )
+        exact_scores = {a.attr: a.score for a in analyses if np.isfinite(a.score)}
+        if analyses and allow_second:
+            side_winner = choose_split_attribute(analyses, self.SECOND_MAX_ALIVE)
+            if side_winner is not None and side_winner.score < side_gini - cfg.min_gain:
+                second = self._plan_second_split(
+                    side_winner, side_hists[side_winner.attr], schema
+                )
 
         try:
             predicted_x = predict_split(exact_scores, parent_scores)

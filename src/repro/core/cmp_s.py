@@ -14,17 +14,18 @@ and after the scan:
 
 3. sorts each buffer to resolve the parent's **exact** split threshold and
    merges the preliminary subnodes accordingly (lines 11-13, Figure 3);
-4. analyzes the now-complete child histograms, picks each child's splitting
-   attribute, estimates its split and its alive intervals (lines 15-19).
+4. analyzes the now-complete child histograms — the whole level's in one
+   batch — picks each child's splitting attribute, estimates its split
+   and its alive intervals (lines 15-19).
 
 The scan loop itself — the quantiling and root scans, the per-level scan
 with its routing (:meth:`~repro.core.builder.PendingSplit.route`),
 overflow rescans, slot remapping, PUBLIC(1) pruning and checkpoints — is
 :class:`~repro.core.builder.LevelBuilder`'s; this module supplies the
-CMP-S strategy: per-attribute histograms as the root accumulator,
-decisions and resolution.  Child grids are re-quantiled from the parent's
-histograms without touching the data
-(:func:`repro.data.discretize.edges_from_histogram`).
+CMP-S strategy: per-attribute histograms as the root accumulator, the
+histograms each decision needs analysed, decisions and resolution.
+Child grids are re-quantiled from the parent's histograms without
+touching the data (:func:`repro.data.discretize.edges_from_histogram`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ from repro.core.builder import (
     resolve_exact_threshold,
 )
 from repro.core.histogram import CategoryHistogram, ClassHistogram
-from repro.core.intervals import analyze_attribute, choose_split_attribute
+# ``analyze_attribute`` stays bound here for tools that patch it by name.
+from repro.core.intervals import (
+    AttributeAnalysis,
+    analyze_attribute,
+    choose_split_attribute,
+)
 from repro.core.splits import CategoricalSplit, NumericSplit
 from repro.core.tree import Node, TreeAccount
 from repro.data.discretize import edges_from_histogram
@@ -78,10 +84,19 @@ class CMPSBuilder(LevelBuilder):
 
     # -- decisions (Figure 4, lines 15-19) ------------------------------------
 
+    def _collect(self, node: Node, part: PartState) -> list[tuple[int, ClassHistogram]]:
+        """Every continuous attribute's histogram, unless the node stops."""
+        if self._stops(node):
+            return []
+        return [
+            (j, h) for j, h in part.hists.items() if isinstance(h, ClassHistogram)
+        ]
+
     def _decide(
         self,
         node: Node,
         part: PartState,
+        analyses: list[AttributeAnalysis],
         next_slot: Callable[[], int],
         schema: Schema,
         stats: BuildStats,
@@ -89,14 +104,9 @@ class CMPSBuilder(LevelBuilder):
         """Pick the node's split (estimated or exact) or make it a leaf."""
         cfg = self.config
         slot, hists = part.slot, part.hists
-        if (
-            node.n_records < cfg.min_records
-            or node.gini <= cfg.min_gini
-            or node.depth >= cfg.max_depth
-        ):
+        if self._stops(node):
             return None
         cont = schema.continuous_indices()
-        analyses = [analyze_attribute(j, hists[j]) for j in cont]  # type: ignore[arg-type]
         winner = choose_split_attribute(analyses, cfg.max_alive)
         cont_score = winner.score if winner is not None else np.inf
 

@@ -12,6 +12,10 @@ Given a node's per-attribute histograms, this module decides:
 
 When no interval stays alive, the best split point is an interval boundary
 and is therefore already exact.
+
+:func:`analyze_attributes` analyses any number of histograms — a whole
+tree level's, across nodes and attributes — as one array program;
+:func:`analyze_attribute` is its one-histogram case.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.estimation import interval_estimates
-from repro.core.gini import gini
+from repro.core.estimation import interval_estimates, segment_frame
+from repro.core.gini import gini, gini_partition
 from repro.core.histogram import ClassHistogram
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 #: Tolerance for "strictly better than the best boundary" comparisons.
 _EPS = 1e-12
@@ -61,63 +66,97 @@ class AttributeAnalysis:
 def analyze_attribute(attr: int, hist: ClassHistogram) -> AttributeAnalysis:
     """Compute boundary ginis and interval estimates for one attribute.
 
+    The one-histogram case of :func:`analyze_attributes`.
+    """
+    return analyze_attributes([(attr, hist)])[0]
+
+
+def analyze_attributes(
+    items: list[tuple[int, ClassHistogram]],
+    tracer: "Tracer | NullTracer" = NULL_TRACER,
+) -> list[AttributeAnalysis]:
+    """Analyse many ``(attr, histogram)`` pairs in one array program.
+
+    The histograms, which share one class count as a build's always do,
+    are stacked into one ``(Σq, c)`` array, one segment each, and every
+    step below runs once over all rows; only the final per-segment
+    slicing loops in Python.  Each analysis is bit-identical to analysing
+    its histogram alone.  The call records one ``intervals.estimate``
+    span on ``tracer``.
+
     Boundaries with an empty side (all of the node's records on one side)
     are *degenerate*: they are masked to ``+inf`` so they can never be
     selected as a split.  When a node's records concentrate in a single
     grid interval, no valid boundary exists (``gini_min = inf``) but the
     interval's estimate stays finite — it then becomes an alive interval
     and the exact split is recovered from the buffered records, so deep
-    nodes never lose splittability to a coarse grid.
+    nodes never lose splittability to a coarse grid.  A histogram with a
+    single interval has neither boundaries nor finite estimates.
     """
-    node_g = float(gini(hist.totals()))
-    bg = hist.boundary_ginis()
-    if len(bg) == 0:
-        return AttributeAnalysis(
+    if not items:
+        return []
+    hists = [h for __, h in items]
+    sizes = np.array([h.n_intervals for h in hists])
+    counts = np.concatenate([h.counts for h in hists])
+    with tracer.span("intervals.estimate", segments=len(items), rows=len(counts)):
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        ends = starts + sizes - 1
+        seg = np.repeat(np.arange(len(items)), sizes)
+        last = np.zeros(len(counts), dtype=bool)
+        last[ends] = True
+        pops = counts.sum(axis=1)
+        vmin = np.concatenate([h.vmin for h in hists])
+        vmax = np.concatenate([h.vmax for h in hists])
+        atomic = (pops > 0) & (vmin == vmax)
+
+        cum, __, totals = segment_frame(counts, starts)
+        n = totals.sum(axis=1)
+        node_g = np.asarray(gini(totals[starts]))
+        # Row k's partition gini at its upper edge: the boundary between
+        # rows k and k + 1, or the degenerate outer edge on a segment's
+        # last row.
+        raw_bg = np.asarray(gini_partition(cum, totals - cum))
+        left_sizes = cum.sum(axis=1)
+        valid = (left_sizes > 0) & (left_sizes < n) & ~last
+        bg = np.where(valid, raw_bg, np.inf)
+        est = interval_estimates(counts, atomic=atomic, starts=starts)
+        # Footnote 1 of the paper proves the gini index can decrease by
+        # less than 2*N_i/N inside an interval with N_i of the node's N
+        # records, so the true interior minimum is bounded below by the
+        # adjacent boundary ginis minus that slack.  Clamping the
+        # hill-climb estimate with this bound eliminates spurious alive
+        # intervals far from the optimum (the heuristic climb can
+        # otherwise undershoot badly in dense intervals).  Degenerate
+        # outer boundaries truly evaluate to the node's own gini.
+        right_adj = np.where(last, node_g[seg], raw_bg)
+        left_adj = np.empty_like(right_adj)
+        left_adj[1:] = raw_bg[:-1]
+        left_adj[starts] = node_g
+        slack = 2.0 * pops / np.maximum(n, 1.0)
+        est = np.maximum(est, np.minimum(left_adj, right_adj) - slack)
+        # Empty intervals cannot hold a split point.
+        est = np.where((pops > 0) & (sizes[seg] > 1), est, np.inf)
+
+        gini_min = np.minimum.reduceat(bg, starts)
+        # Leftmost row attaining its segment's minimum (ties break left).
+        hit = np.where(bg == gini_min[seg], np.arange(len(counts)), len(counts))
+        best = np.where(
+            np.isfinite(gini_min), np.minimum.reduceat(hit, starts) - starts, -1
+        )
+        est_min = np.minimum.reduceat(est, starts)
+    return [
+        AttributeAnalysis(
             attr=attr,
             edges=hist.edges,
-            boundary_gini=bg,
-            gini_min=np.inf,
-            best_boundary=-1,
-            est=np.full(hist.n_intervals, np.inf),
-            est_min=np.inf,
-            node_gini=node_g,
+            boundary_gini=bg[lo:hi],
+            gini_min=float(gini_min[s]),
+            best_boundary=int(best[s]),
+            est=est[lo : hi + 1],
+            est_min=float(est_min[s]),
+            node_gini=float(node_g[s]),
         )
-    n = hist.n_records
-    sizes = hist.cumulative()[:-1].sum(axis=1)
-    valid = (sizes > 0) & (sizes < n)
-    raw_bg = bg
-    bg = np.where(valid, bg, np.inf)
-    est = interval_estimates(hist.counts, atomic=hist.atomic_intervals())
-    # Footnote 1 of the paper proves the gini index can decrease by less
-    # than 2*N_i/N inside an interval with N_i of the node's N records, so
-    # the true interior minimum is bounded below by the adjacent boundary
-    # ginis minus that slack.  Clamping the hill-climb estimate with this
-    # bound eliminates spurious alive intervals far from the optimum (the
-    # heuristic climb can otherwise undershoot badly in dense intervals).
-    # Degenerate outer boundaries truly evaluate to the node's own gini.
-    padded = np.concatenate(([node_g], raw_bg, [node_g]))
-    adj_min = np.minimum(padded[:-1], padded[1:])
-    pops = hist.counts.sum(axis=1)
-    slack = 2.0 * pops / max(n, 1.0)
-    est = np.maximum(est, adj_min - slack)
-    # Empty intervals cannot hold a split point.
-    est = np.where(pops > 0, est, np.inf)
-    if np.any(valid):
-        best = int(np.argmin(bg))
-        gini_min = float(bg[best])
-    else:
-        best = -1
-        gini_min = np.inf
-    return AttributeAnalysis(
-        attr=attr,
-        edges=hist.edges,
-        boundary_gini=bg,
-        gini_min=gini_min,
-        best_boundary=best,
-        est=est,
-        est_min=float(est.min()) if len(est) else np.inf,
-        node_gini=node_g,
-    )
+        for s, ((attr, hist), lo, hi) in enumerate(zip(items, starts, ends))
+    ]
 
 
 def select_alive_intervals(analysis: AttributeAnalysis, max_alive: int) -> list[int]:

@@ -23,7 +23,11 @@ from repro.core.cmp_full import CMPBuilder
 from repro.core.cmp_s import CMPSBuilder
 from repro.core.gini import exact_best_threshold
 from repro.core.histogram import CategoryHistogram, ClassHistogram
-from repro.core.intervals import analyze_attribute, choose_split_attribute
+from repro.core.intervals import (
+    analyze_attribute,
+    analyze_attributes,
+    choose_split_attribute,
+)
 from repro.core.builder import resolve_exact_threshold
 from repro.core.cmp_s import merge_contiguous
 from repro.data.dataset import Dataset
@@ -97,15 +101,13 @@ def _cmp_root_split(
     buffered records ("gini evaluated on records in alive intervals at
     next round", Table 1 note 3).
     """
-    analyses = []
     hists: dict[int, ClassHistogram] = {}
     for j in dataset.schema.continuous_indices():
         col = dataset.column(j)
         hist = ClassHistogram(equal_depth_edges(col, n_intervals), dataset.n_classes)
         hist.update(col, dataset.y)
         hists[j] = hist
-        analyses.append(analyze_attribute(j, hist))
-    winner = choose_split_attribute(analyses, max_alive)
+    winner = choose_split_attribute(analyze_attributes(list(hists.items())), max_alive)
     if winner is None:
         return -1, np.inf, 0
     hist = hists[winner.attr]

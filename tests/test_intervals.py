@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.histogram import ClassHistogram
 from repro.core.intervals import (
     analyze_attribute,
+    analyze_attributes,
     choose_split_attribute,
     select_alive_intervals,
 )
@@ -223,3 +227,75 @@ class TestAliveZoneBoundaries:
         # cut is after 1.5, which separates the classes exactly.
         assert resolved.threshold == 1.5
         assert resolved.gini == 0.0
+
+
+@st.composite
+def histogram_batches(draw, max_q: int = 12, max_segments: int = 6):
+    """``(attr, ClassHistogram)`` pairs sharing one class count.
+
+    Covers single-interval histograms, empty rows, all-empty histograms
+    and atomic (single distinct value) rows; ``c`` spans numpy's switch
+    to pairwise class-axis sums at 8.
+    """
+    c = draw(st.integers(2, 12))
+    items = []
+    for attr in range(draw(st.integers(1, max_segments))):
+        q = draw(st.integers(1, max_q))
+        counts = draw(
+            hnp.arrays(np.float64, (q, c), elements=st.integers(0, 60).map(float))
+        )
+        kind = draw(st.sampled_from(["dense", "sparse", "empty"]))
+        if kind == "empty":
+            counts[:] = 0.0
+        elif kind == "sparse":
+            counts[draw(hnp.arrays(bool, q))] = 0.0
+        atomic = draw(hnp.arrays(bool, q))
+        hist = ClassHistogram(np.arange(q - 1, dtype=np.float64), c)
+        hist.counts[:] = counts
+        populated = counts.sum(axis=1) > 0
+        low = np.arange(q, dtype=np.float64) - 0.5
+        hist.vmin[:] = np.where(populated, low, np.inf)
+        hist.vmax[:] = np.where(populated, np.where(atomic, low, low + 0.25), -np.inf)
+        items.append((attr, hist))
+    return items
+
+
+def assert_batched_matches_single(items):
+    with np.errstate(divide="raise", invalid="raise"):
+        batched = analyze_attributes(items)
+        singles = [analyze_attribute(a, h) for a, h in items]
+    assert len(batched) == len(singles)
+    for b, s in zip(batched, singles):
+        assert b.attr == s.attr
+        assert np.array_equal(b.edges, s.edges)
+        assert np.array_equal(b.boundary_gini, s.boundary_gini)
+        assert np.array_equal(b.est, s.est)
+        assert b.gini_min == s.gini_min
+        assert b.best_boundary == s.best_boundary
+        assert b.est_min == s.est_min
+        assert b.node_gini == s.node_gini
+
+
+class TestAnalyzeAttributes:
+    """The stacked analysis is bit-equal to analysing each histogram alone."""
+
+    @given(histogram_batches())
+    @settings(max_examples=80, deadline=None)
+    def test_batched_equals_per_histogram(self, items):
+        assert_batched_matches_single(items)
+
+    @pytest.mark.fuzz
+    @given(histogram_batches(max_q=200, max_segments=40))
+    @settings(max_examples=300, deadline=None)
+    def test_batched_equals_per_histogram_wide(self, items):
+        assert_batched_matches_single(items)
+
+    def test_empty_batch(self):
+        assert analyze_attributes([]) == []
+
+    def test_single_interval_has_no_split(self):
+        hist = hist_from_values([0.5, 0.7], [0, 1], [])
+        a = analyze_attribute(0, hist)
+        assert len(a.boundary_gini) == 0
+        assert a.best_boundary == -1
+        assert np.all(np.isinf(a.est)) and not a.splittable
