@@ -112,6 +112,7 @@ def _case_ids() -> list[str]:
         for builder in CLOUDS_MODES
         for data in ("F2", "F7", "mixed")
     ]
+    ids += ["CLOUDS-SS/F2/public", "CLOUDS-SSE/F7/public"]
     return ids
 
 
