@@ -1,7 +1,8 @@
 """Benchmark: tracing overhead on the build path.
 
-Standalone script (not a pytest benchmark): builds each CMP-family
-classifier with tracing disabled (``NULL_TRACER``) and enabled (a real
+Standalone script (not a pytest benchmark): builds each level-driver
+classifier (CMP-S, CMP-B, CMP and CLOUDS) with tracing disabled
+(``NULL_TRACER``) and enabled (a real
 :class:`~repro.obs.trace.Tracer` plus a populated
 :class:`~repro.obs.metrics.MetricsRegistry`), verifies the trees are
 bit-identical, and emits ``BENCH_obs.json`` with best-of-``--repeats``
@@ -35,6 +36,7 @@ import sys
 from pathlib import Path
 from statistics import median
 
+from repro.baselines.clouds import CloudsBuilder
 from repro.config import BuilderConfig
 from repro.core.cmp_b import CMPBBuilder
 from repro.core.cmp_full import CMPBuilder
@@ -44,7 +46,7 @@ from repro.data.synthetic import generate_agrawal
 from repro.core.parallel import process_backend_available
 from repro.obs import MetricsRegistry, Tracer, record_build_stats
 
-BUILDERS = (CMPSBuilder, CMPBBuilder, CMPBuilder)
+BUILDERS = (CMPSBuilder, CMPBBuilder, CMPBuilder, CloudsBuilder)
 
 
 def _measure(builder_cls, dataset, config, repeats, max_overhead_pct):
@@ -150,7 +152,7 @@ def run(
             f"overhead={entry['overhead_pct']:+.2f}% "
             f"({entry['spans']} spans)"
         )
-        if trace_out and builder_cls is BUILDERS[-1]:
+        if trace_out and builder_cls is CMPBuilder:
             n = tracer.write_jsonl(trace_out)
             print(f"wrote {n} spans to {trace_out}")
     backends = ["thread"]

@@ -9,12 +9,13 @@ holds the pieces common to the CMP family and the baselines:
 * :class:`TreeBuilder` — the abstract base and the one build wrapper of
   every builder, solo or ensemble: timing, the ``build`` span, pruning
   and the node/leaf/level tallies.
-* :class:`LevelBuilder` — the one-scan-per-level driver of CMP-S, CMP-B,
-  CMP and the bagged forest: quantiling and root scans, the level loop,
+* :class:`LevelBuilder` — the level driver of CMP-S, CMP-B, CMP, CLOUDS
+  and the bagged forest: quantiling and root scans, the level loop,
   overflow rescans, slot remapping, PUBLIC(1) pruning and checkpoints,
   run over one :class:`Member` per tree.  Subclasses supply only their
   root accumulator, the histograms a decision needs, the decision and
-  resolution; the driver analyses a whole level's histograms at once.
+  resolution (and CLOUDS its exact pass); the driver analyses a whole
+  level's histograms at once.
 * Zone arithmetic for preliminary splits around alive intervals.
 * :func:`resolve_exact_threshold` — the "from approximate split to exact
   split" computation (§2.1): combine boundary ginis with the sorted records
@@ -90,12 +91,18 @@ class TreeBuilder(ABC):
     #: agree; only the construction work differs (which is PUBLIC's point).
     supports_integrated_pruning: bool = False
 
+    #: True for builders that save and resume ``config.checkpoint_path``
+    #: (the solo level-driver builds); the others refuse a checkpoint path.
+    supports_checkpointing: bool = False
+
     def __init__(
         self,
         config: BuilderConfig | None = None,
         tracer: "Tracer | NullTracer | None" = None,
     ) -> None:
         self.config = config if config is not None else BuilderConfig()
+        if self.config.checkpoint_path and not self.supports_checkpointing:
+            raise ValueError(f"{self.name} does not support checkpointing")
         #: Span recorder threaded through the build's table, scan engine
         #: and phase timers.  ``NULL_TRACER`` (the default) records
         #: nothing; tracing never changes the built tree.
@@ -839,7 +846,7 @@ def best_cut(left: np.ndarray, totals: np.ndarray) -> tuple[int, float] | None:
 
 
 # ---------------------------------------------------------------------------
-# The level-synchronous driver (CMP-S, CMP-B, CMP; shared with bagging)
+# The level-synchronous driver (CMP-S, CMP-B, CMP, CLOUDS; shared with bagging)
 # ---------------------------------------------------------------------------
 
 
@@ -959,7 +966,7 @@ class Member:
 
 
 class LevelBuilder(TreeBuilder):
-    """The level-synchronous CMP driver: one scan per tree level.
+    """The level-synchronous driver: one routing scan per tree level.
 
     Two scans precede the loop: a quantiling pass that fixes the root
     interval grid (charged to CLOUDS identically, see DESIGN.md §3) and
@@ -976,7 +983,14 @@ class LevelBuilder(TreeBuilder):
     * :meth:`_collect` — the histograms a node's decision needs analysed;
     * :meth:`_decide` — a node's pending split from those analyses, or
       ``None`` for a leaf;
-    * :meth:`_resolve` — a scanned pending's children and their parts.
+    * :meth:`_resolve` — a scanned pending's children and their parts;
+    * :meth:`_ready` — optional: settles pendings that wait on a pass of
+      their own before the live check (CLOUDS-SSE's exact scan).
+
+    CMP-S, CMP-B and CMP route preliminary parts and resolve after the
+    scan.  CLOUDS knows each split exactly before routing: its decision
+    creates the children, SSE's exact pass runs in :meth:`_ready`, and
+    the level scan only fills the growing children's histograms.
 
     Each level's post-scan step runs in three stages (:meth:`_step`):
     resolve every live member's pendings; analyse every child's collected
@@ -994,6 +1008,7 @@ class LevelBuilder(TreeBuilder):
     """
 
     supports_integrated_pruning = True
+    supports_checkpointing = True
 
     def _build(self, dataset: Dataset, stats: BuildStats) -> DecisionTree:
         solo = Member(self, None, "", np.random.default_rng(self.config.seed))
@@ -1065,6 +1080,7 @@ class LevelBuilder(TreeBuilder):
         part,
         analyses: list[AttributeAnalysis],
         next_slot: Callable[[], int],
+        account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
     ) -> Decision:
@@ -1086,6 +1102,22 @@ class LevelBuilder(TreeBuilder):
     ) -> list[tuple[Node, object]]:
         """Materialize a scanned pending; returns ``(child, part)`` pairs."""
         raise NotImplementedError
+
+    def _ready(
+        self,
+        table,
+        engine: ScanEngine,
+        stats: BuildStats,
+        schema: Schema,
+        members: list[Member],
+    ) -> list[Member]:
+        """The members whose pendings the next level scan routes.
+
+        Runs before every level's live check, so a builder may settle
+        pendings that wait on work of their own (CLOUDS's exact pass)
+        and end the build when none is left.
+        """
+        return [m for m in members if m.pendings]
 
     # -- the loop --------------------------------------------------------------
 
@@ -1125,7 +1157,9 @@ class LevelBuilder(TreeBuilder):
                 checkpoint(level)
 
             # --- One scan per level. ---------------------------------------
-            while live := [m for m in members if m.pendings]:
+            # A level's extra passes (``_ready``) file under its span.
+            live = self._ready(table, engine, stats, schema, members)
+            while live:
                 stats.shared_level_scans += 1
                 with stats.tracer.span(
                     "level",
@@ -1143,6 +1177,7 @@ class LevelBuilder(TreeBuilder):
                         self._step(live, schema, stats)
                     level += 1
                     checkpoint(level)
+                    live = self._ready(table, engine, stats, schema, members)
 
         if ckpt is not None:
             ckpt.clear()
@@ -1289,7 +1324,9 @@ class LevelBuilder(TreeBuilder):
         for i, (m, node, part) in enumerate(todo):
             analyses, todo[i], answers[i] = answers[i], None, None
             outcomes.append(
-                m.builder._decide(node, part, analyses, m.next_slot, schema, stats)
+                m.builder._decide(
+                    node, part, analyses, m.next_slot, m.account, schema, stats
+                )
             )
         waiting = {
             i: next(o) for i, o in enumerate(outcomes) if isinstance(o, GeneratorType)
@@ -1311,7 +1348,8 @@ class LevelBuilder(TreeBuilder):
         Resolves every scanned pending, decides all children with one
         batched analysis, then, per member and pending in order, charges
         the ledger, remaps merged parts in ``nid`` and, under
-        ``prune="public"``, runs the PUBLIC(1) pass.  The ledger sees
+        ``prune="public"``, runs the PUBLIC(1) pass for builders with
+        integrated pruning (CLOUDS prunes post hoc).  The ledger sees
         exactly the sequence of a pending-by-pending step: release the
         pending's ``parts/`` and ``buf/``, then per child allocate its
         ``hist/``, its new pending's ``parts/`` and release the ``hist/``.
@@ -1349,7 +1387,10 @@ class LevelBuilder(TreeBuilder):
                         new_pendings[slot] = q
                     stats.memory.release(f"{m.prefix}hist/{node_id}")
             apply_remap(m.nid, remap)
-            if m.builder.config.prune == "public":
+            if (
+                m.builder.supports_integrated_pruning
+                and m.builder.config.prune == "public"
+            ):
                 new_pendings = public_pass(m.root, new_pendings)
             m.pendings = new_pendings
 

@@ -1,9 +1,10 @@
 """Level-granular checkpoint/resume for scan-based tree builders.
 
-Every builder in the CMP family is level-synchronous: the whole of its
-mutable state lives in a handful of objects between scans — the partial
-tree, the ``nid`` record→slot map, the pending splits (histograms, alive
-bounds, empty buffers) and the slot allocator.  A checkpoint is exactly
+Every level-driver builder (the CMP family and CLOUDS) is
+level-synchronous: the whole of its mutable state lives in a handful of
+objects between scans — the partial tree, the ``nid`` record→slot map,
+the pending splits (histograms, alive bounds, empty buffers) and the
+slot allocator.  A checkpoint is exactly
 that state, pickled at a level boundary, plus the I/O/memory counters so
 a resumed build reports the same totals an uninterrupted one would.
 
@@ -95,9 +96,9 @@ def build_fingerprint(
 def loop_state(account, root, nid, pendings, next_slot) -> dict[str, Any]:
     """The five objects that fully determine a level-synchronous build.
 
-    Shared by CMP-S and CMP-B (and hence full CMP): the node allocator,
-    the partial tree, the record→slot map, the pending splits and the
-    slot counter.  Pickling them in one payload preserves object sharing
+    Shared by every solo level-driver build (CMP-S, CMP-B, CMP and
+    CLOUDS): the node allocator, the partial tree, the record→slot map,
+    the pending splits and the slot counter.  Pickling them in one payload preserves object sharing
     (pending splits reference nodes inside the tree).
     """
     return {

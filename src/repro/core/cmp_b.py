@@ -61,7 +61,7 @@ from repro.core.matrix import MatrixSet
 from repro.core.predict import predict_split
 from repro.core.splits import CategoricalSplit, LinearSplit, NumericSplit, Split
 from repro.core.tree import Node, TreeAccount
-from repro.core.cmp_s import merge_contiguous
+from repro.core.cmp_s import best_categorical_split, merge_contiguous
 from repro.data.dataset import Dataset
 from repro.data.discretize import edges_from_histogram
 from repro.data.schema import Schema
@@ -337,6 +337,7 @@ class CMPBBuilder(LevelBuilder):
         part: BPart,
         analyses: list[AttributeAnalysis],
         next_slot: Callable[[], int],
+        account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
     ) -> Decision:
@@ -361,15 +362,7 @@ class CMPBBuilder(LevelBuilder):
             winner = x_analysis
         cont_score = winner.score if winner is not None else np.inf
 
-        best_cat_gini = np.inf
-        best_cat: tuple[int, np.ndarray] | None = None
-        for j, hist in mset.categorical.items():
-            try:
-                cmask, g = hist.best_subset_split()
-            except ValueError:
-                continue
-            if g < best_cat_gini:
-                best_cat_gini, best_cat = g, (j, cmask)
+        best_cat_gini, best_cat = best_categorical_split(mset.categorical.items())
 
         # Prediction accounting: was the X axis the attribute that wins?
         if part.predicted:

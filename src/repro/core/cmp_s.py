@@ -30,7 +30,7 @@ touching the data (:func:`repro.data.discretize.edges_from_histogram`).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from repro.data.discretize import edges_from_histogram
 from repro.data.schema import Schema
 from repro.io.metrics import BuildStats
 
+
 def merge_contiguous(indices: list[int]) -> list[tuple[int, int]]:
     """Collapse sorted interval indices into inclusive contiguous runs."""
     runs: list[tuple[int, int]] = []
@@ -66,6 +67,26 @@ def merge_contiguous(indices: list[int]) -> list[tuple[int, int]]:
         else:
             runs.append((i, i))
     return runs
+
+
+def best_categorical_split(
+    hists: Iterable[tuple[int, CategoryHistogram]],
+) -> tuple[float, tuple[int, np.ndarray] | None]:
+    """The best subset split over categorical attributes.
+
+    Returns ``(gini, (attr, left_mask))``, or ``(inf, None)`` when no
+    attribute has two non-empty categories.  Ties go to the first attribute.
+    """
+    best_gini = np.inf
+    best: tuple[int, np.ndarray] | None = None
+    for j, hist in hists:
+        try:
+            mask, g = hist.best_subset_split()
+        except ValueError:
+            continue
+        if g < best_gini:
+            best_gini, best = g, (j, mask)
+    return best_gini, best
 
 
 class CMPSBuilder(LevelBuilder):
@@ -98,6 +119,7 @@ class CMPSBuilder(LevelBuilder):
         part: PartState,
         analyses: list[AttributeAnalysis],
         next_slot: Callable[[], int],
+        account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
     ) -> PendingSplit | None:
@@ -110,17 +132,9 @@ class CMPSBuilder(LevelBuilder):
         winner = choose_split_attribute(analyses, cfg.max_alive)
         cont_score = winner.score if winner is not None else np.inf
 
-        best_cat_gini = np.inf
-        best_cat: tuple[int, np.ndarray] | None = None
-        for j in schema.categorical_indices():
-            hist = hists[j]
-            assert isinstance(hist, CategoryHistogram)
-            try:
-                mask, g = hist.best_subset_split()
-            except ValueError:
-                continue
-            if g < best_cat_gini:
-                best_cat_gini, best_cat = g, (j, mask)
+        best_cat_gini, best_cat = best_categorical_split(
+            (j, hists[j]) for j in schema.categorical_indices()
+        )
 
         if min(cont_score, best_cat_gini) >= node.gini - cfg.min_gain:
             return None

@@ -60,6 +60,7 @@ class BaggedForestBuilder(LevelBuilder):
     """
 
     name = "bagged-CMP-S"
+    supports_checkpointing = False
     result_type = ForestBuildResult
 
     def __init__(
@@ -71,8 +72,6 @@ class BaggedForestBuilder(LevelBuilder):
         super().__init__(config, tracer)
         if n_trees < 1:
             raise ValueError("n_trees must be positive")
-        if self.config.checkpoint_path:
-            raise ValueError(f"{self.name} does not support checkpointing")
         if self.config.criterion != "gini":
             raise ValueError(f"{self.name} supports only the gini criterion")
         self.n_trees = int(n_trees)

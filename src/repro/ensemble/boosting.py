@@ -104,8 +104,6 @@ class HistGradientBoostingBuilder(TreeBuilder):
             raise ValueError("learning_rate must be positive")
         if l2 < 0.0:
             raise ValueError("l2 must be non-negative")
-        if self.config.checkpoint_path:
-            raise ValueError(f"{self.name} does not support checkpointing")
         if self.config.prune != "none":
             raise ValueError(f"{self.name} does not support pruning")
         self.n_iterations = int(n_iterations)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.clouds import CloudsBuilder
 from repro.baselines.rainforest import RainForestBuilder
 from repro.baselines.sliq import SliqBuilder
 from repro.baselines.sprint import SprintBuilder
@@ -168,7 +167,7 @@ class TestSerialScanAccounting:
     """Builders that scan serially get no scan-worker CPU discount."""
 
     @pytest.mark.parametrize(
-        "builder_cls", [RainForestBuilder, CloudsBuilder, SprintBuilder, SliqBuilder]
+        "builder_cls", [RainForestBuilder, SprintBuilder, SliqBuilder]
     )
     def test_workers_setting_ignored_by_serial_builders(
         self, builder_cls, f2_small, fast_config

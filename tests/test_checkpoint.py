@@ -9,6 +9,10 @@ never interrupted.
 import numpy as np
 import pytest
 
+from repro.baselines.clouds import CloudsBuilder
+from repro.baselines.rainforest import RainForestBuilder
+from repro.baselines.sliq import SliqBuilder
+from repro.baselines.sprint import SprintBuilder
 from repro.config import BuilderConfig
 from repro.core.checkpoint import (
     CheckpointError,
@@ -26,6 +30,11 @@ from repro.io.metrics import BuildStats
 from repro.io.storage import StoredDataset, write_table
 
 CFG = BuilderConfig(n_intervals=16, max_depth=4, min_records=30)
+
+
+def clouds_ss(config):
+    """CLOUDS in its one-scan-per-level SS mode."""
+    return CloudsBuilder(config.with_(clouds_mode="ss"))
 
 
 @pytest.fixture(scope="module", params=["F2", "F7"])
@@ -117,7 +126,9 @@ class TestCheckpointManager:
         assert level == 1
 
 
-@pytest.mark.parametrize("builder_cls", [CMPSBuilder, CMPBBuilder, CMPBuilder])
+@pytest.mark.parametrize(
+    "builder_cls", [CMPSBuilder, CMPBBuilder, CMPBuilder, CloudsBuilder, clouds_ss]
+)
 class TestCrashResumeEquivalence:
     def test_checkpointing_build_is_unchanged_and_cleans_up(
         self, builder_cls, stored, tmp_path
@@ -167,6 +178,13 @@ class TestCrashResumeEquivalence:
         run = builder_cls(cfg).build(stored)
         assert tree_to_json(run.tree) == tree_to_json(base.tree)
         assert run.stats.resumed_from_level == -1
+
+
+@pytest.mark.parametrize("builder_cls", [RainForestBuilder, SprintBuilder, SliqBuilder])
+def test_builders_without_checkpoints_refuse_a_checkpoint_path(builder_cls, tmp_path):
+    cfg = CFG.with_(checkpoint_path=str(tmp_path / "ck.bin"))
+    with pytest.raises(ValueError, match="does not support checkpointing"):
+        builder_cls(cfg)
 
 
 class TestBufferBudgetFallback:

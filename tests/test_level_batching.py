@@ -10,6 +10,7 @@ from creeping back.
 import pytest
 
 import repro.core.intervals as intervals
+from repro.baselines.clouds import CloudsBuilder
 from repro.config import BuilderConfig
 from repro.core.cmp_b import CMPBBuilder
 from repro.core.cmp_full import CMPBuilder
@@ -45,8 +46,10 @@ def climb_calls(monkeypatch):
         CMPBBuilder,
         CMPBuilder,
         lambda cfg: BaggedForestBuilder(cfg, n_trees=3),
+        lambda cfg: CloudsBuilder(cfg.with_(clouds_mode="ss")),
+        lambda cfg: CloudsBuilder(cfg.with_(clouds_mode="sse")),
     ],
-    ids=["CMP-S", "CMP-B", "CMP", "bagged-CMP-S-T3"],
+    ids=["CMP-S", "CMP-B", "CMP", "bagged-CMP-S-T3", "CLOUDS-SS", "CLOUDS-SSE"],
 )
 def test_climb_runs_at_most_twice_per_level(make, f7_20k, climb_calls):
     result = make(BuilderConfig()).build(f7_20k)

@@ -26,6 +26,7 @@ from repro.config import BuilderConfig
 from repro.core import native_scan
 from repro.core import parallel as parallel_mod
 from repro.core.builder import PartState, RecordBuffer, make_part_hists
+from repro.baselines.clouds import CloudsBuilder
 from repro.core.cmp_b import CMPBBuilder
 from repro.core.cmp_full import CMPBuilder
 from repro.core.cmp_s import CMPSBuilder
@@ -44,7 +45,14 @@ from repro.io.faults import FaultInjector, FaultyDataset, InjectedCrash
 from repro.verify.differential import tree_signature
 
 CFG = BuilderConfig(n_intervals=16, max_depth=4, min_records=30)
-BUILDERS = [CMPSBuilder, CMPBBuilder, CMPBuilder]
+
+
+def clouds_ss(config):
+    """CLOUDS in its one-scan-per-level SS mode."""
+    return CloudsBuilder(config.with_(clouds_mode="ss"))
+
+
+BUILDERS = [CMPSBuilder, CMPBBuilder, CMPBuilder, CloudsBuilder, clouds_ss]
 
 needs_fork = pytest.mark.skipif(
     not process_backend_available(), reason="fork start method unavailable"
