@@ -309,21 +309,40 @@ class PartState:
     hists: dict[int, ClassHistogram | CategoryHistogram] = field(default_factory=dict)
     class_counts: np.ndarray | None = None
 
+    #: The fused kernel's pointer plan, built on first update.  Never
+    #: pickled (scan deltas and checkpoints) nor shared by clones.
+    _plan = None
+
     def __post_init__(self) -> None:
         if self.class_counts is None:
             self.class_counts = np.zeros(self.n_classes, dtype=np.float64)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_plan", None)
+        return state
 
     def update(
         self, X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None
     ) -> None:
         """Add a batch of records to every histogram of this part.
 
-        ``weights`` are integer-valued per-record multiplicities
-        (bootstrap draw counts); the weighted accumulation is exact and
-        bit-identical to repeating each record ``weight`` times.
-        Callers drop zero-weight records beforehand.
+        One native call fills them all when the kernels are available;
+        the numpy body below is the reference.  ``weights`` are
+        integer-valued per-record multiplicities (bootstrap draw
+        counts); the weighted accumulation is exact and bit-identical to
+        repeating each record ``weight`` times.  Callers drop zero-weight
+        records beforehand.
         """
         if len(y) == 0:
+            return
+        if self._plan is None:
+            self._plan = native_scan.part_plan(
+                self.class_counts,
+                [(j, h) for j, h in self.hists.items() if isinstance(h, ClassHistogram)],
+                [(j, h) for j, h in self.hists.items() if isinstance(h, CategoryHistogram)],
+            )
+        if native_scan.fused_accum(self._plan, X, y, weights):
             return
         if weights is None:
             self.class_counts += np.bincount(y, minlength=self.n_classes)
@@ -1040,22 +1059,31 @@ class LevelBuilder(TreeBuilder):
     ) -> None:
         """Route one chunk's records through one tree's pending splits.
 
-        ``weights`` (one per table record) are the bagged forest's
-        bootstrap multiplicities; its never-drawn records carry a negative
-        ``nid`` and so match no pending.
+        The chunk is sorted by slot once (stably, so each slot's records
+        keep their record order); every pending then routes one
+        contiguous run of that order.  ``weights`` (one per table record)
+        are the bagged forest's bootstrap multiplicities; its never-drawn
+        records carry a negative ``nid`` and so match no pending.
         """
+        if not pendings:
+            return
         slots = nid[chunk.start : chunk.stop]
+        order = np.argsort(slots, kind="stable")
+        keys = np.fromiter(pendings, dtype=slots.dtype, count=len(pendings))
+        sorted_slots = slots[order]
+        los = np.searchsorted(sorted_slots, keys, side="left").tolist()
+        his = np.searchsorted(sorted_slots, keys, side="right").tolist()
         if weights is not None:
             weights = weights[chunk.start : chunk.stop]
-        for slot, p in pendings.items():
-            mask = slots == slot
-            if mask.any():
+        for p, lo, hi in zip(pendings.values(), los, his):
+            if lo < hi:
+                idx = order[lo:hi]
                 p.route(
-                    chunk.X[mask],
-                    chunk.y[mask],
-                    chunk.rids[mask],
+                    chunk.X[idx],
+                    chunk.y[idx],
+                    chunk.rids[idx],
                     nid,
-                    None if weights is None else weights[mask],
+                    None if weights is None else weights[idx],
                 )
 
     def _stops(self, node: Node) -> bool:

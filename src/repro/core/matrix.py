@@ -111,16 +111,19 @@ class HistogramMatrix:
         """Memory footprint of the count cube."""
         return self.counts.nbytes
 
-    def _widen_for(self, incoming: int) -> None:
+    def _widen_for(self, incoming: int) -> bool:
         """Switch to the wide dtype before cell counts could exceed int32.
 
         A cell can never hold more than the matrix's total record count,
         so widening when ``_n_added`` approaches the narrow maximum keeps
         every addition exact without scanning the cube for its max.
+        Returns True when it replaced the count cube.
         """
         self._n_added += incoming
         if self.counts.dtype != _WIDE_DTYPE and self._n_added > _NARROW_MAX:
             self.counts = self.counts.astype(_WIDE_DTYPE)
+            return True
+        return False
 
     def update_binned(
         self, x_bins: np.ndarray, y_values: np.ndarray, labels: np.ndarray
@@ -129,17 +132,13 @@ class HistogramMatrix:
         if len(labels) == 0:
             return
         self._widen_for(len(labels))
+        self._add_binned(x_bins, y_values, labels)
+
+    def _add_binned(
+        self, x_bins: np.ndarray, y_values: np.ndarray, labels: np.ndarray
+    ) -> None:
+        """The numpy accumulation of :meth:`update_binned`, once widened."""
         y_values = np.asarray(y_values)
-        if native_scan.matrix_accum(
-            x_bins,
-            y_values,
-            labels,
-            self.y_edges,
-            self.counts,
-            self.y_stats.vmin,
-            self.y_stats.vmax,
-        ):
-            return
         y_bins = bin_index(y_values, self.y_edges)
         np.add.at(self.counts, (x_bins, y_bins, np.asarray(labels)), 1)
         self.y_stats.update(y_bins, y_values)
@@ -196,6 +195,15 @@ class MatrixSet:
     x_stats: AxisStats | None = None
     class_counts: np.ndarray | None = None
 
+    #: The fused kernel's pointer plan, built on first update and dropped
+    #: whenever a cube widens.  Never pickled nor shared by clones.
+    _plan = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_plan", None)
+        return state
+
     @classmethod
     def create(
         cls, schema: Schema, x_attr: int, edges: dict[int, np.ndarray]
@@ -251,16 +259,34 @@ class MatrixSet:
         return total
 
     def update(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Add a batch of records to every histogram of the set."""
+        """Add a batch of records to every histogram of the set.
+
+        One native call fills them all when the kernels are available;
+        the numpy body below is the reference.
+        """
         if len(y) == 0:
             return
         assert self.class_counts is not None and self.x_stats is not None
+        for m in self.matrices.values():
+            if m._widen_for(len(y)):
+                self._plan = None
+        if self._plan is None:
+            self._plan = native_scan.mset_plan(
+                self.class_counts,
+                self.x_attr,
+                self.x_edges,
+                self.x_stats,
+                list(self.matrices.items()),
+                list(self.categorical.items()),
+            )
+        if native_scan.fused_accum(self._plan, X, y):
+            return
         self.class_counts += np.bincount(y, minlength=self.n_classes)
         xv = X[:, self.x_attr]
         x_bins = bin_index(xv, self.x_edges)
         self.x_stats.update(x_bins, xv)
         for j, m in self.matrices.items():
-            m.update_binned(x_bins, X[:, j], y)
+            m._add_binned(x_bins, X[:, j], y)
         for j, h in self.categorical.items():
             h.update(X[:, j], y)
 
@@ -345,3 +371,4 @@ class MatrixSet:
             m.merge_from(other.matrices[j])
         for j, h in self.categorical.items():
             h.merge_from(other.categorical[j])
+        self._plan = None  # a cube may have widened

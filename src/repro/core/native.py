@@ -3,24 +3,33 @@
 One C source holds every per-record hot loop of the repository, for
 training and for serving alike:
 
-====================  =====================================================
-``cmp_hist_accum``    searchsorted + scatter-add into ``(q, c)`` float64
-                      counts, per-bin value extrema (NaN-propagating).
-``cmp_cat_accum``     float→int64 category cast + scatter-add into
-                      ``(ncat, c)`` float64 counts.
-``cmp_matrix_accum``  y-binning + scatter-add into a ``(qx, qy, c)``
-                      int32 or int64 cube with y extrema (two variants).
+======================  ===================================================
+``cmp_part_accum``      a CMP-S part's whole update in one pass: class
+                        counts, every class histogram (searchsorted,
+                        scatter-add, NaN-propagating bin extrema) and
+                        every category histogram.
+``cmp_mset_accum``      a matrix set's whole update in one pass: class
+                        counts, the x bin and its extrema, every
+                        ``(qx, qy, c)`` int32 or int64 cube cell with its
+                        y extrema (two variants), every category
+                        histogram.
+``cmp_hist_accum``      one class histogram's update.
+``cmp_cat_accum``       one category histogram's update (float→int64
+                        code cast + scatter-add).
 ``cmp_boundary_ginis``  partition gini at every interval boundary.
-``cmp_slope_walk``    the full Figure-12 greedy intercept walk.
-``cmp_route``         a compiled tree's leaf index per record.
-``cmp_forest_score``  a packed forest's summed leaf values per record.
-====================  =====================================================
+``cmp_slope_walk``      the full Figure-12 greedy intercept walk.
+``cmp_route``           a compiled tree's leaf index per record.
+``cmp_forest_score``    a packed forest's summed leaf values per record.
+======================  ===================================================
 
-``cmp_hist_accum`` and ``cmp_cat_accum`` also have ``_w`` variants that
-add a bootstrap weight per record.  ``cmp_route`` and
-``cmp_forest_score`` share one per-record tree walk.  The numpy loops they replace scan
-whole columns per node or per bin; a scalar C loop visits each record's
-row once while it sits in cache, which is several times faster.
+``cmp_part_accum``, ``cmp_hist_accum`` and ``cmp_cat_accum`` also have
+``_w`` variants that add a bootstrap weight per record.  The fused
+accumulators read a per-accumulator plan table of addresses (layout in
+the source) and validate a whole chunk before writing anything.
+``cmp_route`` and ``cmp_forest_score`` share one per-record tree walk.
+The numpy loops they replace scan whole columns per node or per bin; a
+scalar C loop visits each record's row once while it sits in cache,
+which is several times faster.
 
 This module compiles the source into one shared library at first use
 (via :mod:`repro.core.native_build`, whose content-addressed cache
@@ -39,7 +48,8 @@ platform where the library builds (it is refused where ``np.intp`` is
 not 64-bit).  :mod:`repro.core.native_scan` states the training
 kernels' envelope.
 
-ABI: all pointers 8-byte aligned, sizes and strides int64.
+ABI: all pointers 8-byte aligned, sizes and strides int64; plan tables
+hold addresses as int64 words.
 """
 
 from __future__ import annotations
@@ -188,35 +198,158 @@ int cmp_cat_accum_w(int64_t n, int64_t vstride, const double *codes,
     return 0;
 }
 
-/* y_bins = searchsorted(y_edges, y); np.add.at(counts, (x_bins, y_bins,
- * labels), 1); y extrema.  Two count dtypes (the matrix cube widens from
- * int32 to int64 on demand). */
-#define MATRIX_ACCUM(NAME, CTYPE)                                           \
-int NAME(int64_t n, const int64_t *x_bins, int64_t ystride,                 \
-         const double *y_values, const int64_t *labels,                     \
-         const double *y_edges, int64_t m, int64_t qx, int64_t qy,          \
-         int64_t c, CTYPE *counts, double *vmin, double *vmax)              \
+/* The fused kernels below fold one chunk's rows into every histogram of
+ * one accumulator in a single pass.  Their plan, built once per
+ * accumulator by repro.core.native_scan, is one int64 table holding
+ * addresses as words:
+ *   words 0-3  {c, class_counts, nh, nc};
+ *   words 4-8  a matrix set's shared x axis {x_attr, m, edges, vmin, vmax}
+ *              (unused by parts);
+ *   nh rows    {attr, m, edges, counts, vmin, vmax}: a continuous
+ *              histogram, or one matrix's y axis and cube;
+ *   nc rows    {attr, ncat, counts}: a categorical histogram;
+ * where m = len(edges).  X is read through element strides rs (rows) and
+ * cs (columns), so any float64 view works. */
+#define PTR(T, w) ((T *)(intptr_t)(w))
+#define PLAN_HEAD 9
+
+/* numpy's float->intp cast of a category code, wrapped like a negative
+ * index; 0 when the code indexes out of range (numpy raises IndexError).
+ * NaN and out-of-int64 codes are refused before the (undefined) cast. */
+static int code_of(double cv, int64_t ncat, int64_t *k)
+{
+    if (cv != cv || cv >= 9.2233720368547758e18 || cv < -9.2233720368547758e18)
+        return 0;
+    int64_t v = (int64_t)cv;
+    if (v < 0)
+        v += ncat;
+    if (v < 0 || v >= ncat)
+        return 0;
+    *k = v;
+    return 1;
+}
+
+/* Validate the whole chunk before anything is written: 1 when a label
+ * lies outside [0, c) (numpy's bincount raises ValueError), 2 when a
+ * category code is out of range (IndexError), 0 otherwise. */
+static int check_rows(int64_t n, const double *X, int64_t rs, int64_t cs,
+                      const int64_t *labels, const int64_t *plan)
+{
+    int64_t c = plan[0], nc = plan[3];
+    const int64_t *cplan = plan + PLAN_HEAD + 6 * plan[2];
+    for (int64_t r = 0; r < n; ++r)
+        if (labels[r] < 0 || labels[r] >= c)
+            return 1;
+    for (int64_t h = 0; h < nc; ++h) {
+        const int64_t *p = cplan + 3 * h;
+        const double *col = X + p[0] * cs;
+        int64_t k;
+        for (int64_t r = 0; r < n; ++r)
+            if (!code_of(col[r * rs], p[1], &k))
+                return 2;
+    }
+    return 0;
+}
+
+/* np.add.at(counts, (codes, labels), w) for every categorical histogram
+ * of the plan, on one validated row. */
+static void cat_fold(const double *row, int64_t cs, int64_t lab, double w,
+                     int64_t c, int64_t nc, const int64_t *cplan)
+{
+    for (int64_t h = 0; h < nc; ++h) {
+        const int64_t *p = cplan + 3 * h;
+        int64_t k = 0;
+        code_of(row[p[0] * cs], p[1], &k);
+        PTR(double, p[2])[k * c + lab] += w;
+    }
+}
+
+/* PartState.update: class counts, then per row every continuous
+ * histogram (hist_accum's body) and every categorical one (cat_accum's).
+ * weights == NULL adds 1 per record. */
+static int part_accum(int64_t n, const double *X, int64_t rs, int64_t cs,
+                      const int64_t *labels, const double *weights,
+                      const int64_t *plan)
+{
+    int rc = check_rows(n, X, rs, cs, labels, plan);
+    if (rc)
+        return rc;
+    int64_t c = plan[0], nh = plan[2], nc = plan[3];
+    double *class_counts = PTR(double, plan[1]);
+    const int64_t *cplan = plan + PLAN_HEAD + 6 * nh;
+    for (int64_t r = 0; r < n; ++r) {
+        const double *row = X + r * rs;
+        int64_t lab = labels[r];
+        double w = weights ? weights[r] : 1.0;
+        class_counts[lab] += w;
+        for (int64_t h = 0; h < nh; ++h) {
+            const int64_t *p = plan + PLAN_HEAD + 6 * h;
+            double v = row[p[0] * cs];
+            int64_t b = bin_of(v, PTR(const double, p[2]), p[1]);
+            PTR(double, p[3])[b * c + lab] += w;
+            fold_min(PTR(double, p[4]) + b, v);
+            fold_max(PTR(double, p[5]) + b, v);
+        }
+        cat_fold(row, cs, lab, w, c, nc, cplan);
+    }
+    return 0;
+}
+
+int cmp_part_accum(int64_t n, const double *X, int64_t rs, int64_t cs,
+                   const int64_t *labels, const int64_t *plan)
+{
+    return part_accum(n, X, rs, cs, labels, 0, plan);
+}
+
+/* Weighted variant: each record adds its (integer-valued) bootstrap
+ * weight, exact in any order.  Callers drop zero-weight records. */
+int cmp_part_accum_w(int64_t n, const double *X, int64_t rs, int64_t cs,
+                     const int64_t *labels, const double *weights,
+                     const int64_t *plan)
+{
+    return part_accum(n, X, rs, cs, labels, weights, plan);
+}
+
+/* MatrixSet.update: class counts, the shared x bin and its extrema,
+ * every (x, y) cube cell with its y extrema, every categorical
+ * histogram.  Two count dtypes (the cubes widen from int32 to int64 on
+ * demand; every cube of a set shares one). */
+#define MSET_ACCUM(NAME, CTYPE)                                             \
+int NAME(int64_t n, const double *X, int64_t rs, int64_t cs,                \
+         const int64_t *labels, const int64_t *plan)                        \
 {                                                                           \
+    int rc = check_rows(n, X, rs, cs, labels, plan);                        \
+    if (rc)                                                                 \
+        return rc;                                                          \
+    int64_t c = plan[0], nh = plan[2], nc = plan[3];                        \
+    int64_t x_attr = plan[4], xm = plan[5];                                 \
+    double *class_counts = PTR(double, plan[1]);                            \
+    const double *x_edges = PTR(const double, plan[6]);                     \
+    double *x_vmin = PTR(double, plan[7]), *x_vmax = PTR(double, plan[8]);  \
+    const int64_t *cplan = plan + PLAN_HEAD + 6 * nh;                       \
     for (int64_t r = 0; r < n; ++r) {                                       \
-        double yv = y_values[r * ystride];                                  \
-        int64_t xb = x_bins[r];                                             \
+        const double *row = X + r * rs;                                     \
         int64_t lab = labels[r];                                            \
-        if (xb < 0)                                                         \
-            xb += qx;                                                       \
-        if (lab < 0)                                                        \
-            lab += c;                                                       \
-        if (xb < 0 || xb >= qx || lab < 0 || lab >= c)                      \
-            return 1;                                                       \
-        int64_t yb = bin_of(yv, y_edges, m);                                \
-        counts[(xb * qy + yb) * c + lab] += 1;                              \
-        fold_min(vmin + yb, yv);                                            \
-        fold_max(vmax + yb, yv);                                            \
+        class_counts[lab] += 1.0;                                           \
+        double xv = row[x_attr * cs];                                       \
+        int64_t xb = bin_of(xv, x_edges, xm);                               \
+        fold_min(x_vmin + xb, xv);                                          \
+        fold_max(x_vmax + xb, xv);                                          \
+        for (int64_t h = 0; h < nh; ++h) {                                  \
+            const int64_t *p = plan + PLAN_HEAD + 6 * h;                    \
+            double yv = row[p[0] * cs];                                     \
+            int64_t yb = bin_of(yv, PTR(const double, p[2]), p[1]);        \
+            PTR(CTYPE, p[3])[(xb * (p[1] + 1) + yb) * c + lab] += 1;        \
+            fold_min(PTR(double, p[4]) + yb, yv);                           \
+            fold_max(PTR(double, p[5]) + yb, yv);                           \
+        }                                                                   \
+        cat_fold(row, cs, lab, 1.0, c, nc, cplan);                          \
     }                                                                       \
     return 0;                                                               \
 }
 
-MATRIX_ACCUM(cmp_matrix_accum32, int32_t)
-MATRIX_ACCUM(cmp_matrix_accum64, int64_t)
+MSET_ACCUM(cmp_mset_accum32, int32_t)
+MSET_ACCUM(cmp_mset_accum64, int64_t)
 
 /* gini() of one class-count row whose (sequential) total is s, using a
  * c-element scratch for the squared proportions.  Mirrors, op for op:
@@ -476,7 +609,7 @@ void cmp_forest_score(int64_t n, int64_t ncols, const double *X,
 
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
-_MATRIX = [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR]
+_FUSED = [_I64, _PTR, _I64, _I64, _PTR, _PTR]
 
 #: ``cmp_<name>`` -> (restype, argtypes) for every kernel in the library.
 _SIGNATURES = {
@@ -484,8 +617,10 @@ _SIGNATURES = {
     "hist_accum_w": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR]),
     "cat_accum": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR]),
     "cat_accum_w": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _I64, _I64, _PTR]),
-    "matrix_accum32": (ctypes.c_int, _MATRIX),
-    "matrix_accum64": (ctypes.c_int, _MATRIX),
+    "part_accum": (ctypes.c_int, _FUSED),
+    "part_accum_w": (ctypes.c_int, _FUSED[:5] + [_PTR] + _FUSED[5:]),
+    "mset_accum32": (ctypes.c_int, _FUSED),
+    "mset_accum64": (ctypes.c_int, _FUSED),
     "boundary_ginis": (None, [_I64, _I64, _PTR, _PTR, _PTR, _PTR]),
     "slope_walk": (None, [_I64, _I64, _I64, _PTR, _I64, _PTR, _PTR]),
     "route": (None, [_I64, _I64] + [_PTR] * 14),

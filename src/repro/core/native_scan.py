@@ -4,8 +4,11 @@ The builders' per-chunk work — class-histogram and matrix accumulation —
 and the post-scan analysis sweeps — boundary ginis and the
 ``giniNegativeSlope`` intercept walk — are tight per-record loops that
 numpy evaluates as a chain of whole-array temporaries.  The C versions
-live in the one native library; this module decides, call by call,
-whether a kernel may stand in for the numpy expression:
+live in the one native library.  A scan part (``PartState`` or
+``MatrixSet``) fills all its histograms with one :func:`fused_accum`
+call per chunk, through an :class:`AccumPlan` it builds once
+(:func:`part_plan`, :func:`mset_plan`).  This module decides, call by
+call, whether a kernel may stand in for the numpy expression:
 
 * **bit-identical to numpy** — every floating-point operation mirrors
   the numpy expression's op-by-op rounding, and the single
@@ -19,15 +22,21 @@ whether a kernel may stand in for the numpy expression:
   the entry point returns ``False``/``None`` and the caller keeps its
   pure-numpy path, which remains the reference implementation.
 
-Kernels bounds-check label/category indices (mirroring numpy's
-``IndexError``, including negative-index wraparound) and replicate
+Kernels bounds-check label/category indices and replicate
 ``np.searchsorted``'s sort-order comparison, under which NaN is larger
-than every number.  Every applied call is counted per kernel
-(:func:`kernel_counts`); routing and forest scoring are not.
+than every number.  The per-histogram kernels mirror numpy's fancy
+indexing (``IndexError``, negative indices wrap).  The fused kernels
+mirror the part's numpy body, which counts classes with ``bincount``
+first: a label outside ``[0, c)`` raises ``ValueError``, a bad category
+code ``IndexError``, and nothing is written before the whole chunk
+validates.  Every applied call is counted per kernel, a fused call once
+per histogram it filled (:func:`kernel_counts`); routing and forest
+scoring are not counted.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 
 import numpy as np
@@ -59,14 +68,14 @@ _COUNTS = {
 _THREAD_COUNTS = threading.local()
 
 
-def _count(name: str) -> None:
-    """Record one applied kernel call (process-wide and per-thread)."""
-    _COUNTS[name] += 1
+def _count(name: str, calls: int = 1) -> None:
+    """Record applied kernel calls (process-wide and per-thread)."""
+    _COUNTS[name] += calls
     counts = getattr(_THREAD_COUNTS, "counts", None)
     if counts is None:
         counts = {}
         _THREAD_COUNTS.counts = counts
-    counts[name] = counts.get(name, 0) + 1
+    counts[name] = counts.get(name, 0) + calls
 
 
 def kernel_counts() -> dict[str, int]:
@@ -125,6 +134,13 @@ def _labels_i64(labels: object, n: int) -> np.ndarray | None:
     Boolean arrays are refused — numpy fancy indexing treats them as
     masks, a different semantic the kernels do not replicate.
     """
+    if (
+        isinstance(labels, np.ndarray)
+        and labels.dtype == np.int64
+        and labels.shape == (n,)
+        and labels.flags.c_contiguous
+    ):
+        return labels  # the common case, without numpy's generic checks
     arr = np.asarray(labels)
     if arr.ndim != 1 or len(arr) != n:
         return None
@@ -268,61 +284,210 @@ def cat_accum(
     return True
 
 
-def matrix_accum(
-    x_bins: np.ndarray,
-    y_values: np.ndarray,
-    labels: object,
-    y_edges: np.ndarray,
-    counts: np.ndarray,
-    vmin: np.ndarray,
-    vmax: np.ndarray,
-) -> bool:
-    """Native ``HistogramMatrix.update_binned`` body; False = use numpy."""
-    fns = native._resolve()
-    if fns is None:
+def _addr(a: np.ndarray) -> int:
+    """Address of an array's first element.
+
+    A ``ctypes`` view of the buffer costs a third of ``a.ctypes.data``,
+    which serves the views ``ctypes`` refuses: read-only, empty or not
+    C-contiguous.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
+
+
+class AccumPlan:
+    """One accumulator's arrays, packed once for a fused kernel.
+
+    ``table`` is the kernel's int64 plan (layout in the C source): class
+    count width, the histograms' shapes, and their arrays' addresses.
+    ``keep`` holds every array it points into, so no address can dangle.
+    A plan is valid while its accumulator keeps exactly these arrays:
+    owners drop it whenever they replace one (matrix widening) and never
+    pickle or share it, since its addresses mean nothing in another
+    process.
+    """
+
+    __slots__ = ("kernel", "table", "address", "n_cols", "counted", "keep")
+
+    def __init__(self, kernel: str, words: list[int], n_cols: int, counted, keep) -> None:
+        self.kernel = kernel
+        self.table = np.array(words, dtype=np.int64)
+        self.address = _addr(self.table)
+        self.n_cols = n_cols
+        self.counted = counted
+        self.keep = keep
+
+    def __reduce__(self):
+        raise TypeError("an AccumPlan holds process-local addresses")
+
+
+def _hist_rows(hists, shape: tuple, dtype, keep: list) -> list[int] | None:
+    """Flat ``{attr, m, edges, counts, vmin, vmax}`` rows of continuous
+    histograms or matrix y axes, or ``None`` when one lies outside the
+    kernels' layout.  ``shape`` is ``(c,)`` for histograms, whose counts
+    must be ``(q, c)``, and ``(qx, c)`` for cubes, ``(qx, q, c)``; every
+    count array must be C-contiguous ``dtype``."""
+    *lead, c = shape
+    rows: list[int] = []
+    for attr, edges, counts, vmin, vmax in hists:
+        q = len(edges) + 1
+        if not (
+            _contiguous_f64(edges)
+            and counts.dtype == dtype
+            and counts.flags.c_contiguous
+            and counts.shape == (*lead, q, c)
+            and _contiguous_f64(vmin)
+            and _contiguous_f64(vmax)
+            and vmin.shape == vmax.shape == (q,)
+        ):
+            return None
+        keep += (edges, counts, vmin, vmax)
+        rows += (attr, q - 1, _addr(edges), _addr(counts), _addr(vmin), _addr(vmax))
+    return rows
+
+
+def _cat_rows(cats, c: int, keep: list) -> list[int] | None:
+    """Flat ``{attr, ncat, counts}`` rows of categorical histograms, or
+    ``None`` when one lies outside the kernels' layout."""
+    rows: list[int] = []
+    for attr, h in cats:
+        counts = h.counts
+        if not (_contiguous_f64(counts) and counts.ndim == 2 and counts.shape[1] == c):
+            return None
+        keep.append(counts)
+        rows += (attr, counts.shape[0], _addr(counts))
+    return rows
+
+
+def _plan(kernel, class_counts, x_words, hist_rows, cat_rows, keep, counted) -> AccumPlan:
+    """Assemble a plan; ``x_words`` are a matrix set's x-axis words."""
+    keep.append(class_counts)
+    n_hist, n_cat = len(hist_rows) // 6, len(cat_rows) // 3
+    words = [len(class_counts), _addr(class_counts), n_hist, n_cat, *x_words]
+    return AccumPlan(
+        kernel,
+        words + hist_rows + cat_rows,
+        max([-1, x_words[0], *hist_rows[::6], *cat_rows[::3]]) + 1,
+        ((counted, n_hist), ("cat_accum", n_cat)),
+        keep,
+    )
+
+
+def _class_counts_ok(class_counts: np.ndarray) -> bool:
+    return class_counts.ndim == 1 and _contiguous_f64(class_counts)
+
+
+def part_plan(class_counts: np.ndarray, hists, cats) -> AccumPlan | bool:
+    """The plan of a ``PartState``: ``hists`` and ``cats`` are its
+    ``(attr, histogram)`` pairs, continuous and categorical.
+
+    Returns ``False`` when some array lies outside the kernels' layout
+    (the part then always takes its numpy path).
+    """
+    if not _class_counts_ok(class_counts):
         return False
-    if counts.dtype == np.int32:
-        fn = fns["matrix_accum32"]
-    elif counts.dtype == np.int64:
-        fn = fns["matrix_accum64"]
-    else:
+    c, keep = len(class_counts), []
+    hist_rows = _hist_rows(
+        [(j, h.edges, h.counts, h.vmin, h.vmax) for j, h in hists],
+        (c,),
+        np.float64,
+        keep,
+    )
+    cat_rows = _cat_rows(cats, c, keep)
+    if hist_rows is None or cat_rows is None:
         return False
-    ystride = _f64_stride(y_values)
-    if ystride is None:
-        return False
-    lab = _labels_i64(labels, len(y_values))
-    if lab is None:
-        return False
+    no_x = [-1, 0, 0, 0, 0]
+    return _plan("part_accum", class_counts, no_x, hist_rows, cat_rows, keep, "hist_accum")
+
+
+def mset_plan(
+    class_counts: np.ndarray, x_attr: int, x_edges: np.ndarray, x_stats, matrices, cats
+) -> AccumPlan | bool:
+    """The plan of a ``MatrixSet``: ``matrices`` and ``cats`` are its
+    ``(attr, matrix)`` and ``(attr, histogram)`` pairs.
+
+    Every cube must share one count dtype, int32 or int64; otherwise (or
+    for any other array outside the kernels' layout) returns ``False``.
+    """
+    qx = len(x_edges) + 1
+    vmin, vmax = x_stats.vmin, x_stats.vmax
     if not (
-        x_bins.dtype == np.intp
-        and x_bins.ndim == 1
-        and x_bins.flags.c_contiguous
-        and len(x_bins) == len(y_values)
-        and counts.flags.c_contiguous
-        and _contiguous_f64(y_edges)
+        _class_counts_ok(class_counts)
+        and _contiguous_f64(x_edges)
         and _contiguous_f64(vmin)
         and _contiguous_f64(vmax)
+        and vmin.shape == vmax.shape == (qx,)
     ):
         return False
-    qx, qy, c = counts.shape
-    rc = fn(
-        len(y_values),
-        x_bins.ctypes.data,
-        ystride,
-        y_values.ctypes.data,
-        lab.ctypes.data,
-        y_edges.ctypes.data,
-        len(y_edges),
-        qx,
-        qy,
-        c,
-        counts.ctypes.data,
-        vmin.ctypes.data,
-        vmax.ctypes.data,
+    dtype = matrices[0][1].counts.dtype if matrices else np.dtype(np.int32)
+    if dtype not in (np.int32, np.int64):
+        return False
+    c, keep = len(class_counts), [x_edges, vmin, vmax]
+    hist_rows = _hist_rows(
+        [(j, m.y_edges, m.counts, m.y_stats.vmin, m.y_stats.vmax) for j, m in matrices],
+        (qx, c),
+        dtype,
+        keep,
     )
+    cat_rows = _cat_rows(cats, c, keep)
+    if hist_rows is None or cat_rows is None:
+        return False
+    x_words = [x_attr, qx - 1, _addr(x_edges), _addr(vmin), _addr(vmax)]
+    kernel = "mset_accum32" if dtype == np.int32 else "mset_accum64"
+    return _plan(kernel, class_counts, x_words, hist_rows, cat_rows, keep, "matrix_accum")
+
+
+def fused_accum(
+    plan: AccumPlan | bool,
+    X: np.ndarray,
+    y: object,
+    weights: object | None = None,
+) -> bool:
+    """Fold a batch into every histogram of a planned accumulator.
+
+    One native call replaces one per histogram.  Returns ``False`` (use
+    numpy) without kernels, without a plan, or for an ``X`` the kernel
+    cannot read.  Every label and category code is validated before
+    anything is written; a bad one raises what the numpy path raises:
+    ``ValueError`` for a label outside ``[0, c)``, ``IndexError`` for a
+    category code.  Counts one call per histogram filled, so the tally
+    matches the per-histogram dispatch it replaces.
+    """
+    fns = native._resolve()
+    if fns is None or not plan:
+        return False
+    if not (
+        isinstance(X, np.ndarray)
+        and X.dtype == np.float64
+        and X.ndim == 2
+        and X.shape[1] >= plan.n_cols
+    ):
+        return False
+    n = X.shape[0]
+    rs, cs = X.strides
+    if rs % 8 or cs % 8:
+        return False
+    lab = _labels_i64(y, n)
+    if lab is None:
+        return False
+    if weights is None:
+        rc = fns[plan.kernel](n, _addr(X), rs // 8, cs // 8, _addr(lab), plan.address)
+    else:
+        w = _weights_f64(weights, n)
+        if w is None or plan.kernel != "part_accum":
+            return False
+        rc = fns["part_accum_w"](
+            n, _addr(X), rs // 8, cs // 8, _addr(lab), _addr(w), plan.address
+        )
+    if rc == 1:
+        raise ValueError("class label outside [0, n_classes)")
     if rc:
-        raise IndexError("x bin or class label out of bounds for matrix counts")
-    _count("matrix_accum")
+        raise IndexError("category code out of bounds for histogram counts")
+    for name, calls in plan.counted:
+        if calls:
+            _count(name, calls)
     return True
 
 
@@ -392,7 +557,10 @@ __all__ = [
     "kernel_calls_total",
     "hist_accum",
     "cat_accum",
-    "matrix_accum",
+    "AccumPlan",
+    "part_plan",
+    "mset_plan",
+    "fused_accum",
     "boundary_ginis",
     "slope_walk",
 ]

@@ -1,6 +1,8 @@
 """Tests for shared builder machinery (zones, buffers, exact resolution,
 scan-worker accounting)."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,22 @@ from repro.baselines.rainforest import RainForestBuilder
 from repro.baselines.sliq import SliqBuilder
 from repro.baselines.sprint import SprintBuilder
 from repro.core.builder import (
+    PartState,
+    PendingSplit,
     RecordBuffer,
     ResolvedThreshold,
     adaptive_intervals,
     classify_zones,
+    make_part_hists,
     resolve_exact_threshold,
     zone_boundaries,
 )
+from repro.core.cmp_s import CMPSBuilder
 from repro.core.gini import gini_partition
+from repro.core.splits import CategoricalSplit, NumericSplit
+from repro.core.tree import Node
+from repro.data.schema import Schema, categorical, continuous
+from repro.io.pager import ScanChunk
 
 
 class TestZones:
@@ -49,6 +59,110 @@ class TestZones:
         b = zone_boundaries([(1.0, 2.0), (2.0, 3.0)])
         zones = classify_zones(np.array([1.5, 2.5]), b)
         np.testing.assert_array_equal(zones, [1, 3])
+
+
+def route_by_masks(chunk, nid, pendings, weights=None):
+    """The per-slot mask routing ``LevelBuilder._route_chunk`` replaced."""
+    slots = nid[chunk.start : chunk.stop]
+    if weights is not None:
+        weights = weights[chunk.start : chunk.stop]
+    for slot, p in pendings.items():
+        mask = slots == slot
+        if mask.any():
+            p.route(
+                chunk.X[mask],
+                chunk.y[mask],
+                chunk.rids[mask],
+                nid,
+                None if weights is None else weights[mask],
+            )
+
+
+ROUTE_SCHEMA = Schema(
+    (continuous("a"), continuous("b"), categorical("c", ("x", "y", "z"))),
+    ("n", "p"),
+)
+
+
+def random_pendings(rng, n_slots):
+    """Exact and estimated pendings on a random subset of ``n_slots``."""
+    edges = {0: np.array([-0.5, 0.0, 0.5]), 1: np.array([0.0])}
+    next_slot = n_slots
+    pendings = {}
+    for slot in range(n_slots):
+        if rng.random() < 0.3:
+            continue  # a slot that no pending owns
+        node = Node(slot, 1, np.zeros(2))
+        kind = rng.integers(0, 3)
+        if kind == 2:  # estimated around one alive interval: two parts
+            lo = float(rng.normal())
+            alive = [(lo, lo + 0.5)]
+            fields = dict(
+                attr=int(rng.integers(0, 2)),
+                alive_bounds=alive,
+                zone_bounds=zone_boundaries(alive),
+            )
+        else:
+            split = (
+                NumericSplit(int(rng.integers(0, 2)), float(rng.normal()))
+                if kind == 0
+                else CategoricalSplit(2, (True, False, True))
+            )
+            fields = dict(exact_split=split)
+        parts = []
+        for __ in range(2):
+            parts.append(PartState(next_slot, 2, make_part_hists(ROUTE_SCHEMA, edges)))
+            next_slot += 1
+        pendings[slot] = PendingSplit(node=node, parent_slot=slot, parts=parts, **fields)
+    return pendings
+
+
+def assert_routed_alike(a, b):
+    for p, q in zip(a.values(), b.values()):
+        for part, qart in zip(p.parts, q.parts):
+            np.testing.assert_array_equal(part.class_counts, qart.class_counts)
+            for j, h in part.hists.items():
+                np.testing.assert_array_equal(h.counts, qart.hists[j].counts)
+        for got, want in zip(p.buffer.concatenated(), q.buffer.concatenated()):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestGroupedRouting:
+    """One stable sort per chunk routes exactly like a mask per pending."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 400),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_slot_masks(self, seed, n_slots, n, bagged):
+        rng = np.random.default_rng(seed)
+        table_X = rng.normal(size=(n + 50, 3))
+        table_X[:, 2] = rng.integers(0, 3, size=n + 50)
+        table_y = rng.integers(0, 2, size=n + 50)
+        # Negative slots are records the tree never drew (or never holds).
+        nid = rng.integers(-2, n_slots, size=n + 50)
+        weights = None
+        if bagged:
+            weights = rng.integers(0, 4, size=n + 50).astype(np.float64)
+            nid[weights == 0] = -1
+        start = int(rng.integers(0, 50))
+        chunk = ScanChunk(start, table_X[start : start + n], table_y[start : start + n])
+        pendings = random_pendings(rng, n_slots)
+        want = copy.deepcopy(pendings)
+        nid_want = nid.copy()
+        CMPSBuilder()._route_chunk(chunk, nid, pendings, weights)
+        route_by_masks(chunk, nid_want, want, weights)
+        np.testing.assert_array_equal(nid, nid_want)
+        assert_routed_alike(pendings, want)
+
+    def test_no_pendings_is_a_no_op(self):
+        nid = np.zeros(4, dtype=np.int64)
+        chunk = ScanChunk(0, np.zeros((4, 3)), np.zeros(4, dtype=np.int64))
+        CMPSBuilder()._route_chunk(chunk, nid, {})
+        np.testing.assert_array_equal(nid, 0)
 
 
 class TestRecordBuffer:

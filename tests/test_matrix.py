@@ -1,8 +1,13 @@
 """Tests for bivariate histogram matrices (CMP-B's data structure)."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import matrix, native_scan
 from repro.core.histogram import ClassHistogram
 from repro.core.matrix import AxisStats, HistogramMatrix, MatrixSet, pseudo_histogram
 from repro.data.schema import Schema, categorical, continuous
@@ -206,3 +211,211 @@ class TestCountExactness:
         b._n_added = 2**30 + 1
         a.merge_from(b)
         assert a.counts.dtype == np.int64
+
+
+# ---------------------------------------------------------------------------
+# Fused MatrixSet.update vs its numpy body
+# ---------------------------------------------------------------------------
+
+
+def laid_out(X, layout):
+    """``X``'s values in another memory layout (a copy or a view)."""
+    if layout == "f":
+        return np.asfortranarray(X)
+    if layout == "strided":
+        big = np.zeros((2 * X.shape[0], 2 * X.shape[1]))
+        big[::2, ::2] = X
+        return big[::2, ::2]
+    if layout == "reversed":
+        return np.ascontiguousarray(X[::-1])[::-1]
+    return X
+
+
+@st.composite
+def mset_cases(draw, max_n=120):
+    """A matrix set's attributes, a stream of batches and a widening point."""
+    kinds = [("cont", draw(st.integers(1, 200))) for _ in range(draw(st.integers(1, 6)))]
+    kinds += [("cat", draw(st.integers(1, 6))) for _ in range(draw(st.integers(0, 4)))]
+    return dict(
+        kinds=kinds,
+        c=draw(st.integers(2, 12)),
+        sizes=draw(st.lists(st.integers(0, max_n), min_size=1, max_size=4)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        layout=draw(st.sampled_from(["c", "f", "strided", "reversed"])),
+        special=draw(st.booleans()),
+        narrow_max=draw(st.sampled_from([None, 0, 3, 60, 250])),
+    )
+
+
+class MsetCase:
+    """A drawn case made concrete: schema, grids, x axis and batches."""
+
+    def __init__(self, case):
+        rng = np.random.default_rng(case["seed"])
+        kinds = [case["kinds"][i] for i in rng.permutation(len(case["kinds"]))]
+        attrs = [
+            continuous(f"a{j}")
+            if kind == "cont"
+            else categorical(f"a{j}", tuple(str(k) for k in range(size)))
+            for j, (kind, size) in enumerate(kinds)
+        ]
+        self.schema = Schema(tuple(attrs), tuple(f"k{i}" for i in range(case["c"])))
+        cont = self.schema.continuous_indices()
+        self.edges = {}
+        for j in cont:
+            edges = np.sort(rng.normal(size=kinds[j][1] - 1))
+            self.edges[j] = np.round(edges, 1) if case["special"] else edges
+        self.x_attr = cont[int(rng.integers(0, len(cont)))]
+        self.batches = []
+        for n in case["sizes"]:
+            X = np.empty((n, len(kinds)))
+            for j, (kind, size) in enumerate(kinds):
+                if kind == "cat":
+                    X[:, j] = rng.integers(-size, size, size=n)
+                    continue
+                col = rng.normal(size=n)
+                if case["special"]:
+                    col = np.round(col, 1)
+                    pick = rng.random(n)
+                    col[pick < 0.1] = np.nan
+                    col[(pick >= 0.1) & (pick < 0.15)] = np.inf
+                    col[(pick >= 0.15) & (pick < 0.2)] = -np.inf
+                X[:, j] = col
+            y = rng.integers(0, case["c"], size=n)
+            self.batches.append((laid_out(X, case["layout"]), y))
+
+    def mset(self):
+        return MatrixSet.create(self.schema, self.x_attr, self.edges)
+
+
+def assert_msets_equal(a, b):
+    np.testing.assert_array_equal(a.class_counts, b.class_counts)
+    np.testing.assert_array_equal(a.x_stats.vmin, b.x_stats.vmin)
+    np.testing.assert_array_equal(a.x_stats.vmax, b.x_stats.vmax)
+    assert a.matrices.keys() == b.matrices.keys()
+    for j, m in a.matrices.items():
+        assert m.counts.dtype == b.matrices[j].counts.dtype
+        np.testing.assert_array_equal(m.counts, b.matrices[j].counts)
+        np.testing.assert_array_equal(m.y_stats.vmin, b.matrices[j].y_stats.vmin)
+        np.testing.assert_array_equal(m.y_stats.vmax, b.matrices[j].y_stats.vmax)
+    assert a.categorical.keys() == b.categorical.keys()
+    for j, h in a.categorical.items():
+        np.testing.assert_array_equal(h.counts, b.categorical[j].counts)
+
+
+def numpy_mset(mc, batches):
+    with native_scan.force_numpy(), np.errstate(invalid="ignore"):
+        ref = mc.mset()
+        for X, y in batches:
+            ref.update(X, y)
+    return ref
+
+
+def check_fused_mset(case):
+    mc = MsetCase(case)
+    with pytest.MonkeyPatch.context() as mp:
+        if case["narrow_max"] is not None:
+            # Widen the cubes to int64 part-way through the stream.
+            mp.setattr(matrix, "_NARROW_MAX", case["narrow_max"])
+        fused = mc.mset()
+        before = native_scan.kernel_counts()
+        with np.errstate(invalid="ignore"):  # NaN extrema on the numpy path
+            for X, y in mc.batches:
+                fused.update(X, y)
+        after = native_scan.kernel_counts()
+        ref = numpy_mset(mc, mc.batches)
+    if native_scan.available():
+        # The fused entry filled every histogram: no silent numpy fallback.
+        filled = sum(len(y) > 0 for __, y in mc.batches)
+        assert after["matrix_accum"] - before["matrix_accum"] == filled * len(fused.matrices)
+        assert after["cat_accum"] - before["cat_accum"] == filled * len(fused.categorical)
+    assert_msets_equal(fused, ref)
+
+
+class TestFusedUpdate:
+    @given(mset_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy(self, case):
+        check_fused_mset(case)
+
+    @pytest.mark.fuzz
+    @given(mset_cases(max_n=2_000))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_numpy_wide(self, case):
+        check_fused_mset(case)
+
+    @pytest.mark.parametrize(
+        "bad, error", [("label", ValueError), ("code", IndexError)]
+    )
+    def test_bad_input_raises_like_numpy(self, bad, error):
+        X, y = random_data(50)
+        if bad == "label":
+            y[7] = 2
+        else:
+            X[7, 2] = 5.0
+        ms = MatrixSet.create(schema3(), 0, edges3())
+        with pytest.raises(error):
+            ms.update(X, y)
+        with native_scan.force_numpy(), pytest.raises(error):
+            MatrixSet.create(schema3(), 0, edges3()).update(X, y)
+        if native_scan.available():
+            # Validation precedes every write.
+            assert_msets_equal(ms, MatrixSet.create(schema3(), 0, edges3()))
+
+
+class TestPlanLifecycle:
+    """The fused kernel's pointer plan never goes stale or crosses copies."""
+
+    def batches(self):
+        X, y = random_data(600, seed=3)
+        return [(X[:200], y[:200]), (X[200:400], y[200:400]), (X[400:], y[400:])]
+
+    def reference(self, batches):
+        with native_scan.force_numpy():
+            ref = MatrixSet.create(schema3(), 0, edges3())
+            for X, y in batches:
+                ref.update(X, y)
+        return ref
+
+    def test_update_after_pickle_round_trip(self):
+        b = self.batches()
+        ms = MatrixSet.create(schema3(), 0, edges3())
+        ms.update(*b[0])
+        copy = pickle.loads(pickle.dumps(ms))
+        assert copy._plan is None
+        copy.update(*b[1])
+        assert_msets_equal(copy, self.reference(b[:2]))
+        # The copy wrote through its own arrays, not the original's.
+        assert_msets_equal(ms, self.reference(b[:1]))
+
+    def test_update_after_clone_empty(self):
+        b = self.batches()
+        ms = MatrixSet.create(schema3(), 0, edges3())
+        ms.update(*b[0])
+        clone = ms.clone_empty()
+        assert clone._plan is None
+        clone.update(*b[1])
+        assert_msets_equal(clone, self.reference(b[1:2]))
+        assert_msets_equal(ms, self.reference(b[:1]))
+
+    def test_update_after_widening_merge(self, monkeypatch):
+        monkeypatch.setattr(matrix, "_NARROW_MAX", 300)
+        b = self.batches()
+        a = MatrixSet.create(schema3(), 0, edges3())
+        a.update(*b[0])  # 200 records: still int32
+        other = MatrixSet.create(schema3(), 0, edges3())
+        other.update(*b[1])
+        assert a.matrices[1].counts.dtype == np.int32
+        a.merge_from(other)  # 400 > 300: the cube widens
+        assert a.matrices[1].counts.dtype == np.int64
+        a.update(*b[2])
+        assert_msets_equal(a, self.reference(b))
+
+    def test_update_widening_mid_stream(self, monkeypatch):
+        monkeypatch.setattr(matrix, "_NARROW_MAX", 300)
+        b = self.batches()
+        ms = MatrixSet.create(schema3(), 0, edges3())
+        for X, y in b:
+            ms.update(X, y)
+        assert ms.matrices[1].counts.dtype == np.int64
+        assert_msets_equal(ms, self.reference(b))
