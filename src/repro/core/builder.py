@@ -24,6 +24,7 @@ holds the pieces common to the CMP family and the baselines:
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -49,7 +50,7 @@ from repro.core.tree import DecisionTree, Node, TreeAccount
 from repro.data.dataset import Dataset
 from repro.data.discretize import ReservoirSampler
 from repro.data.schema import Schema
-from repro.io.metrics import BuildStats, Stopwatch
+from repro.io.metrics import BuildStats
 from repro.io.pager import ScanChunk
 from repro.io.retry import RetryingTable
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -115,25 +116,26 @@ class TreeBuilder(ABC):
         stats = BuildStats()
         stats.tracer = self.tracer
         kernel_calls_before = native_scan.kernel_calls_total()
-        with Stopwatch(stats):
-            with self.tracer.span(
-                "build",
-                builder=self.name,
-                records=dataset.n_records,
-                **self._span_attrs(),
-            ) as build_span:
-                model = self._build(dataset, stats)
-                ensemble = not isinstance(model, DecisionTree)
-                trees = model.members if ensemble else (model,)
-                prune = self.config.prune
-                if prune == "mdl" or (
-                    prune == "public" and not self.supports_integrated_pruning
-                ):
-                    from repro.pruning.mdl import mdl_prune
+        start = time.perf_counter()
+        with self.tracer.span(
+            "build",
+            builder=self.name,
+            records=dataset.n_records,
+            **self._span_attrs(),
+        ) as build_span:
+            model = self._build(dataset, stats)
+            ensemble = not isinstance(model, DecisionTree)
+            trees = model.members if ensemble else (model,)
+            prune = self.config.prune
+            if prune == "mdl" or (
+                prune == "public" and not self.supports_integrated_pruning
+            ):
+                from repro.pruning.mdl import mdl_prune
 
-                    with stats.phase("prune"):
-                        for tree in trees:
-                            mdl_prune(tree)
+                with stats.phase("prune"):
+                    for tree in trees:
+                        mdl_prune(tree)
+        stats.wall_seconds = time.perf_counter() - start
         stats.nodes_created = sum(t.n_nodes for t in trees)
         stats.leaves = sum(t.n_leaves for t in trees)
         stats.levels_built = max(t.depth for t in trees)

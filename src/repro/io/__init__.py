@@ -10,14 +10,7 @@ from repro.io.errors import (
     TruncatedReadError,
 )
 from repro.io.faults import FaultInjector, FaultyDataset, FaultyTable, InjectedCrash
-from repro.io.metrics import (
-    BuildStats,
-    CostModel,
-    IOStats,
-    MemoryTracker,
-    ServingStats,
-    Stopwatch,
-)
+from repro.io.metrics import BuildStats, CostModel, IOStats, MemoryTracker, ServingStats
 from repro.io.pager import DEFAULT_PAGE_RECORDS, PagedTable, ScanChunk
 from repro.io.retry import RetryingTable
 from repro.io.storage import FilePagedTable, StoredDataset, write_table
@@ -28,7 +21,6 @@ __all__ = [
     "IOStats",
     "MemoryTracker",
     "ServingStats",
-    "Stopwatch",
     "PagedTable",
     "ScanChunk",
     "DEFAULT_PAGE_RECORDS",

@@ -6,7 +6,7 @@ of its results on modern hardware, every algorithm in this repository reads
 the training data through :class:`repro.io.pager.PagedTable` and reports its
 behaviour through the counters defined here.
 
-Three pieces:
+The pieces:
 
 * :class:`IOStats` — raw counters (scans, pages, records, auxiliary
   structure reads/writes such as SPRINT attribute lists).
@@ -15,6 +15,15 @@ Three pieces:
 * :class:`CostModel` — deterministic conversion of counters into a simulated
   time, so "who wins and by what factor" does not depend on the whims of a
   modern CPU cache.
+* :class:`BuildStats` — everything one build reports, around an ``IOStats``.
+* :class:`ServingStats` — request, batch and latency stats of one served
+  model.
+
+``IOStats`` and ``ServingStats`` declare their counters once: a
+``COUNTERS`` table of counter name → Prometheus HELP text.  The
+attributes, the validated add-under-lock every mutator calls, merging,
+``snapshot()`` and the ``cmp_io_<name>_total`` / ``cmp_serve_<name>_total``
+families that :mod:`repro.obs.export` renders are all derived from it.
 """
 
 from __future__ import annotations
@@ -28,20 +37,58 @@ from typing import Iterator
 from repro.obs.metrics import Histogram
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
-#: The counter fields of :class:`IOStats`, in snapshot order.
-_IO_COUNTERS = (
-    "scans",
-    "pages_read",
-    "records_read",
-    "aux_records_read",
-    "aux_records_written",
-    "random_seeks",
-    "read_retries",
-    "backoff_ms",
-)
+#: Counters that accumulate a float amount of time rather than events.
+_FLOAT_COUNTERS = frozenset({"backoff_ms", "busy_seconds"})
 
 
-class IOStats:
+class _CounterBlock:
+    """Counters declared once, in :attr:`COUNTERS`, and added to under one lock.
+
+    A subclass's ``COUNTERS`` table maps each counter's name to its
+    Prometheus HELP text.  The counter's attribute, its ``snapshot()``
+    key, its merge and its exported family all follow from that entry.
+    Hot paths add to plain attributes under the block's one lock and
+    never touch a metrics registry.
+    """
+
+    __slots__ = ("_lock",)
+
+    #: Counter name -> Prometheus HELP text, in snapshot and export order.
+    COUNTERS: dict[str, str] = {}
+
+    def __init__(self) -> None:
+        for name in self.COUNTERS:
+            setattr(self, name, 0.0 if name in _FLOAT_COUNTERS else 0)
+        self._lock = threading.Lock()
+
+    def count(self, name: str, n: float = 1) -> None:
+        """Add ``n`` (non-negative) to the counter ``name``."""
+        self._check(name, n)
+        with self._lock:
+            setattr(self, name, getattr(self, name) + n)
+
+    def _add(self, **amounts: float) -> None:
+        """Add to several counters at once: all of them, or none."""
+        for name, n in amounts.items():
+            self._check(name, n)
+        with self._lock:
+            self._fold(amounts)
+
+    def _check(self, name: str, n: float) -> None:
+        if name not in self.COUNTERS:
+            raise ValueError(f"unknown counter {name!r}")
+        if n < 0:
+            raise ValueError(f"{name} count must be non-negative")
+
+    def _fold(self, amounts: dict[str, float]) -> None:
+        for name, n in amounts.items():
+            setattr(self, name, getattr(self, name) + n)
+
+    def _counts(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in self.COUNTERS}
+
+
+class IOStats(_CounterBlock):
     """Mutable counter block shared by a pager and the algorithm using it.
 
     All counts are cumulative over the lifetime of one tree build.
@@ -54,41 +101,33 @@ class IOStats:
     atomic.
     """
 
-    __slots__ = (*_IO_COUNTERS, "_lock")
-
-    def __init__(self) -> None:
-        self.scans = 0
-        self.pages_read = 0
-        self.records_read = 0
-        self.aux_records_read = 0
-        self.aux_records_written = 0
-        self.random_seeks = 0
-        self.read_retries = 0
-        self.backoff_ms = 0.0
-        self._lock = threading.Lock()
+    COUNTERS = {
+        "scans": "Sequential passes over the training table.",
+        "pages_read": "Sequential page reads.",
+        "records_read": "Records delivered by table scans.",
+        "aux_records_read": "Auxiliary-structure records read.",
+        "aux_records_written": "Auxiliary-structure records written.",
+        "random_seeks": "Random seeks charged by the cost model.",
+        "read_retries": "Chunk reads that were retried.",
+        "backoff_ms": "Simulated retry backoff, milliseconds.",
+    }
+    __slots__ = tuple(COUNTERS)
 
     def begin_scan(self) -> None:
         """Record the start of one sequential pass over the dataset."""
-        with self._lock:
-            self.scans += 1
+        self.count("scans")
 
     def count_pages(self, pages: int, records: int) -> None:
         """Record ``pages`` sequential page reads holding ``records`` rows."""
-        if pages < 0 or records < 0:
-            raise ValueError("page and record counts must be non-negative")
-        with self._lock:
-            self.pages_read += pages
-            self.records_read += records
+        self._add(pages_read=pages, records_read=records)
 
     def count_aux_read(self, records: int) -> None:
         """Record reads of ``records`` rows from an auxiliary structure."""
-        with self._lock:
-            self.aux_records_read += records
+        self.count("aux_records_read", records)
 
     def count_aux_write(self, records: int) -> None:
         """Record writes of ``records`` rows to an auxiliary structure."""
-        with self._lock:
-            self.aux_records_written += records
+        self.count("aux_records_written", records)
 
     def count_nid_swap(self, records: int) -> None:
         """Record one read and one write of a ``records``-long node-id map.
@@ -96,14 +135,11 @@ class IOStats:
         Level-synchronous builders keep the record-to-node map on disk
         (as the paper does) and swap it in and out once per scan.
         """
-        with self._lock:
-            self.aux_records_read += records
-            self.aux_records_written += records
+        self._add(aux_records_read=records, aux_records_written=records)
 
     def count_seek(self, n: int = 1) -> None:
         """Record ``n`` random seeks (e.g. hash-probe driven I/O)."""
-        with self._lock:
-            self.random_seeks += n
+        self.count("random_seeks", n)
 
     def count_retry(self, backoff_ms: float = 0.0) -> None:
         """Record one retried chunk read and the backoff it waited.
@@ -113,15 +149,12 @@ class IOStats:
         the retry path fired and how much simulated waiting it cost, so
         fault recovery shows up honestly in :class:`CostModel` output.
         """
-        if backoff_ms < 0:
-            raise ValueError("backoff must be non-negative")
-        with self._lock:
-            self.read_retries += 1
-            self.backoff_ms += backoff_ms
+        self._add(read_retries=1, backoff_ms=backoff_ms)
 
     def snapshot(self) -> dict[str, int]:
         """Return a plain-dict copy of all counters."""
-        return {name: getattr(self, name) for name in _IO_COUNTERS}
+        with self._lock:
+            return self._counts()
 
     def merge_counter_delta(self, delta: dict[str, int]) -> None:
         """Fold a worker's counter increments into this instance.
@@ -131,11 +164,7 @@ class IOStats:
         shared accounting ends up identical to a serial or threaded
         pass.  Unknown keys are rejected rather than dropped.
         """
-        with self._lock:
-            for name, value in delta.items():
-                if name not in _IO_COUNTERS:
-                    raise ValueError(f"unknown IO counter {name!r}")
-                setattr(self, name, getattr(self, name) + value)
+        self._add(**delta)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
@@ -361,14 +390,16 @@ class BuildStats:
         return out
 
 
-class ServingStats:
+class ServingStats(_CounterBlock):
     """Thread-safe latency/throughput/batch-size stats for one served model.
 
     The serving engine (:mod:`repro.serve`) records one observation per
     executed batch; requests may be finer-grained than batches when the
     micro-batcher coalesces them.  All mutators take the internal lock —
     observations arrive from pool worker threads and the batcher's
-    flush thread concurrently.
+    flush thread concurrently.  Request outcomes are counted with
+    :meth:`count`, e.g. ``count("shed")`` for a request rejected by
+    admission control (Overloaded).
 
     Latencies feed a log-bucketed :class:`~repro.obs.metrics.Histogram`
     (100 µs … ~100 s, ×2 steps), so :meth:`snapshot` reports
@@ -379,54 +410,25 @@ class ServingStats:
     rather than the old ``min_batch == 0`` sentinel.
     """
 
+    COUNTERS = {
+        "requests": "Prediction requests received.",
+        "batches": "Batches executed by the serving engine.",
+        "records": "Records predicted.",
+        "busy_seconds": "Summed batch execution time.",
+        "shed": "Requests rejected by admission control.",
+        "timeouts": "Requests whose deadline expired.",
+        "breaker_rejections": "Requests refused by an open circuit breaker.",
+        "fallbacks": "Requests answered by the degraded fallback path.",
+        "shard_retries": "Shard executions retried after a failure.",
+    }
+
     def __init__(self) -> None:
-        self.requests = 0
-        self.batches = 0
-        self.records = 0
-        self.busy_seconds = 0.0
+        super().__init__()
         self.max_latency_s = 0.0
         self.min_batch = 0
         self.max_batch = 0
         self.batch_observed = False
-        self.shed = 0
-        self.timeouts = 0
-        self.breaker_rejections = 0
-        self.fallbacks = 0
-        self.shard_retries = 0
         self.latency = Histogram()
-        self._lock = threading.Lock()
-
-    def count_request(self, n: int = 1) -> None:
-        """Record ``n`` incoming requests (before any batching)."""
-        if n < 0:
-            raise ValueError("request count must be non-negative")
-        with self._lock:
-            self.requests += n
-
-    def count_shed(self, n: int = 1) -> None:
-        """Record ``n`` requests rejected by admission control (Overloaded)."""
-        with self._lock:
-            self.shed += n
-
-    def count_timeout(self, n: int = 1) -> None:
-        """Record ``n`` requests whose deadline expired before delivery."""
-        with self._lock:
-            self.timeouts += n
-
-    def count_breaker_rejection(self, n: int = 1) -> None:
-        """Record ``n`` requests refused by an open circuit breaker."""
-        with self._lock:
-            self.breaker_rejections += n
-
-    def count_fallback(self, n: int = 1) -> None:
-        """Record ``n`` requests answered by the degraded fallback path."""
-        with self._lock:
-            self.fallbacks += n
-
-    def count_shard_retry(self, n: int = 1) -> None:
-        """Record ``n`` shard executions that were retried after a failure."""
-        with self._lock:
-            self.shard_retries += n
 
     def observe_batch(self, batch_size: int, latency_s: float) -> None:
         """Record one executed batch of ``batch_size`` records."""
@@ -450,29 +452,13 @@ class ServingStats:
         # Copy other's state first, then take our own lock: never holding
         # both at once makes concurrent a<->b merges deadlock-free.
         with other._lock:
-            requests = other.requests
-            batches = other.batches
-            records = other.records
-            busy = other.busy_seconds
+            counts = other._counts()
             max_latency = other.max_latency_s
             min_batch = other.min_batch
             max_batch = other.max_batch
             observed = other.batch_observed
-            shed = other.shed
-            timeouts = other.timeouts
-            breaker_rejections = other.breaker_rejections
-            fallbacks = other.fallbacks
-            shard_retries = other.shard_retries
         with self._lock:
-            self.requests += requests
-            self.batches += batches
-            self.records += records
-            self.busy_seconds += busy
-            self.shed += shed
-            self.timeouts += timeouts
-            self.breaker_rejections += breaker_rejections
-            self.fallbacks += fallbacks
-            self.shard_retries += shard_retries
+            self._fold(counts)
             self.max_latency_s = max(self.max_latency_s, max_latency)
             if observed:
                 self.min_batch = (
@@ -494,20 +480,10 @@ class ServingStats:
         no batch has been observed).
         """
         with self._lock:
-            out: dict[str, float] = {
-                "requests": self.requests,
-                "batches": self.batches,
-                "records": self.records,
-                "busy_seconds": self.busy_seconds,
-                "max_latency_s": self.max_latency_s,
-                "min_batch": self.min_batch,
-                "max_batch": self.max_batch,
-                "shed": self.shed,
-                "timeouts": self.timeouts,
-                "breaker_rejections": self.breaker_rejections,
-                "fallbacks": self.fallbacks,
-                "shard_retries": self.shard_retries,
-            }
+            out: dict[str, float] = self._counts()
+            out["max_latency_s"] = self.max_latency_s
+            out["min_batch"] = self.min_batch
+            out["max_batch"] = self.max_batch
         out["mean_batch"] = out["records"] / out["batches"] if out["batches"] else 0.0
         out["mean_latency_ms"] = (
             1000.0 * out["busy_seconds"] / out["batches"] if out["batches"] else 0.0
@@ -515,8 +491,9 @@ class ServingStats:
         out["records_per_s"] = (
             out["records"] / out["busy_seconds"] if out["busy_seconds"] > 0 else 0.0
         )
+        observed = self.latency.count > 0
         for p in (50, 90, 99):
-            q = self.latency.quantile(p / 100.0) if out["batches"] else 0.0
+            q = self.latency.quantile(p / 100.0) if observed else 0.0
             out[f"p{p}_latency_ms"] = 1000.0 * q
         return out
 
@@ -526,18 +503,3 @@ class ServingStats:
             f"ServingStats(requests={snap['requests']:.0f}, "
             f"batches={snap['batches']:.0f}, records={snap['records']:.0f})"
         )
-
-
-class Stopwatch:
-    """Tiny context manager feeding :attr:`BuildStats.wall_seconds`."""
-
-    def __init__(self, stats: BuildStats) -> None:
-        self._stats = stats
-        self._start = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._stats.wall_seconds += time.perf_counter() - self._start

@@ -8,8 +8,9 @@
   (mergeable, with interpolated quantiles) behind a
   :class:`MetricsRegistry`.
 * :mod:`repro.obs.export` — Prometheus text exposition, JSON snapshots,
-  and adapters projecting the existing ``BuildStats``/``IOStats``/
-  ``ServingStats`` blocks into a registry.
+  and adapters projecting the ``BuildStats``/``IOStats``/``ServingStats``
+  blocks into a registry, one counter family per entry of each block's
+  ``COUNTERS`` table.
 * :mod:`repro.obs.access` — structured per-request serving access log
   (JSONL) with RED metrics per ``(endpoint, fingerprint)``.
 * :mod:`repro.obs.slo` — declarative availability/latency objectives

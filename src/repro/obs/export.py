@@ -9,15 +9,19 @@ Two halves:
   :func:`write_metrics` routes a registry to a path: ``*.json`` gets the
   JSON snapshot, anything else the Prometheus text.
 
-* **Adapters** — the repository's pre-existing counter blocks
+* **Adapters** — the functions here *project* the counter blocks
   (:class:`~repro.io.metrics.BuildStats`, ``IOStats``, ``ServingStats``)
-  keep their ``summary()``/``snapshot()`` dict APIs untouched; the
-  functions here *project* them into a :class:`MetricsRegistry` after
-  the fact.  Nothing in the training or serving hot path writes to a
-  registry directly, so the export surface costs nothing until asked
-  for.  (Adapters duck-type their inputs; this module deliberately does
-  not import :mod:`repro.io` at runtime, keeping ``repro.obs``
-  import-cycle-free.)
+  into a :class:`MetricsRegistry` after the fact.  ``IOStats`` and
+  ``ServingStats`` declare their counters in a ``COUNTERS`` table of
+  name → HELP text; :func:`record_io_stats` and
+  :func:`record_serving_stats` emit one ``cmp_io_<name>_total`` /
+  ``cmp_serve_<name>_total`` counter per entry and keep no list of
+  their own, and :func:`record_build_stats` loops the same way over
+  the ``BuildStats`` attributes it exports.  Nothing in the training or
+  serving hot path writes to a registry directly, so the export surface
+  costs nothing until asked for.  (Adapters duck-type their inputs;
+  this module deliberately does not import :mod:`repro.io` at runtime,
+  keeping ``repro.obs`` import-cycle-free.)
 
 Metric names follow Prometheus conventions: ``cmp_`` prefix, base
 units, ``_total`` on counters.
@@ -106,26 +110,37 @@ def write_metrics(registry: MetricsRegistry, path_or_file: "str | IO[str]") -> N
 # ---------------------------------------------------------------------------
 
 
+def _record_counters(
+    registry: MetricsRegistry,
+    prefix: str,
+    block: "IOStats | ServingStats",
+    labels: Mapping[str, str] | None,
+) -> None:
+    """One ``<prefix><name>_total`` counter per entry of ``block.COUNTERS``."""
+    snap = block.snapshot()
+    for name, help_text in block.COUNTERS.items():
+        registry.counter(f"{prefix}{name}_total", help_text, labels).inc(
+            float(snap[name])
+        )
+
+
 def record_io_stats(
     registry: MetricsRegistry,
     io: "IOStats",
     labels: Mapping[str, str] | None = None,
 ) -> None:
     """Project an :class:`~repro.io.metrics.IOStats` block into counters."""
-    snap = io.snapshot()
-    help_by_name = {
-        "cmp_io_scans_total": "Sequential passes over the training table.",
-        "cmp_io_pages_read_total": "Sequential page reads.",
-        "cmp_io_records_read_total": "Records delivered by table scans.",
-        "cmp_io_aux_records_read_total": "Auxiliary-structure records read.",
-        "cmp_io_aux_records_written_total": "Auxiliary-structure records written.",
-        "cmp_io_random_seeks_total": "Random seeks charged by the cost model.",
-        "cmp_io_read_retries_total": "Chunk reads that were retried.",
-        "cmp_io_backoff_ms_total": "Simulated retry backoff, milliseconds.",
-    }
-    for field, value in snap.items():
-        name = f"cmp_io_{field}_total"
-        registry.counter(name, help_by_name.get(name, ""), labels).inc(float(value))
+    _record_counters(registry, "cmp_io_", io, labels)
+
+
+#: BuildStats attributes exported as ``cmp_build_<name>_total`` counters.
+_BUILD_COUNTERS = {
+    "wall_seconds": "Wall-clock build time, seconds.",
+    "simulated_ms": "Cost-model simulated build time.",
+    "parallel_batches": "Parallel chunk batches dispatched by the scan engine.",
+    "buffer_overflow_rescans": "Extra scans forced by alive-buffer overflow.",
+    "native_kernel_calls": "Native training-kernel calls made during the build.",
+}
 
 
 def record_build_stats(
@@ -144,27 +159,10 @@ def record_build_stats(
     registry.counter(
         "cmp_build_total", "Tree builds recorded into this registry.", labels
     ).inc()
-    registry.counter(
-        "cmp_build_wall_seconds_total", "Wall-clock build time, seconds.", labels
-    ).inc(stats.wall_seconds)
-    registry.counter(
-        "cmp_build_simulated_ms_total", "Cost-model simulated build time.", labels
-    ).inc(stats.simulated_ms)
-    registry.counter(
-        "cmp_build_parallel_batches_total",
-        "Parallel chunk batches dispatched by the scan engine.",
-        labels,
-    ).inc(float(stats.parallel_batches))
-    registry.counter(
-        "cmp_build_buffer_overflow_rescans_total",
-        "Extra scans forced by alive-buffer overflow.",
-        labels,
-    ).inc(float(stats.buffer_overflow_rescans))
-    registry.counter(
-        "cmp_build_native_kernel_calls_total",
-        "Native training-kernel calls made during the build.",
-        labels,
-    ).inc(float(stats.native_kernel_calls))
+    for name, help_text in _BUILD_COUNTERS.items():
+        registry.counter(f"cmp_build_{name}_total", help_text, labels).inc(
+            float(getattr(stats, name))
+        )
     for phase, seconds in sorted(stats.phase_seconds.items()):
         phase_labels = dict(labels or {})
         phase_labels["phase"] = phase
@@ -200,40 +198,7 @@ def record_serving_stats(
     registry's, so Prometheus quantiles computed downstream agree with
     ``snapshot()``'s p50/p90/p99.
     """
-    snap = stats.snapshot()
-    registry.counter(
-        "cmp_serve_requests_total", "Prediction requests received.", labels
-    ).inc(snap["requests"])
-    registry.counter(
-        "cmp_serve_batches_total", "Batches executed by the serving engine.", labels
-    ).inc(snap["batches"])
-    registry.counter(
-        "cmp_serve_records_total", "Records predicted.", labels
-    ).inc(snap["records"])
-    registry.counter(
-        "cmp_serve_busy_seconds_total", "Summed batch execution time.", labels
-    ).inc(snap["busy_seconds"])
-    registry.counter(
-        "cmp_serve_shed_total", "Requests rejected by admission control.", labels
-    ).inc(snap["shed"])
-    registry.counter(
-        "cmp_serve_timeouts_total", "Requests whose deadline expired.", labels
-    ).inc(snap["timeouts"])
-    registry.counter(
-        "cmp_serve_breaker_rejections_total",
-        "Requests refused by an open circuit breaker.",
-        labels,
-    ).inc(snap["breaker_rejections"])
-    registry.counter(
-        "cmp_serve_fallbacks_total",
-        "Requests answered by the degraded fallback path.",
-        labels,
-    ).inc(snap["fallbacks"])
-    registry.counter(
-        "cmp_serve_shard_retries_total",
-        "Shard executions retried after a failure.",
-        labels,
-    ).inc(snap["shard_retries"])
+    _record_counters(registry, "cmp_serve_", stats, labels)
     hist = registry.histogram(
         "cmp_serve_batch_latency_seconds",
         "Per-batch execution latency.",

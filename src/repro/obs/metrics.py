@@ -1,10 +1,10 @@
 """Counters, gauges and log-bucketed histograms with a Prometheus-shaped registry.
 
-The repository already had two kinds of numeric telemetry — cumulative
-counters (:class:`repro.io.metrics.IOStats`) and min/max extrema
-(``ServingStats``) — but nothing in between: no latency distribution, no
-quantiles, nothing a scrape endpoint could expose.  This module supplies
-the missing primitives:
+The build and serving stats blocks (:class:`repro.io.metrics.IOStats`,
+``ServingStats``) keep cumulative counters as plain attributes under
+one lock per block, because they sit on hot paths.  This module supplies
+what a scrape endpoint needs on top of them — a latency distribution,
+quantiles and a registry to expose:
 
 * :class:`Counter` / :class:`Gauge` — thread-safe scalars.
 * :class:`Histogram` — cumulative-style bucket counts over **log-spaced**
@@ -17,8 +17,9 @@ the missing primitives:
   text exposition or JSON.
 
 Everything here is pure stdlib and importable on its own: the adapters
-that project ``BuildStats``/``ServingStats`` into a registry live in
-:mod:`repro.obs.export` so this module never imports :mod:`repro.io`.
+that project ``BuildStats``/``IOStats``/``ServingStats`` into a registry
+(one counter per entry of a block's ``COUNTERS`` table) live in
+:mod:`repro.obs.export`, so this module never imports :mod:`repro.io`.
 """
 
 from __future__ import annotations

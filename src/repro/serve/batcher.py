@@ -189,7 +189,7 @@ class MicroBatcher:
                 self.max_pending is not None
                 and len(self._rows) >= self.max_pending
             ):
-                self._stats().count_shed()
+                self._stats().count("shed")
                 self._log("shed", now, 0.0, None)
                 raise Overloaded(
                     f"micro-batch queue full ({self.max_pending} pending)",
@@ -205,7 +205,7 @@ class MicroBatcher:
                 None if deadline_s is None else now + deadline_s
             )
             self._submits.append(now)
-            self._stats().count_request()
+            self._stats().count("requests")
             self._wake.notify()
         return future
 
@@ -288,7 +288,7 @@ class MicroBatcher:
                 live_expiries.append(expiry)
                 live_submits.append(submit)
         if expired:
-            self._stats().count_timeout(expired)
+            self._stats().count("timeouts", expired)
         return live_rows, live_futures, live_expiries, live_submits
 
     @staticmethod
@@ -358,7 +358,7 @@ class MicroBatcher:
                     self._log("ok", submit, exec_start - submit, batch_id)
                     f.set_result(out[i])
             if late:
-                self._stats().count_timeout(late)
+                self._stats().count("timeouts", late)
 
 
 __all__ = ["MicroBatcher"]

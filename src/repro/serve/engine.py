@@ -525,7 +525,7 @@ class ServingEngine:
                     f"prior cannot answer {method!r}"
                 )
             totals = np.asarray(counts, dtype=np.float64).sum(axis=0)
-            stats.count_fallback()
+            stats.count("fallbacks")
             if method == "predict":
                 return np.full(len(X), int(np.argmax(totals)), dtype=np.int64)
             grand = totals.sum()
@@ -536,7 +536,7 @@ class ServingEngine:
             )
             return np.tile(proba, (len(X), 1))
         fallback_model = self.registry.get(self.fallback)
-        stats.count_fallback()
+        stats.count("fallbacks")
         return getattr(fallback_model, method)(X)
 
     def _shard_call(self, fn, X: np.ndarray, stats: ServingStats) -> np.ndarray:
@@ -549,7 +549,7 @@ class ServingEngine:
                 attempt += 1
                 if attempt > self.shard_retries:
                     raise
-                stats.count_shard_retry()
+                stats.count("shard_retries")
                 if self.shard_backoff_s:
                     time.sleep(self.shard_backoff_s * attempt)
 
@@ -586,7 +586,7 @@ class ServingEngine:
                     rows = len(X)
                     self._validate_batch(fingerprint, model, X)
                     if self.admission is not None and not self.admission.try_acquire():
-                        stats.count_shed()
+                        stats.count("shed")
                         outcome = "shed"
                         raise Overloaded(
                             f"serve queue full ({self.admission.max_depth} in "
@@ -596,7 +596,7 @@ class ServingEngine:
                         )
                     try:
                         if dl.expired:
-                            stats.count_timeout()
+                            stats.count("timeouts")
                             outcome = "deadline"
                             raise DeadlineExceeded(
                                 f"deadline expired before executing request for "
@@ -604,7 +604,7 @@ class ServingEngine:
                             )
                         breaker = self.breaker(fingerprint)
                         if breaker is not None and not breaker.allow():
-                            stats.count_breaker_rejection()
+                            stats.count("breaker_rejections")
                             # _degrade either answers (fallback) or raises
                             # CircuitOpen, in which case "breaker" stands.
                             outcome = "breaker"
@@ -667,7 +667,7 @@ class ServingEngine:
                 else:
                     out = self._run_sharded(fn, X, n, dl, stats, span)
             except FutureTimeout:
-                stats.count_timeout()
+                stats.count("timeouts")
                 if breaker is not None:
                     breaker.record_failure()
                 raise DeadlineExceeded(

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.io.metrics import BuildStats, CostModel, IOStats, MemoryTracker, Stopwatch
+from repro.config import BuilderConfig
+from repro.core.cmp_s import CMPSBuilder
+from repro.data.synthetic import generate_agrawal
+from repro.io.metrics import BuildStats, CostModel, IOStats, MemoryTracker, ServingStats
 from repro.io.pager import PagedTable, ScanChunk
 
 
@@ -81,6 +84,53 @@ class TestIOStats:
         with pytest.raises(ValueError):
             IOStats().count_pages(-1, 0)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda s: s.count_pages(2, -1),
+            lambda s: s.count_aux_read(-1),
+            lambda s: s.count_aux_write(-1),
+            lambda s: s.count_nid_swap(-1),
+            lambda s: s.count_seek(-1),
+            lambda s: s.count_retry(-0.5),
+            lambda s: s.merge_counter_delta({"scans": 1, "pages_read": -1}),
+        ],
+    )
+    def test_every_mutator_rejects_negative_atomically(self, mutate):
+        s = IOStats()
+        s.begin_scan()
+        s.count_pages(3, 300)
+        before = s.snapshot()
+        with pytest.raises(ValueError):
+            mutate(s)
+        assert s.snapshot() == before
+
+
+class TestDeclaredCounters:
+    """``count`` validates against the block's one counter declaration."""
+
+    @pytest.mark.parametrize(
+        "block_cls, name",
+        [(IOStats, name) for name in IOStats.COUNTERS]
+        + [(ServingStats, name) for name in ServingStats.COUNTERS],
+    )
+    def test_negative_count_rejected_and_snapshot_unchanged(self, block_cls, name):
+        block = block_cls()
+        block.count(name, 2)
+        before = block.snapshot()
+        with pytest.raises(ValueError):
+            block.count(name, -1)
+        assert block.snapshot() == before
+        assert block.snapshot()[name] == 2
+
+    @pytest.mark.parametrize("name", ["max_batch", "latency", "no_such_counter"])
+    def test_undeclared_name_rejected(self, name):
+        block = ServingStats()
+        before = block.snapshot()
+        with pytest.raises(ValueError, match="unknown counter"):
+            block.count(name)
+        assert block.snapshot() == before
+
 
 class TestMemoryTracker:
     def test_peak_tracks_total(self):
@@ -156,10 +206,10 @@ class TestBuildStats:
         assert stats.prediction_accuracy == 0.75
 
     def test_stopwatch(self):
-        stats = BuildStats()
-        with Stopwatch(stats):
-            sum(range(1000))
-        assert stats.wall_seconds > 0
+        # TreeBuilder.build times every build into wall_seconds.
+        data = generate_agrawal("F2", 500, seed=0)
+        result = CMPSBuilder(BuilderConfig(max_depth=3)).build(data)
+        assert result.stats.wall_seconds > 0
 
 
 class TestCostModelAccounting:

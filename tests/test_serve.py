@@ -21,7 +21,7 @@ from repro.serve import (
 class TestServingStats:
     def test_observe_and_snapshot(self):
         s = ServingStats()
-        s.count_request(3)
+        s.count("requests", 3)
         s.observe_batch(10, 0.5)
         s.observe_batch(30, 1.5)
         snap = s.snapshot()
@@ -46,13 +46,13 @@ class TestServingStats:
         with pytest.raises(ValueError):
             s.observe_batch(1, -0.1)
         with pytest.raises(ValueError):
-            s.count_request(-2)
+            s.count("requests", -2)
 
     def test_merge_from(self):
         a, b = ServingStats(), ServingStats()
         a.observe_batch(5, 0.1)
         b.observe_batch(15, 0.3)
-        b.count_request(2)
+        b.count("requests", 2)
         a.merge_from(b)
         snap = a.snapshot()
         assert snap["records"] == 20
@@ -373,13 +373,13 @@ class TestMicroBatcherAdmission:
 
     def test_serving_stats_new_counters_roundtrip(self):
         s = ServingStats()
-        s.count_shed(2)
-        s.count_timeout()
-        s.count_breaker_rejection(3)
-        s.count_fallback()
-        s.count_shard_retry(4)
+        s.count("shed", 2)
+        s.count("timeouts")
+        s.count("breaker_rejections", 3)
+        s.count("fallbacks")
+        s.count("shard_retries", 4)
         other = ServingStats()
-        other.count_shed()
+        other.count("shed")
         other.merge_from(s)
         snap = other.snapshot()
         assert snap["shed"] == 3
