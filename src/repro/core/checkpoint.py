@@ -40,12 +40,13 @@ from repro.io.metrics import BuildStats
 MAGIC = b"CMPCKPT1"
 _PREFIX = struct.Struct("<8sIQ")  # magic, crc32(payload), len(payload)
 
-#: BuildStats scalar counters carried across a resume (wall_seconds is
+#: BuildStats counters carried across a resume (wall_seconds is
 #: deliberately excluded: wall time genuinely differs between runs).
 _STAT_FIELDS = (
     "splits_resolved_exactly",
     "linear_splits",
     "two_level_splits",
+    "second_level_node_ids",
     "predictions_made",
     "predictions_correct",
     "buffer_overflow_rescans",

@@ -162,6 +162,10 @@ class TestCrashResumeEquivalence:
             np.testing.assert_array_equal(result.tree.predict(X), base_pred)
             assert result.stats.io.scans == total_scans
             assert result.stats.io.pages_read == base.stats.io.pages_read
+            assert (
+                result.stats.second_level_node_ids
+                == base.stats.second_level_node_ids
+            )
             resumed_at.append(result.stats.resumed_from_level)
         # Later kills must resume from later levels (the checkpoint
         # actually advances; -1 = no checkpoint yet, built from scratch).
