@@ -203,43 +203,27 @@ class CMPSBuilder(LevelBuilder):
             stats.splits_resolved_exactly += 1
         threshold = res.threshold
 
-        lslot, rslot = next_slot(), next_slot()
-        left_hists = make_part_hists(schema, p.child_edges)
-        right_hists = make_part_hists(schema, p.child_edges)
-        left_counts = np.zeros(schema.n_classes, dtype=np.float64)
-        right_counts = np.zeros(schema.n_classes, dtype=np.float64)
+        left = PartState(next_slot(), schema.n_classes, make_part_hists(schema, p.child_edges))
+        right = PartState(next_slot(), schema.n_classes, make_part_hists(schema, p.child_edges))
         for part, hi in zip(p.parts, p.region_tops()):
-            if hi <= threshold:
-                target_hists, target_slot = left_hists, lslot
-                left_counts += part.class_counts
-            else:
-                target_hists, target_slot = right_hists, rslot
-                right_counts += part.class_counts
-            for j, hist in part.hists.items():
-                target_hists[j].merge_from(hist)  # type: ignore[arg-type]
-            remap[part.slot] = target_slot
+            side = left if hi <= threshold else right
+            side.merge_from(part)
+            remap[part.slot] = side.slot
 
         if len(yb):
             goes_left = buf_vals <= threshold
-            for j in left_hists:
-                left_hists[j].update(Xb[goes_left][:, j], yb[goes_left])
-                right_hists[j].update(Xb[~goes_left][:, j], yb[~goes_left])
-            left_counts += np.bincount(yb[goes_left], minlength=schema.n_classes)
-            right_counts += np.bincount(yb[~goes_left], minlength=schema.n_classes)
-            nid[rids[goes_left]] = lslot
-            nid[rids[~goes_left]] = rslot
+            left.update(Xb[goes_left], yb[goes_left])
+            right.update(Xb[~goes_left], yb[~goes_left])
+            nid[rids[goes_left]] = left.slot
+            nid[rids[~goes_left]] = right.slot
 
-        if left_counts.sum() == 0 or right_counts.sum() == 0:
+        if left.class_counts.sum() == 0 or right.class_counts.sum() == 0:
             # Defensive: candidate validation should prevent this.
-            remap[lslot] = remap[rslot] = p.parent_slot
+            remap[left.slot] = remap[right.slot] = p.parent_slot
             return p.collapse(remap)
 
         node = p.node
         node.split = NumericSplit(p.attr, threshold, n_candidates=res.n_candidates)
-        left = account.new_node(node.depth + 1, left_counts)
-        right = account.new_node(node.depth + 1, right_counts)
-        node.left, node.right = left, right
-        return [
-            (left, PartState(lslot, schema.n_classes, left_hists, left_counts)),
-            (right, PartState(rslot, schema.n_classes, right_hists, right_counts)),
-        ]
+        node.left = account.new_node(node.depth + 1, left.class_counts)
+        node.right = account.new_node(node.depth + 1, right.class_counts)
+        return [(node.left, left), (node.right, right)]
