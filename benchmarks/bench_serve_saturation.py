@@ -12,7 +12,9 @@ clients than admission permits.  The hardened front-end must:
   within ``--p99-factor`` (default 3x) of the uncontended p99, because
   no admitted request ever waits behind an unbounded backlog;
 * **stay bit-identical** — admitted responses equal direct
-  ``CompiledTree.predict`` output, overload or not.
+  ``CompiledTree.predict`` output, overload or not;
+* **count what it sheds** — ``ServingStats.snapshot()["shed"]`` equals
+  the number of ``Overloaded`` rejections the clients saw.
 
 Emits ``BENCH_serve.json`` and exits nonzero when any bound fails, so
 CI turns an unbounded p99 or a zero shed-rate into a red build::
@@ -150,6 +152,9 @@ def run(args: argparse.Namespace) -> dict[str, object]:
         "no_errors": errors == 0,
         "all_served": len(latencies)
         == args.clients * args.requests_per_client,
+        # The engine counts a shed request right before raising
+        # Overloaded, and only the overload phase sheds.
+        "stats_shed_matches": snap["shed"] == shed,
     }
     report: dict[str, object] = {
         "benchmark": "serve_saturation",
