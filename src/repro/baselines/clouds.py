@@ -43,8 +43,12 @@ from repro.core.builder import (
     make_part_hists,
     prefix_cuts,
 )
-from repro.core.cmp_s import CMPSBuilder, best_categorical_split
-from repro.core.histogram import CategoryHistogram, ClassHistogram
+from repro.core.cmp_s import (
+    CMPSBuilder,
+    best_categorical_split,
+    continuous_analyses,
+)
+from repro.core.histogram import CategoryHistogram, ClassHistogram, SubsetSplit
 from repro.core.intervals import AttributeAnalysis
 from repro.core.parallel import ScanEngine
 from repro.core.splits import CategoricalSplit, NumericSplit, Split
@@ -98,7 +102,7 @@ class CloudsBuilder(CMPSBuilder):
         self,
         node: Node,
         part: PartState,
-        analyses: list[AttributeAnalysis],
+        answers: list[AttributeAnalysis | SubsetSplit],
         next_slot: Callable[[], int],
         account: TreeAccount,
         schema: Schema,
@@ -111,9 +115,8 @@ class CloudsBuilder(CMPSBuilder):
             return None
 
         # Exact candidates available right now: boundaries & subset splits.
-        best_cat_gini, best_cat = best_categorical_split(
-            (j, hists[j]) for j in schema.categorical_indices()
-        )
+        best_cat_gini, best_cat = best_categorical_split(answers)
+        analyses = continuous_analyses(answers)
         boundary_best: AttributeAnalysis | None = None
         for a in analyses:
             if a.has_boundaries and (

@@ -43,7 +43,12 @@ from repro.core.checkpoint import (
 from repro.core.gini import gini_partition
 from repro.core.parallel import ScanEngine
 from repro.core import native_scan
-from repro.core.histogram import CategoryHistogram, ClassHistogram
+from repro.core.histogram import (
+    CategoryHistogram,
+    ClassHistogram,
+    SubsetSplit,
+    best_subset_splits,
+)
 from repro.core.intervals import AttributeAnalysis, analyze_attributes
 from repro.core.splits import Split
 from repro.core.tree import DecisionTree, Node, TreeAccount
@@ -115,7 +120,7 @@ class TreeBuilder(ABC):
             raise ValueError("cannot build a tree on an empty dataset")
         stats = BuildStats()
         stats.tracer = self.tracer
-        kernel_calls_before = native_scan.kernel_calls_total()
+        stats.kernel_calls_mark = native_scan.kernel_calls_total()
         start = time.perf_counter()
         with self.tracer.span(
             "build",
@@ -141,9 +146,7 @@ class TreeBuilder(ABC):
         stats.levels_built = max(t.depth for t in trees)
         if ensemble:
             stats.ensemble_members = len(trees)
-        stats.native_kernel_calls = (
-            native_scan.kernel_calls_total() - kernel_calls_before
-        )
+        stats.add_kernel_calls(native_scan.kernel_calls_total())
         # Stamp the final accounting onto the (already closed) root span
         # so `inspect-trace` can cross-check scan spans against it.
         build_span.annotate(
@@ -183,8 +186,16 @@ class TreeBuilder(ABC):
         try:
             yield engine
         finally:
-            stats.parallel_batches += engine.batches_dispatched
+            self._settle_counters(stats, engine)
             engine.close()
+
+    @staticmethod
+    def _settle_counters(stats: BuildStats, engine: ScanEngine) -> None:
+        """Fold into ``stats`` what the build counts outside it so far:
+        native kernel calls and the engine's chunk batches."""
+        stats.add_kernel_calls(native_scan.kernel_calls_total())
+        stats.parallel_batches += engine.batches_dispatched
+        engine.batches_dispatched = 0
 
     def _open_table(self, dataset: Dataset, stats: BuildStats) -> RetryingTable:
         """Open the training table behind the retrying scan wrapper.
@@ -1097,8 +1108,11 @@ class LevelBuilder(TreeBuilder):
             or node.depth >= cfg.max_depth
         )
 
-    def _collect(self, node: Node, part) -> list[tuple[int, ClassHistogram]]:
-        """The ``(attr, histogram)`` pairs :meth:`_decide` needs analysed.
+    def _collect(
+        self, node: Node, part
+    ) -> list[tuple[int, ClassHistogram | CategoryHistogram]]:
+        """The ``(attr, histogram)`` pairs :meth:`_decide` needs answered:
+        class histograms analysed, category histograms' subset splits.
 
         Returns ``[]`` when a stopping rule leafs the node.
         """
@@ -1108,7 +1122,7 @@ class LevelBuilder(TreeBuilder):
         self,
         node: Node,
         part,
-        analyses: list[AttributeAnalysis],
+        answers: list[AttributeAnalysis | SubsetSplit],
         next_slot: Callable[[], int],
         account: TreeAccount,
         schema: Schema,
@@ -1116,7 +1130,7 @@ class LevelBuilder(TreeBuilder):
     ) -> Decision:
         """Pick the node's split from its complete accumulator, or leaf it.
 
-        ``analyses`` match :meth:`_collect`'s pairs, in order.
+        ``answers`` answer :meth:`_collect`'s pairs, in order.
         """
         raise NotImplementedError
 
@@ -1172,11 +1186,16 @@ class LevelBuilder(TreeBuilder):
                 (m,) = members
                 state = loop_state(m.account, m.root, m.nid, m.pendings, m.next_slot)
                 with stats.phase("checkpoint"):
+                    self._settle_counters(stats, engine)
                     ckpt.save(level, state, stats)
 
         with self._scan_engine(stats) as engine:
             if ckpt is not None and cfg.resume and ckpt.exists():
                 level, state = ckpt.load(stats)
+                # The restored counts cover the build up to the checkpoint;
+                # this run counts its own work from here.
+                stats.kernel_calls_mark = native_scan.kernel_calls_total()
+                engine.batches_dispatched = 0
                 (m,) = members
                 m.account, m.root, m.nid = state["account"], state["root"], state["nid"]
                 m.pendings, m.next_slot = state["pendings"], state["next_slot"]
@@ -1426,12 +1445,25 @@ class LevelBuilder(TreeBuilder):
 
 
 def _analyze_batched(
-    requests: list[list[tuple[int, ClassHistogram]]], stats: BuildStats
-) -> list[list[AttributeAnalysis]]:
-    """Analyse every request's pairs in one call; split the results back."""
-    flat = analyze_attributes(
-        [item for request in requests for item in request], stats.tracer
+    requests: list[list[tuple[int, ClassHistogram | CategoryHistogram]]],
+    stats: BuildStats,
+) -> list[list[AttributeAnalysis | SubsetSplit]]:
+    """Answer every request's pairs with one call per kind; split them back.
+
+    Class histograms get their :class:`AttributeAnalysis` from one
+    :func:`analyze_attributes` call, category histograms their
+    :class:`SubsetSplit` from one :func:`best_subset_splits` call; each
+    answer keeps its pair's position.
+    """
+    items = [item for request in requests for item in request]
+    is_cat = [isinstance(h, CategoryHistogram) for __, h in items]
+    answers = iter(
+        analyze_attributes(
+            [item for item, cat in zip(items, is_cat) if not cat], stats.tracer
+        )
     )
+    subsets = iter(best_subset_splits([item for item, cat in zip(items, is_cat) if cat]))
+    flat = [next(subsets) if cat else next(answers) for cat in is_cat]
     out, at = [], 0
     for request in requests:
         out.append(flat[at : at + len(request)])

@@ -35,22 +35,10 @@ from pathlib import Path
 from typing import Any
 
 from repro.config import BuilderConfig
-from repro.io.metrics import BuildStats
+from repro.io.metrics import CHECKPOINTED_COUNTERS, BuildStats
 
 MAGIC = b"CMPCKPT1"
 _PREFIX = struct.Struct("<8sIQ")  # magic, crc32(payload), len(payload)
-
-#: BuildStats counters carried across a resume (wall_seconds is
-#: deliberately excluded: wall time genuinely differs between runs).
-_STAT_FIELDS = (
-    "splits_resolved_exactly",
-    "linear_splits",
-    "two_level_splits",
-    "second_level_node_ids",
-    "predictions_made",
-    "predictions_correct",
-    "buffer_overflow_rescans",
-)
 
 
 class CheckpointError(ValueError):
@@ -123,7 +111,11 @@ class CheckpointManager:
         return self.path.exists()
 
     def save(self, level: int, state: dict[str, Any], stats: BuildStats) -> None:
-        """Atomically persist the state reached after completing ``level``."""
+        """Atomically persist the state reached after completing ``level``.
+
+        ``stats`` must be up to date: the builder folds in the kernel
+        calls and chunk batches it counts outside them first.
+        """
         payload = pickle.dumps(
             {
                 "fingerprint": self.fingerprint,
@@ -135,7 +127,7 @@ class CheckpointManager:
                     "current": stats.memory.current,
                     "peak": stats.memory.peak,
                 },
-                "counters": {f: getattr(stats, f) for f in _STAT_FIELDS},
+                "counters": {f: getattr(stats, f) for f in CHECKPOINTED_COUNTERS},
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )

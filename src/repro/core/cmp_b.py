@@ -49,8 +49,9 @@ from repro.core.builder import (
     resolve_exact_threshold,
 )
 from repro.core.gini import gini
-from repro.core.histogram import ClassHistogram
-# ``analyze_attribute`` stays bound here for tools that patch it by name.
+from repro.core.histogram import CategoryHistogram, ClassHistogram, SubsetSplit
+# ``analyze_attribute`` and ``edges_from_histogram`` stay bound here for
+# tools that patch them by name.
 from repro.core.intervals import (
     AttributeAnalysis,
     analyze_attribute,
@@ -61,20 +62,32 @@ from repro.core.matrix import MatrixSet
 from repro.core.predict import predict_split
 from repro.core.splits import CategoricalSplit, LinearSplit, NumericSplit, Split
 from repro.core.tree import Node, TreeAccount
-from repro.core.cmp_s import best_categorical_split, merge_contiguous
+from repro.core.cmp_s import (
+    best_categorical_split,
+    continuous_analyses,
+    merge_contiguous,
+)
 from repro.data.dataset import Dataset
-from repro.data.discretize import edges_from_histogram
+from repro.data.discretize import edges_from_histogram, edges_from_histograms
 from repro.data.schema import Schema
 from repro.io.metrics import BuildStats
 
 
 @dataclass
 class BPart:
-    """A preliminary subnode accumulating a MatrixSet during a scan."""
+    """A preliminary subnode accumulating a MatrixSet during a scan.
+
+    ``marginals`` holds the node's marginal histograms from
+    :meth:`CMPBBuilder._collect` until :meth:`CMPBBuilder._decide` takes
+    them.
+    """
 
     slot: int
     mset: MatrixSet
     predicted: bool
+    marginals: dict[int, ClassHistogram] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def update(self, X: np.ndarray, y: np.ndarray) -> None:
         """Add a batch of records to the matrices."""
@@ -322,20 +335,25 @@ class CMPBBuilder(LevelBuilder):
 
     # ------------------------------------------------------------------ decide
 
-    def _collect(self, node: Node, part: BPart) -> list[tuple[int, ClassHistogram]]:
-        """The X marginal, then every Y marginal, unless the node stops."""
+    def _collect(
+        self, node: Node, part: BPart
+    ) -> list[tuple[int, ClassHistogram | CategoryHistogram]]:
+        """The X marginal, every Y marginal, then every categorical
+        histogram, unless the node stops.  The marginals stay on the part
+        for :meth:`_decide`."""
         if self._stops(node):
             return []
         mset = part.mset
-        return [(mset.x_attr, mset.x_marginal())] + [
-            (j, mset.y_marginal(j)) for j in mset.matrices
-        ]
+        part.marginals = {mset.x_attr: mset.x_marginal()}
+        for j in mset.matrices:
+            part.marginals[j] = mset.y_marginal(j)
+        return list(part.marginals.items()) + list(mset.categorical.items())
 
     def _decide(
         self,
         node: Node,
         part: BPart,
-        analyses: list[AttributeAnalysis],
+        answers: list[AttributeAnalysis | SubsetSplit],
         next_slot: Callable[[], int],
         account: TreeAccount,
         schema: Schema,
@@ -345,6 +363,9 @@ class CMPBBuilder(LevelBuilder):
         slot, mset = part.slot, part.mset
         if self._stops(node):
             return None
+        node_hists, part.marginals = part.marginals, None
+        assert node_hists is not None
+        analyses = continuous_analyses(answers)
         x_analysis = analyses[0]
         winner = choose_split_attribute(analyses, cfg.max_alive)
         if (
@@ -362,7 +383,7 @@ class CMPBBuilder(LevelBuilder):
             winner = x_analysis
         cont_score = winner.score if winner is not None else np.inf
 
-        best_cat_gini, best_cat = best_categorical_split(mset.categorical.items())
+        best_cat_gini, best_cat = best_categorical_split(answers)
 
         # Prediction accounting: was the X axis the attribute that wins?
         if part.predicted:
@@ -376,9 +397,6 @@ class CMPBBuilder(LevelBuilder):
                 stats.predictions_correct += 1
 
         parent_scores = {a.attr: a.score for a in analyses if np.isfinite(a.score)}
-        node_hists: dict[int, ClassHistogram] = {mset.x_attr: mset.x_marginal()}
-        for j in mset.matrices:
-            node_hists[j] = mset.y_marginal(j)
 
         # Full CMP hook: try a linear-combination split when univariate
         # splits look poor (overridden by CMPBuilder; returns None here).
@@ -504,10 +522,19 @@ class CMPBBuilder(LevelBuilder):
         ]
         analyses = yield wanted[0] + wanted[1]
         k = len(wanted[0])
+        # Both sides' child grids, every attribute of each, in one call.
+        qs = [self._grid_size(float(self._side_counts(h).sum())) for h in sides]
+        pairs = [
+            (side_hists.get(j, h), q)
+            for side_hists, q in zip(sides, qs)
+            for j, h in node_hists.items()
+        ]
+        edges = iter(edges_from_histograms(pairs))
         for side_hists, side_analyses in zip(sides, (analyses[:k], analyses[k:])):
+            child_edges = {j: next(edges) for j in node_hists}
             p.sides.append(
                 self._plan_side(
-                    mset, side_hists, side_analyses, node_hists, allow_second,
+                    mset, side_hists, side_analyses, child_edges, allow_second,
                     parent_scores, next_slot, schema,
                 )
             )
@@ -531,10 +558,15 @@ class CMPBBuilder(LevelBuilder):
             split_attr: mset.y_marginal_rows(split_attr, lo, hi),
         }
 
+    @staticmethod
+    def _side_counts(side_hists: dict[int, ClassHistogram]) -> np.ndarray:
+        """Class counts of one side of a split."""
+        return next(iter(side_hists.values())).totals()
+
     def _side_open(self, node: Node, side_hists: dict[int, ClassHistogram]) -> bool:
         """True when a side may split again, so its marginals are analysed."""
         cfg = self.config
-        side_counts = next(iter(side_hists.values())).totals()
+        side_counts = self._side_counts(side_hists)
         return (
             float(side_counts.sum()) >= cfg.min_records
             and float(gini(side_counts)) > cfg.min_gini
@@ -546,7 +578,7 @@ class CMPBBuilder(LevelBuilder):
         mset: MatrixSet,
         side_hists: dict[int, ClassHistogram],
         analyses: list[AttributeAnalysis],
-        node_hists: dict[int, ClassHistogram],
+        child_edges: dict[int, np.ndarray],
         allow_second: bool,
         parent_scores: dict[int, float],
         next_slot: Callable[[], int],
@@ -555,12 +587,10 @@ class CMPBBuilder(LevelBuilder):
         """Choose a side's second split and preliminary parts (Figure 10, line 18).
 
         ``analyses`` cover ``side_hists`` in order, or are empty when the
-        side cannot split again.
+        side cannot split again; ``child_edges`` are the side's child grids.
         """
         cfg = self.config
-        side_counts = next(iter(side_hists.values())).totals()
-        side_n = float(side_counts.sum())
-        side_gini = float(gini(side_counts))
+        side_gini = float(gini(self._side_counts(side_hists)))
 
         second: SecondSplit | None = None
         exact_scores = {a.attr: a.score for a in analyses if np.isfinite(a.score)}
@@ -575,13 +605,6 @@ class CMPBBuilder(LevelBuilder):
             predicted_x = predict_split(exact_scores, parent_scores)
         except ValueError:
             predicted_x = mset.x_attr
-        q_child = self._grid_size(side_n)
-        child_edges: dict[int, np.ndarray] = {}
-        for j, h in node_hists.items():
-            src = side_hists.get(j, h)
-            child_edges[j] = edges_from_histogram(
-                src.edges, src.counts.sum(axis=1), q_child, src.vmin, src.vmax
-            )
         if second is None:
             part = BPart(
                 next_slot(), MatrixSet.create(schema, predicted_x, child_edges), True
@@ -631,12 +654,7 @@ class CMPBBuilder(LevelBuilder):
         self, hists: dict[int, ClassHistogram], n_records: float
     ) -> dict[int, np.ndarray]:
         q = self._grid_size(n_records)
-        return {
-            j: edges_from_histogram(
-                h.edges, h.counts.sum(axis=1), q, h.vmin, h.vmax
-            )
-            for j, h in hists.items()
-        }
+        return dict(zip(hists, edges_from_histograms([(h, q) for h in hists.values()])))
 
     # ------------------------------------------------------------------ resolve
 

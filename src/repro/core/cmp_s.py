@@ -25,7 +25,8 @@ overflow rescans, slot remapping, PUBLIC(1) pruning and checkpoints — is
 CMP-S strategy: per-attribute histograms as the root accumulator, the
 histograms each decision needs analysed, decisions and resolution.
 Child grids are re-quantiled from the parent's histograms without
-touching the data (:func:`repro.data.discretize.edges_from_histogram`).
+touching the data, all of a node's in one call
+(:func:`repro.data.discretize.edges_from_histograms`).
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from repro.core.builder import (
     make_part_hists,
     resolve_exact_threshold,
 )
-from repro.core.histogram import CategoryHistogram, ClassHistogram
-# ``analyze_attribute`` stays bound here for tools that patch it by name.
+from repro.core.histogram import CategoryHistogram, ClassHistogram, SubsetSplit
+# ``analyze_attribute`` and ``edges_from_histogram`` stay bound here for
+# tools that patch them by name.
 from repro.core.intervals import (
     AttributeAnalysis,
     analyze_attribute,
@@ -53,7 +55,7 @@ from repro.core.intervals import (
 )
 from repro.core.splits import CategoricalSplit, NumericSplit
 from repro.core.tree import Node, TreeAccount
-from repro.data.discretize import edges_from_histogram
+from repro.data.discretize import edges_from_histogram, edges_from_histograms
 from repro.data.schema import Schema
 from repro.io.metrics import BuildStats
 
@@ -70,23 +72,28 @@ def merge_contiguous(indices: list[int]) -> list[tuple[int, int]]:
 
 
 def best_categorical_split(
-    hists: Iterable[tuple[int, CategoryHistogram]],
+    answers: Iterable[AttributeAnalysis | SubsetSplit],
 ) -> tuple[float, tuple[int, np.ndarray] | None]:
-    """The best subset split over categorical attributes.
+    """The best subset split among a node's answered categorical attributes.
 
-    Returns ``(gini, (attr, left_mask))``, or ``(inf, None)`` when no
-    attribute has two non-empty categories.  Ties go to the first attribute.
+    ``answers`` are the node's :meth:`~LevelBuilder._collect` answers;
+    only its :class:`SubsetSplit` entries are read.  Returns ``(gini,
+    (attr, left_mask))``, or ``(inf, None)`` when no attribute has two
+    non-empty categories.  Ties go to the first attribute.
     """
     best_gini = np.inf
     best: tuple[int, np.ndarray] | None = None
-    for j, hist in hists:
-        try:
-            mask, g = hist.best_subset_split()
-        except ValueError:
-            continue
-        if g < best_gini:
-            best_gini, best = g, (j, mask)
+    for a in answers:
+        if isinstance(a, SubsetSplit) and a.mask is not None and a.gini < best_gini:
+            best_gini, best = a.gini, (a.attr, a.mask)
     return best_gini, best
+
+
+def continuous_analyses(
+    answers: list[AttributeAnalysis | SubsetSplit],
+) -> list[AttributeAnalysis]:
+    """The class-histogram analyses among a node's answers, in order."""
+    return [a for a in answers if isinstance(a, AttributeAnalysis)]
 
 
 class CMPSBuilder(LevelBuilder):
@@ -105,19 +112,19 @@ class CMPSBuilder(LevelBuilder):
 
     # -- decisions (Figure 4, lines 15-19) ------------------------------------
 
-    def _collect(self, node: Node, part: PartState) -> list[tuple[int, ClassHistogram]]:
-        """Every continuous attribute's histogram, unless the node stops."""
+    def _collect(
+        self, node: Node, part: PartState
+    ) -> list[tuple[int, ClassHistogram | CategoryHistogram]]:
+        """Every attribute's histogram, unless the node stops."""
         if self._stops(node):
             return []
-        return [
-            (j, h) for j, h in part.hists.items() if isinstance(h, ClassHistogram)
-        ]
+        return list(part.hists.items())
 
     def _decide(
         self,
         node: Node,
         part: PartState,
-        analyses: list[AttributeAnalysis],
+        answers: list[AttributeAnalysis | SubsetSplit],
         next_slot: Callable[[], int],
         account: TreeAccount,
         schema: Schema,
@@ -129,12 +136,10 @@ class CMPSBuilder(LevelBuilder):
         if self._stops(node):
             return None
         cont = schema.continuous_indices()
-        winner = choose_split_attribute(analyses, cfg.max_alive)
+        winner = choose_split_attribute(continuous_analyses(answers), cfg.max_alive)
         cont_score = winner.score if winner is not None else np.inf
 
-        best_cat_gini, best_cat = best_categorical_split(
-            (j, hists[j]) for j in schema.categorical_indices()
-        )
+        best_cat_gini, best_cat = best_categorical_split(answers)
 
         if min(cont_score, best_cat_gini) >= node.gini - cfg.min_gain:
             return None
@@ -170,14 +175,7 @@ class CMPSBuilder(LevelBuilder):
     ) -> dict[int, np.ndarray]:
         """Re-quantile each continuous attribute from the node's histogram."""
         q = adaptive_intervals(self.config.n_intervals, n_records)
-        out: dict[int, np.ndarray] = {}
-        for j in cont:
-            hist = hists[j]
-            assert isinstance(hist, ClassHistogram)
-            out[j] = edges_from_histogram(
-                hist.edges, hist.counts.sum(axis=1), q, hist.vmin, hist.vmax
-            )
-        return out
+        return dict(zip(cont, edges_from_histograms([(hists[j], q) for j in cont])))
 
     # -- resolution (Figure 4, lines 11-13) -----------------------------------
 

@@ -12,6 +12,8 @@ directly from the counts.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core import native_scan
@@ -197,7 +199,8 @@ class CategoryHistogram:
 
         Returns ``(left_mask, gini)`` where ``left_mask[k]`` is True when
         category ``k`` routes left.  Categories with no records stay on the
-        right side.
+        right side.  This is the numpy reference of the native
+        ``cmp_subset_splits`` kernel (:func:`best_subset_splits`).
         """
         if criterion is None:
             partition = gini_partition
@@ -243,3 +246,39 @@ class CategoryHistogram:
         if best_mask is None:
             raise ValueError("no valid subset split found")
         return best_mask, best_gini
+
+
+@dataclass(frozen=True)
+class SubsetSplit:
+    """One categorical attribute's best subset split at one node.
+
+    ``mask`` is ``None`` (and ``gini`` infinite) when the attribute has
+    fewer than two populated categories, so it offers no split.
+    """
+
+    attr: int
+    mask: np.ndarray | None
+    gini: float
+
+
+def best_subset_splits(
+    items: list[tuple[int, CategoryHistogram]],
+) -> list[SubsetSplit]:
+    """Every ``(attr, histogram)`` pair's best subset split, in one call.
+
+    A tree level's categorical histograms share one class count, so the
+    native ``cmp_subset_splits`` kernel answers all of them at once;
+    :meth:`CategoryHistogram.best_subset_split` answers them one by one
+    when it declines.
+    """
+    if not items:
+        return []
+    answers = native_scan.subset_splits([h.counts for __, h in items])
+    if answers is None:
+        answers = []
+        for __, h in items:
+            try:
+                answers.append(h.best_subset_split())
+            except ValueError:
+                answers.append((None, np.inf))
+    return [SubsetSplit(j, mask, g) for (j, __), (mask, g) in zip(items, answers)]

@@ -215,15 +215,15 @@ def _grid_to_value(support: np.ndarray, u: float) -> float:
 
 
 def _line_to_candidate(
-    matrix: HistogramMatrix,
+    grid: "_Grid",
     line: GridLine,
     flipped: bool,
     gini_value: float,
 ) -> LineCandidate | None:
     """Convert a grid-space line into a value-space candidate with a band."""
-    qx, qy = matrix.qx, matrix.qy
-    sx = _grid_support(matrix.x_edges)
-    sy = _grid_support(matrix.y_edges)
+    qx, qy = len(grid.x_edges) + 1, len(grid.y_edges) + 1
+    sx = _grid_support(grid.x_edges)
+    sy = _grid_support(grid.y_edges)
 
     if not flipped:
         p1 = (_grid_to_value(sx, line.x), _grid_to_value(sy, 0.0))
@@ -266,7 +266,7 @@ def _line_to_candidate(
     if not c_lo < c_hi:
         return None
     return LineCandidate(
-        y_attr=matrix.y_attr, a=a, b=b, c_lo=c_lo, c_hi=c_hi, gini=gini_value
+        y_attr=grid.y_attr, a=a, b=b, c_lo=c_lo, c_hi=c_hi, gini=gini_value
     )
 
 
@@ -277,24 +277,44 @@ def _line_to_candidate(
 WALK_MAX_AXIS = 24
 
 
-def _decimated(matrix: HistogramMatrix) -> HistogramMatrix:
-    """A coarsened copy of ``matrix`` for the intercept walk."""
-    fx = -(-matrix.qx // WALK_MAX_AXIS)
-    fy = -(-matrix.qy // WALK_MAX_AXIS)
-    if fx == 1 and fy == 1:
-        return matrix
+@dataclass(frozen=True)
+class _Grid:
+    """The grid of a decimated matrix, all :func:`_line_to_candidate` reads."""
+
+    y_attr: int
+    x_edges: np.ndarray
+    y_edges: np.ndarray
+
+
+def _factors(matrix: HistogramMatrix) -> tuple[int, int]:
+    """Decimation factors bringing each axis to at most ``WALK_MAX_AXIS``."""
+    return -(-matrix.qx // WALK_MAX_AXIS), -(-matrix.qy // WALK_MAX_AXIS)
+
+
+def _coarse_grid(matrix: HistogramMatrix, fx: int, fy: int) -> _Grid:
+    """The axes of ``matrix`` merged ``fx`` x-bins and ``fy`` y-bins at a time."""
     qx = -(-matrix.qx // fx)
     qy = -(-matrix.qy // fy)
+    return _Grid(
+        matrix.y_attr,
+        matrix.x_edges[fx - 1 :: fx][: qx - 1],
+        matrix.y_edges[fy - 1 :: fy][: qy - 1],
+    )
+
+
+def _decimated(matrix: HistogramMatrix) -> HistogramMatrix:
+    """A coarsened copy of ``matrix`` for the intercept walk."""
+    fx, fy = _factors(matrix)
+    if fx == 1 and fy == 1:
+        return matrix
+    grid = _coarse_grid(matrix, fx, fy)
+    qx, qy = len(grid.x_edges) + 1, len(grid.y_edges) + 1
     c = matrix.n_classes
     padded = np.zeros((qx * fx, qy * fy, c))
     padded[: matrix.qx, : matrix.qy] = matrix.counts
     coarse_counts = padded.reshape(qx, fx, qy, fy, c).sum(axis=(1, 3))
     coarse = HistogramMatrix(
-        matrix.x_attr,
-        matrix.y_attr,
-        matrix.x_edges[fx - 1 :: fx][: qx - 1],
-        matrix.y_edges[fy - 1 :: fy][: qy - 1],
-        c,
+        matrix.x_attr, matrix.y_attr, grid.x_edges, grid.y_edges, c
     )
     coarse.counts = coarse_counts
     # Extrema per coarse bin: min/max over the merged fine bins.
@@ -307,6 +327,26 @@ def _decimated(matrix: HistogramMatrix) -> HistogramMatrix:
     return coarse
 
 
+def _walks(matrices: list[HistogramMatrix]) -> list[tuple[float, GridLine]]:
+    """Both walks of every matrix's decimated grid, unflipped first.
+
+    One native ``cmp_slope_walks`` call decimates and walks them all;
+    without it, each walk is a :func:`gini_slope_walk` on
+    :func:`_decimated`'s counts, the reference it reproduces.
+    """
+    native = native_scan.slope_walks(
+        [(m.counts, *_factors(m)) for m in matrices], _MAX_STEPS
+    )
+    if native is not None:
+        return [(g, GridLine(x, y)) for g, x, y in native.reshape(-1, 3).tolist()]
+    walks = []
+    for matrix in matrices:
+        counts = _decimated(matrix).counts
+        walks.append(gini_slope_walk(counts))
+        walks.append(gini_slope_walk(counts[:, ::-1, :]))
+    return walks
+
+
 def best_linear_candidate(mset: MatrixSet) -> LineCandidate | None:
     """Best splitting line over every matrix and both slopes (§2.3).
 
@@ -314,17 +354,16 @@ def best_linear_candidate(mset: MatrixSet) -> LineCandidate | None:
     applies the paper's acceptance heuristics (trigger threshold and the
     20 % improvement requirement).
     """
+    matrices = [m for m in mset.matrices.values() if m.qx >= 2 and m.qy >= 2]
+    walks = iter(_walks(matrices))
     best: LineCandidate | None = None
-    for matrix in mset.matrices.values():
-        if matrix.qx < 2 or matrix.qy < 2:
-            continue
-        coarse = _decimated(matrix)
+    for matrix in matrices:
+        grid = _coarse_grid(matrix, *_factors(matrix))
         for flipped in (False, True):
-            counts = coarse.counts[:, ::-1, :] if flipped else coarse.counts
-            g, line = gini_slope_walk(counts)
+            g, line = next(walks)
             if best is not None and g >= best.gini:
                 continue
-            cand = _line_to_candidate(coarse, line, flipped, g)
+            cand = _line_to_candidate(grid, line, flipped, g)
             if cand is not None and (best is None or cand.gini < best.gini):
                 best = cand
     return best

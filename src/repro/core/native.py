@@ -1,7 +1,8 @@
 """The native C kernels, built on demand with the system C compiler.
 
 One C source holds every per-record hot loop of the repository, for
-training and for serving alike:
+training and for serving alike, and the per-node split searches of the
+resolve phase:
 
 ======================  ===================================================
 ``cmp_part_accum``      a CMP-S part's whole update in one pass: class
@@ -17,7 +18,13 @@ training and for serving alike:
 ``cmp_cat_accum``       one category histogram's update (float→int64
                         code cast + scatter-add).
 ``cmp_boundary_ginis``  partition gini at every interval boundary.
+``cmp_subset_splits``   every (node, categorical attribute) best subset
+                        split of a tree level.
+``cmp_requantile``      every child grid of one node, re-quantiled from
+                        the parent's histograms.
 ``cmp_slope_walk``      the full Figure-12 greedy intercept walk.
+``cmp_slope_walks``     every intercept walk of one matrix set: each
+                        matrix decimated, both slopes.
 ``cmp_route``           a compiled tree's leaf index per record.
 ``cmp_forest_score``    a packed forest's summed leaf values per record.
 ======================  ===================================================
@@ -399,12 +406,315 @@ void cmp_boundary_ginis(int64_t b, int64_t c, const double *cum,
     }
 }
 
-/* One _WalkScratch.evaluate: three-way gini of a line plus whether any
- * cell lies above it.  The under/above partition counts are integer-
- * valued, so their accumulation order is exact; only the final
- * acc += s - dot/s chain is order-sensitive and replicates the Python
- * loop (cu, ca, co in that order, one rounding per op). */
-static double walk_eval(const double *counts, const double *total,
+/* The two sequential sums below replicate numpy's reductions over fewer
+ * than 8 elements (plain left-to-right); exact anyway on the integer-
+ * valued counts every caller checks for. */
+static double row_sum(const double *v, int64_t c)
+{
+    double s = 0.0;
+    for (int64_t j = 0; j < c; ++j)
+        s += v[j];
+    return s;
+}
+
+/* gini_partition(left, totals - left) for one prefix: the arithmetic of
+ * cmp_boundary_ginis.  right and p2 hold c doubles each. */
+static double partition_gini(const double *left, const double *totals,
+                             int64_t c, double *right, double *p2,
+                             double *nl_out)
+{
+    double nl = 0.0, nr = 0.0;
+    for (int64_t j = 0; j < c; ++j) {
+        right[j] = totals[j] - left[j];
+        nl += left[j];
+        nr += right[j];
+    }
+    *nl_out = nl;
+    double n = nl + nr;
+    if (!(n > 0.0))
+        return 0.0;
+    double gl = gini_one(left, c, nl, p2);
+    double gr = gini_one(right, c, nr, p2);
+    double den = n > 1.0 ? n : 1.0;
+    return (nl * gl + nr * gr) / den;
+}
+
+/* Sort key of CategoryHistogram.best_subset_split's stable argsort: the
+ * class fraction, then the category index (which makes any sort stable). */
+struct frac_key {
+    double frac;
+    int64_t idx;
+};
+
+static void sort_keys(struct frac_key *keys, int64_t k)
+{
+    /* Insertion sort: category counts are small, and the index tiebreak
+     * keeps equal fractions in index order like kind="stable". */
+    for (int64_t i = 1; i < k; ++i) {
+        struct frac_key cur = keys[i];
+        int64_t j = i;
+        while (j > 0 && (keys[j - 1].frac > cur.frac ||
+                         (keys[j - 1].frac == cur.frac && keys[j - 1].idx > cur.idx))) {
+            keys[j] = keys[j - 1];
+            --j;
+        }
+        keys[j] = cur;
+    }
+}
+
+/* CategoryHistogram.best_subset_split on one (k, c) count table, op for
+ * op: per class, order the categories by that class's fraction (absent
+ * categories at +inf, stable), sweep the prefix partitions, mask those
+ * with an empty side, keep the first minimum, and keep a class's minimum
+ * only when strictly below the best so far.  Writes the left mask and
+ * returns the gini, or +inf (mask untouched) when fewer than two
+ * categories are populated.  scratch holds 4*c + k doubles and keys k
+ * entries. */
+static double subset_split(const double *counts, int64_t k, int64_t c,
+                           double *scratch, struct frac_key *keys,
+                           uint8_t *mask)
+{
+    double *totals = scratch;
+    double *cum = scratch + c;
+    double *right = scratch + 2 * c;
+    double *p2 = scratch + 3 * c;
+    double *n_per_cat = scratch + 4 * c;
+    for (int64_t j = 0; j < c; ++j)
+        totals[j] = 0.0;
+    int64_t present = 0;
+    for (int64_t i = 0; i < k; ++i) {
+        const double *row = counts + i * c;
+        for (int64_t j = 0; j < c; ++j)
+            totals[j] += row[j];
+        n_per_cat[i] = row_sum(row, c);
+        present += n_per_cat[i] > 0.0;
+    }
+    double best = 1.0 / 0.0;
+    if (present < 2)
+        return best;
+    double n_total = row_sum(totals, c);
+    int64_t best_cls = -1, best_len = 0;
+    for (int64_t cls = 0; cls < c; ++cls) {
+        for (int64_t i = 0; i < k; ++i) {
+            double den = n_per_cat[i] > 1.0 ? n_per_cat[i] : 1.0;
+            keys[i].frac = n_per_cat[i] > 0.0 ? counts[i * c + cls] / den : 1.0 / 0.0;
+            keys[i].idx = i;
+        }
+        sort_keys(keys, k);
+        for (int64_t j = 0; j < c; ++j)
+            cum[j] = 0.0;
+        double cls_best = 1.0 / 0.0;
+        int64_t cls_len = 0;
+        for (int64_t i = 0; i + 1 < k; ++i) {
+            const double *row = counts + keys[i].idx * c;
+            for (int64_t j = 0; j < c; ++j)
+                cum[j] += row[j];
+            double size;
+            double g = partition_gini(cum, totals, c, right, p2, &size);
+            if (size > 0.0 && size < n_total && g < cls_best) {
+                cls_best = g;
+                cls_len = i + 1;
+            }
+        }
+        if (cls_len > 0 && cls_best < best) {
+            best = cls_best;
+            best_cls = cls;
+            best_len = cls_len;
+        }
+    }
+    if (best_cls < 0)
+        return best;
+    /* Re-derive the winning class's order for the mask. */
+    for (int64_t i = 0; i < k; ++i) {
+        double den = n_per_cat[i] > 1.0 ? n_per_cat[i] : 1.0;
+        keys[i].frac = n_per_cat[i] > 0.0 ? counts[i * c + best_cls] / den : 1.0 / 0.0;
+        keys[i].idx = i;
+        mask[i] = 0;
+    }
+    sort_keys(keys, k);
+    for (int64_t i = 0; i < best_len; ++i)
+        mask[keys[i].idx] = n_per_cat[keys[i].idx] > 0.0;
+    return best;
+}
+
+/* Every (node, categorical attribute) subset split of a level: the plan
+ * holds one row {k, counts} per (k, c) float64 count table; masks are
+ * written back to back into mask (k bytes per table) and each table's
+ * gini into gini (+inf: no split).  scratch holds 4*c + max k doubles and
+ * keys max k entries.  Returns 1, before answering anything, when a count
+ * is negative or not integer-valued, or a table totals 9e15 or more: within
+ * that envelope every count sum is exact in any order. */
+int cmp_subset_splits(int64_t n_tables, const int64_t *plan, int64_t c,
+                      double *scratch, void *keys, uint8_t *mask,
+                      double *gini)
+{
+    for (int64_t t = 0; t < n_tables; ++t) {
+        const double *counts = PTR(const double, plan[2 * t + 1]);
+        double total = 0.0;
+        for (int64_t e = 0; e < plan[2 * t] * c; ++e) {
+            double v = counts[e];
+            if (!(v >= 0.0 && v < 9.0e15) || v != (double)(int64_t)v)
+                return 1;
+            total += v;
+        }
+        if (!(total < 9.0e15))
+            return 1;
+    }
+    for (int64_t t = 0; t < n_tables; ++t) {
+        int64_t k = plan[2 * t];
+        gini[t] = subset_split(PTR(const double, plan[2 * t + 1]), k, c,
+                               scratch, keys, mask);
+        mask += k;
+    }
+    return 0;
+}
+
+/* True for -0.0. */
+static int negative_zero(double v)
+{
+    return v == 0.0 && 1.0 / v < 0.0;
+}
+
+/* np.interp(x, xp, fp) at one x, for a non-decreasing xp of length
+ * len >= 2 (numpy's compiled_interp with its default left/right): j is
+ * the last index with xp[j] <= x, so repeated x-points resolve to the
+ * rightmost of them; exact hits and the last point return fp[j]; the
+ * slope is recomputed on a NaN like numpy does. */
+static double interp_one(double x, const double *xp, const double *fp,
+                         int64_t len)
+{
+    if (x != x)
+        return x;
+    if (x < xp[0])
+        return fp[0];
+    if (x > xp[len - 1])
+        return fp[len - 1];
+    int64_t lo = 0, hi = len;
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        if (x >= xp[mid])
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    int64_t j = lo - 1;
+    if (j == len - 1 || xp[j] == x)
+        return fp[j];
+    double slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]);
+    double r = slope * (x - xp[j]) + fp[j];
+    if (r != r) {
+        r = slope * (x - xp[j + 1]) + fp[j + 1];
+        if (r != r && fp[j] == fp[j + 1])
+            r = fp[j];
+    }
+    return r;
+}
+
+/* edges_from_histogram's extrema path for one parent grid: counts is the
+ * (qp, c) class table, vmin/vmax the per-interval extrema, q the child
+ * interval count.  Writes up to q - 1 edges to out and returns how many,
+ * or -1 to decline: a count negative or not integer-valued, or a total of
+ * 9e15 or more (outside which every sum is exact in any order), a
+ * populated interval with non-finite extrema, a NaN edge, or both a +0.0
+ * and a -0.0 edge (np.unique keeps whichever its unstable sort puts
+ * first).  scratch holds 5*qp doubles. */
+static int64_t requantile(const double *counts, int64_t qp, int64_t c,
+                          const double *vmin, const double *vmax, int64_t q,
+                          double *scratch, double *out)
+{
+    double *ic = scratch;
+    double *points = scratch + qp;
+    double *cdf = scratch + 3 * qp;
+    double total = 0.0;
+    for (int64_t i = 0; i < qp; ++i) {
+        double s = 0.0;
+        for (int64_t j = 0; j < c; ++j) {
+            double v = counts[i * c + j];
+            if (!(v >= 0.0 && v < 9.0e15) || v != (double)(int64_t)v)
+                return -1;
+            s += v;
+        }
+        ic[i] = s;
+        total += s;
+    }
+    if (!(total < 9.0e15))
+        return -1;
+    if (q == 1 || total <= 0.0)
+        return 0;
+    int64_t len = 0;
+    double cum = 0.0, lo = 0.0, hi = 0.0;
+    for (int64_t i = 0; i < qp; ++i) {
+        if (!(ic[i] > 0.0))
+            continue;
+        double a = vmin[i], b = vmax[i];
+        if (!(a - a == 0.0 && b - b == 0.0))
+            return -1;
+        if (len == 0 || a < lo)
+            lo = a;
+        if (len == 0 || b > hi)
+            hi = b;
+        points[len] = a;
+        points[len + 1] = b;
+        cdf[len] = cum;
+        cdf[len + 1] = cum + ic[i];
+        cum += ic[i];
+        len += 2;
+    }
+    for (int64_t e = 0; e < len; ++e)
+        cdf[e] = cdf[e] / total;
+    int64_t n = 0;
+    for (int64_t k = 1; k < q; ++k) {
+        double v = interp_one((double)k / (double)q, cdf, points, len);
+        if (v != v)
+            return -1;
+        /* np.unique: insertion into the sorted run, dropping repeats. */
+        int64_t at = n;
+        while (at > 0 && out[at - 1] > v)
+            --at;
+        if (at > 0 && out[at - 1] == v) {
+            if (negative_zero(v) != negative_zero(out[at - 1]))
+                return -1;
+            continue;
+        }
+        for (int64_t m = n; m > at; --m)
+            out[m] = out[m - 1];
+        out[at] = v;
+        ++n;
+    }
+    int64_t kept = 0;
+    for (int64_t m = 0; m < n; ++m)
+        if (out[m] >= lo && out[m] < hi)
+            out[kept++] = out[m];
+    return kept;
+}
+
+/* Every child grid one node needs re-quantiled, in one call: the plan
+ * holds one row {qp, counts, vmin, vmax, q} per (child, attribute) pair;
+ * row r writes its edges to out + offset (offsets advance by q - 1) and
+ * their number to n_out[r], -1 when it declines (requantile). */
+void cmp_requantile(int64_t n_rows, const int64_t *plan, int64_t c,
+                    double *scratch, double *out, int64_t *n_out)
+{
+    for (int64_t r = 0; r < n_rows; ++r) {
+        const int64_t *p = plan + 5 * r;
+        n_out[r] = requantile(PTR(const double, p[1]), p[0], c,
+                              PTR(const double, p[2]), PTR(const double, p[3]),
+                              p[4], scratch, out);
+        out += p[4] - 1;
+    }
+}
+
+/* The partial sums of one line's under and above cells, from per-row
+ * prefix sums of the grid.  pre holds, for row i and 0 <= j <= qy, the
+ * class counts of cells (i, 0..j-1) at pre + (i * (qy + 1) + j) * c.
+ * Row i's under cells are a prefix and its above cells a suffix, because
+ * the corner expressions below grow with j (and with i); each row's two
+ * boundaries are found with those expressions, so a cell is under, above
+ * or crossed exactly when the cell-by-cell test of _WalkScratch.evaluate
+ * says so.  The sums are integer-valued, hence exact in any order; only
+ * the final acc += s - dot/s chain is order-sensitive and replicates the
+ * Python loop (cu, ca, co in that order, one rounding per op). */
+static double walk_eval(const double *pre, const double *total,
                         int64_t qx, int64_t qy, int64_t c,
                         double lx, double ly, double n,
                         double *cu, double *ca, double *co, int *above_any)
@@ -415,20 +725,22 @@ static double walk_eval(const double *counts, const double *total,
         ca[k] = 0.0;
     }
     int any_above = 0;
+    int64_t u = qy, a = qy;
     for (int64_t i = 0; i < qx; ++i) {
-        for (int64_t j = 0; j < qy; ++j) {
-            const double *cell = counts + (i * qy + j) * c;
-            double under_lhs = (double)(i + 1) * ly + (double)(j + 1) * lx;
-            double above_lhs = (double)i * ly + (double)j * lx;
-            if (under_lhs <= rhs)
-                for (int64_t k = 0; k < c; ++k)
-                    cu[k] += cell[k];
-            if (above_lhs >= rhs) {
-                any_above = 1;
-                for (int64_t k = 0; k < c; ++k)
-                    ca[k] += cell[k];
-            }
+        while (u > 0 && !((double)(i + 1) * ly + (double)u * lx <= rhs))
+            --u;
+        while (a > 0 && (double)i * ly + (double)(a - 1) * lx >= rhs)
+            --a;
+        const double *row = pre + i * (qy + 1) * c;
+        const double *under = row + u * c;
+        const double *below_a = row + a * c;
+        const double *all = row + qy * c;
+        for (int64_t k = 0; k < c; ++k) {
+            cu[k] += under[k];
+            ca[k] += all[k] - below_a[k];
         }
+        if (a < qy)
+            any_above = 1;
     }
     for (int64_t k = 0; k < c; ++k)
         co[k] = total[k] - cu[k] - ca[k];
@@ -451,10 +763,11 @@ static double walk_eval(const double *counts, const double *total,
     return n > 0.0 ? acc / n : 0.0;
 }
 
-/* gini_slope_walk (Figure 12): greedy intercept walk from (1, 1).
- * scratch holds 4*c doubles; out receives {best_gini, best_x, best_y}. */
-void cmp_slope_walk(int64_t qx, int64_t qy, int64_t c, const double *counts,
-                    int64_t max_steps, double *scratch, double *out)
+/* gini_slope_walk (Figure 12): greedy intercept walk from (1, 1) over a
+ * grid given by its row prefix sums (walk_eval).  scratch holds 4*c
+ * doubles; out receives {best_gini, best_x, best_y}. */
+static void slope_walk(const double *pre, int64_t qx, int64_t qy, int64_t c,
+                 int64_t max_steps, double *scratch, double *out)
 {
     double *total = scratch;
     double *cu = scratch + c;
@@ -462,17 +775,16 @@ void cmp_slope_walk(int64_t qx, int64_t qy, int64_t c, const double *counts,
     double *co = scratch + 3 * c;
     for (int64_t k = 0; k < c; ++k)
         total[k] = 0.0;
-    int64_t cells = qx * qy;
-    for (int64_t i = 0; i < cells; ++i)
+    for (int64_t i = 0; i < qx; ++i)
         for (int64_t k = 0; k < c; ++k)
-            total[k] += counts[i * c + k];
+            total[k] += pre[(i * (qy + 1) + qy) * c + k];
     double n = 0.0;
     for (int64_t k = 0; k < c; ++k)
         n += total[k];
     double x_cap = (double)(qx + qy), y_cap = x_cap;
     double x = 1.0, y = 1.0;
     int above_any;
-    double best = walk_eval(counts, total, qx, qy, c, x, y, n,
+    double best = walk_eval(pre, total, qx, qy, c, x, y, n,
                             cu, ca, co, &above_any);
     double bx = x, by = y;
     for (int64_t step = 0; step < max_steps; ++step) {
@@ -481,12 +793,12 @@ void cmp_slope_walk(int64_t qx, int64_t qy, int64_t c, const double *counts,
         double gx, gy, g;
         int ax = above_any, ay = above_any;
         if (x < x_cap)
-            gx = walk_eval(counts, total, qx, qy, c, x + 1.0, y, n,
+            gx = walk_eval(pre, total, qx, qy, c, x + 1.0, y, n,
                            cu, ca, co, &ax);
         else
             gx = 1.0 / 0.0;
         if (y < y_cap)
-            gy = walk_eval(counts, total, qx, qy, c, x, y + 1.0, n,
+            gy = walk_eval(pre, total, qx, qy, c, x, y + 1.0, n,
                            cu, ca, co, &ay);
         else
             gy = 1.0 / 0.0;
@@ -508,6 +820,91 @@ void cmp_slope_walk(int64_t qx, int64_t qy, int64_t c, const double *counts,
     out[0] = best;
     out[1] = bx;
     out[2] = by;
+}
+
+/* Row prefix sums of a (qx, qy, c) float64 grid, its Y axis reversed when
+ * flip is set (counts[:, ::-1]). */
+static void row_prefix(const double *grid, int64_t qx, int64_t qy, int64_t c,
+                       int flip, double *pre)
+{
+    for (int64_t i = 0; i < qx; ++i) {
+        double *row = pre + i * (qy + 1) * c;
+        for (int64_t k = 0; k < c; ++k)
+            row[k] = 0.0;
+        for (int64_t j = 0; j < qy; ++j) {
+            const double *cell = grid + (i * qy + (flip ? qy - 1 - j : j)) * c;
+            for (int64_t k = 0; k < c; ++k)
+                row[(j + 1) * c + k] = row[j * c + k] + cell[k];
+        }
+    }
+}
+
+/* One walk over a float64 (qx, qy, c) grid whose counts the caller has
+ * checked (slope_walk's exactness precondition).  scratch holds
+ * qx*(qy+1)*c + 4*c doubles; out receives {best_gini, best_x, best_y}. */
+void cmp_slope_walk(int64_t qx, int64_t qy, int64_t c, const double *counts,
+                    int64_t max_steps, double *scratch, double *out)
+{
+    double *pre = scratch + 4 * c;
+    row_prefix(counts, qx, qy, c, 0, pre);
+    slope_walk(pre, qx, qy, c, max_steps, scratch, out);
+}
+
+/* Count e of a slope_walks plan row's cube, by the row's kind. */
+static double cube_count(const int64_t *p, int64_t e)
+{
+    if (p[4] == 1)
+        return (double)PTR(const int32_t, p[5])[e];
+    if (p[4] == 2)
+        return (double)PTR(const int64_t, p[5])[e];
+    return PTR(const double, p[5])[e];
+}
+
+/* Every walk of best_linear_candidate for one matrix set: per matrix, the
+ * decimated grid (_decimated: fine cell (i, j) adds into coarse cell
+ * (i / fx, j / fy)), then the walk on it and on its Y-flipped copy.  The
+ * plan holds one row {qx, qy, fx, fy, kind, counts} per matrix, kind 0
+ * for float64, 1 for int32 and 2 for int64 counts.  out receives six
+ * doubles per matrix: {gini, x, y} unflipped, then flipped.  scratch
+ * holds, for the largest coarse grid, cqx*cqy*c + cqx*(cqy+1)*c + 4*c
+ * doubles.  Returns 1, before walking anything, when a count is negative,
+ * not integer-valued or a grid totals 2**26 or more: outside that
+ * envelope the partition sums need not be exact. */
+int cmp_slope_walks(int64_t n_mats, const int64_t *plan, int64_t c,
+                    int64_t max_steps, double *scratch, double *out)
+{
+    for (int64_t m = 0; m < n_mats; ++m) {
+        const int64_t *p = plan + 6 * m;
+        int64_t cells = p[0] * p[1] * c;
+        double total = 0.0;
+        for (int64_t e = 0; e < cells; ++e) {
+            double v = cube_count(p, e);
+            if (!(v >= 0.0 && v < 67108864.0) || v != (double)(int64_t)v)
+                return 1;
+            total += v;
+            if (!(total < 67108864.0))
+                return 1;
+        }
+    }
+    for (int64_t m = 0; m < n_mats; ++m) {
+        const int64_t *p = plan + 6 * m;
+        int64_t qx = p[0], qy = p[1], fx = p[2], fy = p[3];
+        int64_t cqx = (qx + fx - 1) / fx, cqy = (qy + fy - 1) / fy;
+        double *grid = scratch + 4 * c;
+        double *pre = grid + cqx * cqy * c;
+        for (int64_t e = 0; e < cqx * cqy * c; ++e)
+            grid[e] = 0.0;
+        for (int64_t i = 0; i < qx; ++i)
+            for (int64_t j = 0; j < qy; ++j)
+                for (int64_t k = 0; k < c; ++k)
+                    grid[((i / fx) * cqy + j / fy) * c + k] +=
+                        cube_count(p, (i * qy + j) * c + k);
+        for (int flip = 0; flip < 2; ++flip) {
+            row_prefix(grid, cqx, cqy, c, flip, pre);
+            slope_walk(pre, cqx, cqy, c, max_steps, scratch, out + 6 * m + 3 * flip);
+        }
+    }
+    return 0;
 }
 
 /* A compiled tree's node arrays, or a packed forest's concatenated ones.
@@ -622,7 +1019,10 @@ _SIGNATURES = {
     "mset_accum32": (ctypes.c_int, _FUSED),
     "mset_accum64": (ctypes.c_int, _FUSED),
     "boundary_ginis": (None, [_I64, _I64, _PTR, _PTR, _PTR, _PTR]),
+    "subset_splits": (ctypes.c_int, [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]),
+    "requantile": (None, [_I64, _PTR, _I64, _PTR, _PTR, _PTR]),
     "slope_walk": (None, [_I64, _I64, _I64, _PTR, _I64, _PTR, _PTR]),
+    "slope_walks": (ctypes.c_int, [_I64, _PTR, _I64, _I64, _PTR, _PTR]),
     "route": (None, [_I64, _I64] + [_PTR] * 14),
     "forest_score": (None, [_I64, _I64, _PTR, _I64] + [_PTR] * 14 + [_I64, _PTR, _PTR, _PTR]),
 }

@@ -7,8 +7,12 @@ numpy evaluates as a chain of whole-array temporaries.  The C versions
 live in the one native library.  A scan part (``PartState`` or
 ``MatrixSet``) fills all its histograms with one :func:`fused_accum`
 call per chunk, through an :class:`AccumPlan` it builds once
-(:func:`part_plan`, :func:`mset_plan`).  This module decides, call by
-call, whether a kernel may stand in for the numpy expression:
+(:func:`part_plan`, :func:`mset_plan`).  The decide step's split
+searches over per-node aggregates are batched the same way: one
+:func:`subset_splits` call per tree level, one :func:`requantile` call
+per node's child grids, one :func:`slope_walks` call per matrix set.
+This module decides, call by call, whether a kernel may stand in for
+the numpy expression:
 
 * **bit-identical to numpy** — every floating-point operation mirrors
   the numpy expression's op-by-op rounding, and the single
@@ -30,8 +34,10 @@ mirror the part's numpy body, which counts classes with ``bincount``
 first: a label outside ``[0, c)`` raises ``ValueError``, a bad category
 code ``IndexError``, and nothing is written before the whole chunk
 validates.  Every applied call is counted per kernel, a fused call once
-per histogram it filled (:func:`kernel_counts`); routing and forest
-scoring are not counted.
+per histogram it filled (:func:`kernel_counts`), a subset-split call
+once per table as ``boundary_ginis`` and a walks call once per walk as
+``slope_walk``; re-quantiling, routing and forest scoring are not
+counted.
 """
 
 from __future__ import annotations
@@ -541,12 +547,154 @@ def slope_walk(
         return None
     qx, qy, c = counts.shape
     out = np.empty(3, dtype=np.float64)
-    scratch = np.empty(4 * c, dtype=np.float64)
+    scratch = np.empty(qx * (qy + 1) * c + 4 * c, dtype=np.float64)
     fns["slope_walk"](
         qx, qy, c, counts.ctypes.data, max_steps, scratch.ctypes.data, out.ctypes.data
     )
     _count("slope_walk")
     return float(out[0]), float(out[1]), float(out[2])
+
+
+#: Count dtypes :func:`slope_walks` reads, by the kernel's kind code.
+_CUBE_KINDS = {np.dtype(np.float64): 0, np.dtype(np.int32): 1, np.dtype(np.int64): 2}
+
+
+def slope_walks(
+    cubes: list[tuple[np.ndarray, int, int]], max_steps: int
+) -> np.ndarray | None:
+    """Every intercept walk of one matrix set in one call, or ``None``.
+
+    ``cubes`` holds one ``(counts, fx, fy)`` per matrix: its C-contiguous
+    ``(qx, qy, c)`` float64, int32 or int64 cube and the decimation
+    factors of ``repro.core.linear._decimated``.  The kernel decimates
+    each cube and walks it and its Y-flipped copy; row ``m`` of the
+    ``(n, 2, 3)`` result holds ``(gini, x, y)`` of both walks, unflipped
+    first.  Declines, before walking anything, when a cube falls outside
+    :func:`slope_walk`'s exactness envelope.  Counts two ``slope_walk``
+    calls per matrix, one per walk.
+    """
+    fns = native._resolve()
+    if fns is None or not cubes:
+        return None
+    c = cubes[0][0].shape[-1]
+    words: list[int] = []
+    need = 0
+    for counts, fx, fy in cubes:
+        kind = _CUBE_KINDS.get(counts.dtype)
+        if kind is None or counts.ndim != 3 or counts.shape[2] != c:
+            return None
+        if not counts.flags.c_contiguous or fx < 1 or fy < 1:
+            return None
+        qx, qy = counts.shape[:2]
+        cqx, cqy = -(-qx // fx), -(-qy // fy)
+        need = max(need, cqx * cqy * c + cqx * (cqy + 1) * c)
+        words += (qx, qy, fx, fy, kind, _addr(counts))
+    plan = np.array(words, dtype=np.int64)
+    scratch = np.empty(4 * c + need, dtype=np.float64)
+    out = np.empty((len(cubes), 2, 3), dtype=np.float64)
+    if fns["slope_walks"](
+        len(cubes), _addr(plan), c, max_steps, _addr(scratch), _addr(out)
+    ):
+        return None
+    _count("slope_walk", 2 * len(cubes))
+    return out
+
+
+def subset_splits(
+    tables: list[np.ndarray],
+) -> list[tuple[np.ndarray | None, float]] | None:
+    """Best subset split of every ``(k, c)`` category table, or ``None``.
+
+    One call answers a whole level's categorical histograms.  Each answer
+    is ``(left_mask, gini)`` exactly as
+    ``CategoryHistogram.best_subset_split`` computes it, or
+    ``(None, inf)`` for a table with fewer than two populated categories.
+    Declines like :func:`boundary_ginis` at ``n_classes >= 8``, and for a
+    table that is not C-contiguous float64 or whose counts are negative,
+    fractional or total 9e15 or more.  Counts one ``boundary_ginis`` call
+    per table: each is one sweep of the subset partitions.
+    """
+    fns = native._resolve()
+    if fns is None or not tables:
+        return None
+    c = tables[0].shape[-1]
+    if c >= _MAX_SEQUENTIAL_CLASSES:
+        return None
+    words: list[int] = []
+    for t in tables:
+        if not (_contiguous_f64(t) and t.ndim == 2 and t.shape[1] == c):
+            return None
+        words += (t.shape[0], _addr(t))
+    plan = np.array(words, dtype=np.int64)
+    sizes = plan[0::2]
+    k_max = int(sizes.max())
+    scratch = np.empty(4 * c + k_max, dtype=np.float64)
+    keys = np.empty(2 * k_max, dtype=np.int64)
+    masks = np.zeros(int(sizes.sum()), dtype=np.bool_)
+    ginis = np.empty(len(tables), dtype=np.float64)
+    if fns["subset_splits"](
+        len(tables), _addr(plan), c, _addr(scratch), _addr(keys), _addr(masks),
+        _addr(ginis),
+    ):
+        return None
+    _count("boundary_ginis", len(tables))
+    out: list[tuple[np.ndarray | None, float]] = []
+    at = 0
+    for k, g in zip(sizes.tolist(), ginis.tolist()):
+        out.append((masks[at : at + k] if g != np.inf else None, g))
+        at += k
+    return out
+
+
+def requantile(
+    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]],
+) -> list[np.ndarray | None] | None:
+    """Re-quantile many parent histograms in one call, or ``None``.
+
+    ``rows`` holds one ``(counts, vmin, vmax, q)`` per child grid: a
+    ``(qp, c)`` class table, its per-interval extrema and the child's
+    interval count.  Each answer is what
+    ``edges_from_histogram(edges, counts.sum(axis=1), q, vmin, vmax)``
+    returns, or ``None`` where the kernel declined that row (a count
+    negative, fractional or too large for exact sums, non-finite extrema
+    on a populated interval, a NaN or signed-zero edge); the caller
+    computes those rows with numpy.  Declines the whole call at
+    ``n_classes >= 8`` or for an array outside the kernel's layout.  Not
+    counted in :func:`kernel_counts`.
+    """
+    fns = native._resolve()
+    if fns is None or not rows:
+        return None
+    c = rows[0][0].shape[-1]
+    if c >= _MAX_SEQUENTIAL_CLASSES:
+        return None
+    words: list[int] = []
+    for counts, vmin, vmax, q in rows:
+        qp = len(vmin)
+        if not (
+            q >= 1
+            and _contiguous_f64(counts)
+            and counts.shape == (qp, c)
+            and _contiguous_f64(vmin)
+            and _contiguous_f64(vmax)
+            and vmax.shape == (qp,)
+        ):
+            return None
+        words += (qp, _addr(counts), _addr(vmin), _addr(vmax), q)
+    plan = np.array(words, dtype=np.int64)
+    qs = plan[4::5]
+    out = np.empty(int(qs.sum()) - len(rows), dtype=np.float64)
+    n_out = np.empty(len(rows), dtype=np.int64)
+    scratch = np.empty(5 * int(plan[0::5].max()), dtype=np.float64)
+    fns["requantile"](
+        len(rows), _addr(plan), c, _addr(scratch), _addr(out), _addr(n_out)
+    )
+    edges: list[np.ndarray | None] = []
+    at = 0
+    for q, n in zip(qs.tolist(), n_out.tolist()):
+        edges.append(out[at : at + n] if n >= 0 else None)
+        at += q - 1
+    return edges
 
 
 __all__ = [
@@ -563,4 +711,7 @@ __all__ = [
     "fused_accum",
     "boundary_ginis",
     "slope_walk",
+    "slope_walks",
+    "subset_splits",
+    "requantile",
 ]

@@ -259,7 +259,9 @@ class ScanEngine:
         self.backend = backend
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._pool: ThreadPoolExecutor | None = None
-        #: Parallel chunk batches dispatched over the engine's lifetime.
+        #: Parallel chunk batches dispatched over the engine's lifetime,
+        #: or since a builder last folded the count into its stats and
+        #: reset it.
         self.batches_dispatched = 0
 
     @property

@@ -123,15 +123,15 @@ def edges_from_histogram(
         populated = counts > 0
         if not populated.any():
             return np.empty(0, dtype=np.float64)
-        points: list[float] = []
-        cdf: list[float] = []
-        cum = 0.0
-        for i in np.nonzero(populated)[0]:
-            points.extend((float(vmin[i]), float(vmax[i])))
-            cdf.extend((cum, cum + float(counts[i])))
-            cum += float(counts[i])
-        cdf_arr = np.asarray(cdf) / total
-        new_edges = np.interp(probs, cdf_arr, np.asarray(points))
+        # Each populated interval spans the cdf from the running total
+        # before it to the one after it; np.cumsum adds in order, so both
+        # are the sums a running Python loop would make.
+        idx = np.nonzero(populated)[0]
+        after = np.cumsum(counts[idx])
+        before = np.concatenate(([0.0], after[:-1]))
+        points = np.column_stack((vmin[idx], vmax[idx])).ravel()
+        cdf_arr = np.column_stack((before, after)).ravel() / total
+        new_edges = np.interp(probs, cdf_arr, points)
         hi = float(np.max(vmax[populated]))
         lo = float(np.min(vmin[populated]))
         new_edges = np.unique(new_edges)
@@ -149,6 +149,32 @@ def edges_from_histogram(
     new_edges = np.interp(probs, cdf, support)
     new_edges = np.unique(new_edges)
     return new_edges[(new_edges > support[0]) & (new_edges < support[-1])]
+
+
+def edges_from_histograms(pairs: list[tuple[object, int]]) -> list[np.ndarray]:
+    """Re-quantile many histograms at once: one child grid per pair.
+
+    ``pairs`` holds ``(hist, q)`` with ``hist`` a class histogram (its
+    ``edges``, ``(qp, c)`` ``counts``, ``vmin`` and ``vmax``) and ``q`` the
+    child's interval count.  Entry ``i`` of the result equals
+    ``edges_from_histogram(hist.edges, hist.counts.sum(axis=1), q,
+    hist.vmin, hist.vmax)``.  The native ``cmp_requantile`` kernel
+    computes every pair in one call; pairs it declines, or all of them
+    without kernels, go through :func:`edges_from_histogram`.
+    """
+    from repro.core import native_scan
+
+    native = native_scan.requantile(
+        [(h.counts, h.vmin, h.vmax, q) for h, q in pairs]
+    )
+    if native is None:
+        native = [None] * len(pairs)
+    return [
+        edges
+        if edges is not None
+        else edges_from_histogram(h.edges, h.counts.sum(axis=1), q, h.vmin, h.vmax)
+        for (h, q), edges in zip(pairs, native)
+    ]
 
 
 class Discretizer:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 from repro.obs.metrics import Histogram
@@ -273,9 +273,21 @@ class CostModel:
         return io + cpu + aux + stats.backoff_ms
 
 
+#: Field metadata of a :class:`BuildStats` counter that a checkpoint
+#: carries across a resume (:data:`CHECKPOINTED_COUNTERS`).
+_CHECKPOINTED = {"checkpointed": True}
+
+
 @dataclass
 class BuildStats:
-    """Everything a tree build reports, for experiments and benchmarks."""
+    """Everything a tree build reports, for experiments and benchmarks.
+
+    Every whole-build counter a resumed build must report in full is
+    declared with ``_CHECKPOINTED`` metadata: a checkpoint saves it and a
+    resume restores it, and the resumed run adds its own work on top.
+    ``wall_seconds`` is not among them, since wall time genuinely differs
+    between runs.
+    """
 
     io: IOStats = field(default_factory=IOStats)
     memory: MemoryTracker = field(default_factory=MemoryTracker)
@@ -284,18 +296,20 @@ class BuildStats:
     levels_built: int = 0
     nodes_created: int = 0
     leaves: int = 0
-    splits_resolved_exactly: int = 0
-    linear_splits: int = 0
-    two_level_splits: int = 0
+    splits_resolved_exactly: int = field(default=0, metadata=_CHECKPOINTED)
+    linear_splits: int = field(default=0, metadata=_CHECKPOINTED)
+    two_level_splits: int = field(default=0, metadata=_CHECKPOINTED)
     #: Node ids whose split was committed at the second level of a
     #: two-level pending (CMP-B/CMP).  Those splits compete among the
     #: side sub-matrices' continuous attributes only — categorical
     #: attributes have no per-side histograms — which the verification
     #: harness must know to hold them to the right oracle reference.
-    second_level_node_ids: list[int] = field(default_factory=list)
-    predictions_made: int = 0
-    predictions_correct: int = 0
-    buffer_overflow_rescans: int = 0
+    second_level_node_ids: list[int] = field(
+        default_factory=list, metadata=_CHECKPOINTED
+    )
+    predictions_made: int = field(default=0, metadata=_CHECKPOINTED)
+    predictions_correct: int = field(default=0, metadata=_CHECKPOINTED)
+    buffer_overflow_rescans: int = field(default=0, metadata=_CHECKPOINTED)
     resumed_from_level: int = -1
     #: Chunk-routing workers of the build's scan engine.  Builders that
     #: scan serially, without a scan engine, leave it at 1 whatever
@@ -305,14 +319,17 @@ class BuildStats:
     #: Backend the scan engine actually used ("thread" or "process").
     scan_backend: str = "thread"
     #: Parallel chunk batches dispatched across all scans of the build.
-    parallel_batches: int = 0
+    parallel_batches: int = field(default=0, metadata=_CHECKPOINTED)
     #: Native training-kernel calls made during the build (histogram/
     #: matrix accumulation, gini sweeps, slope walks).  Zero when the
     #: kernels are unavailable or ``CMP_NO_NATIVE=1``.  With the process
     #: backend, calls made inside forked workers ship home as per-kernel
     #: deltas and are folded into the parent tally, so the count matches
     #: the thread backend's.
-    native_kernel_calls: int = 0
+    native_kernel_calls: int = field(default=0, metadata=_CHECKPOINTED)
+    #: The process's native-call tally when ``native_kernel_calls`` was
+    #: last brought up to date (:meth:`add_kernel_calls`).
+    kernel_calls_mark: int = field(default=0, repr=False, compare=False)
     #: Member trees trained by an ensemble build (0 = single-tree build).
     ensemble_members: int = 0
     #: Level scans of the build, each shared by every member tree still
@@ -347,6 +364,16 @@ class BuildStats:
                     self.phase_seconds[name] = (
                         self.phase_seconds.get(name, 0.0) + elapsed
                     )
+
+    def add_kernel_calls(self, tally: int) -> None:
+        """Count the native calls made since the last mark; mark ``tally``.
+
+        ``tally`` is the process-wide count
+        (``native_scan.kernel_calls_total()``), so the build's count
+        grows by the calls made in between.
+        """
+        self.native_kernel_calls += tally - self.kernel_calls_mark
+        self.kernel_calls_mark = tally
 
     @property
     def simulated_ms(self) -> float:
@@ -388,6 +415,12 @@ class BuildStats:
         for name, seconds in sorted(self.phase_seconds.items()):
             out[f"phase_{name}_s"] = round(seconds, 4)
         return out
+
+
+#: The :class:`BuildStats` counters a checkpoint carries across a resume.
+CHECKPOINTED_COUNTERS = tuple(
+    f.name for f in fields(BuildStats) if f.metadata.get("checkpointed")
+)
 
 
 class ServingStats(_CounterBlock):

@@ -166,12 +166,38 @@ class TestCrashResumeEquivalence:
                 result.stats.second_level_node_ids
                 == base.stats.second_level_node_ids
             )
+            assert (
+                result.stats.native_kernel_calls == base.stats.native_kernel_calls
+            )
+            assert result.stats.parallel_batches == base.stats.parallel_batches
             resumed_at.append(result.stats.resumed_from_level)
         # Later kills must resume from later levels (the checkpoint
         # actually advances; -1 = no checkpoint yet, built from scratch).
         assert resumed_at == sorted(resumed_at)
         assert resumed_at[0] == -1
         assert resumed_at[-1] >= 1
+
+    def test_resume_carries_parallel_counters(self, builder_cls, stored, tmp_path):
+        # A resumed build reports the whole build's kernel calls and chunk
+        # batches, not only those of the run after the resume.
+        cfg = CFG.with_(scan_workers=2)
+        base = builder_cls(cfg).build(stored)
+        assert base.stats.parallel_batches > 0
+        ck = tmp_path / "ck.bin"
+        cfg = cfg.with_(checkpoint_path=str(ck), resume=True)
+        for kill in range(2, base.stats.io.scans, 2):
+            ck.unlink(missing_ok=True)
+            with pytest.raises(InjectedCrash):
+                builder_cls(cfg).build(
+                    FaultyDataset(stored, FaultInjector(kill_at_scan=kill))
+                )
+            result = builder_cls(cfg).build(stored)
+            assert result.stats.resumed_from_level >= 0
+            assert tree_to_json(result.tree) == tree_to_json(base.tree)
+            assert (
+                result.stats.native_kernel_calls == base.stats.native_kernel_calls
+            )
+            assert result.stats.parallel_batches == base.stats.parallel_batches
 
     def test_resume_flag_without_checkpoint_builds_from_scratch(
         self, builder_cls, stored, tmp_path
