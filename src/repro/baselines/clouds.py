@@ -218,7 +218,6 @@ class CloudsBuilder(CMPSBuilder):
         p: PendingSplit,
         nid: np.ndarray,
         remap: dict[int, int],
-        next_slot: Callable[[], int],
         account: TreeAccount,
         schema: Schema,
         stats: BuildStats,

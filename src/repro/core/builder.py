@@ -593,16 +593,66 @@ class PendingSplit:
 
     def resolve_exact(self, remap: dict[int, int], account: TreeAccount) -> list:
         """Materialize a split known at decision time; ``(child, part)`` pairs."""
-        lpart, rpart = self.parts
-        if lpart.class_counts.sum() == 0 or rpart.class_counts.sum() == 0:
-            # Degenerate in practice (can happen when the deciding
-            # histogram was approximate at the edges): keep as a leaf.
+        return self.settle(self.exact_split, self.parts, remap, account)
+
+    def fold_regions(self, threshold: float, remap: dict[int, int]) -> list:
+        """Fold each side of ``threshold`` into its first region part.
+
+        A region whose top is at most ``threshold`` lies left of the
+        split, the others right (Figure 4, lines 11-13).  Each side's
+        first part becomes that side's child accumulator in place: the
+        side's other parts merge into it in region order and their slots
+        remap to it.  Both sides always have a region part: the resolved
+        threshold is the best boundary, an edge of the alive interval
+        next to it, or a buffered value above an alive interval's lower
+        edge, so it is at least the first region's top, and the last
+        region's top is ``inf``.  Returns the ``[left, right]`` targets.
+        """
+        sides: tuple[list, list] = ([], [])
+        for part, top in zip(self.parts, self.region_tops()):
+            sides[top > threshold].append(part)
+        targets = []
+        for target, *rest in sides:
+            for part in rest:
+                target.merge_from(part)
+                remap[part.slot] = target.slot
+            targets.append(target)
+        return targets
+
+    def settle(
+        self,
+        split: Split,
+        targets: list,
+        remap: dict[int, int],
+        account: TreeAccount,
+        nid: np.ndarray | None = None,
+        buffered: tuple | None = None,
+        threshold: float = np.nan,
+    ) -> list:
+        """The one resolve tail: deal the buffer, then commit or collapse.
+
+        ``buffered`` is :meth:`buffered`'s tuple; each of its records
+        goes to ``targets[0]`` when its split-axis value is at most
+        ``threshold`` and to ``targets[1]`` otherwise, and its new slot
+        is written to ``nid``.  A side left empty collapses the node (in
+        practice only when the deciding histogram was approximate at the
+        edges); otherwise ``split`` becomes the node's split and the
+        targets its children's parts.  Returns ``(child, part)`` pairs.
+        """
+        if buffered is not None and len(buffered[1]):
+            Xb, yb, rids, vals = buffered
+            goes_left = vals <= threshold
+            for part, m in zip(targets, (goes_left, ~goes_left)):
+                part.update(Xb[m], yb[m])
+                nid[rids[m]] = part.slot
+        left, right = targets
+        if left.class_counts.sum() == 0 or right.class_counts.sum() == 0:
             return self.collapse(remap)
         node = self.node
-        node.split = self.exact_split
-        node.left = account.new_node(node.depth + 1, lpart.class_counts.copy())
-        node.right = account.new_node(node.depth + 1, rpart.class_counts.copy())
-        return [(node.left, lpart), (node.right, rpart)]
+        node.split = split
+        node.left = account.new_node(node.depth + 1, left.class_counts.copy())
+        node.right = account.new_node(node.depth + 1, right.class_counts.copy())
+        return [(node.left, left), (node.right, right)]
 
     def scan_delta(self) -> "PendingSplit":
         """Structural clone with empty accumulators (one worker's delta).
@@ -1139,7 +1189,6 @@ class LevelBuilder(TreeBuilder):
         p: PendingSplit,
         nid: np.ndarray,
         remap: dict[int, int],
-        next_slot: Callable[[], int],
         account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
@@ -1410,9 +1459,7 @@ class LevelBuilder(TreeBuilder):
             remap: dict[int, int] = {}
             done = []
             for p in m.pendings.values():
-                kids = m.builder._resolve(
-                    p, m.nid, remap, m.next_slot, m.account, schema, stats
-                )
+                kids = m.builder._resolve(p, m.nid, remap, m.account, schema, stats)
                 todo.extend((m, child, part) for child, part in kids)
                 # What the ledger replay needs of each child, so its part
                 # can be freed as soon as it is decided.

@@ -677,7 +677,6 @@ class CMPBBuilder(LevelBuilder):
         p: BPending,
         nid: np.ndarray,
         remap: dict[int, int],
-        next_slot: Callable[[], int],
         account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
@@ -688,37 +687,15 @@ class CMPBBuilder(LevelBuilder):
             return self._resolve_two_level(p, nid, remap, account, schema, stats)
         if p.exact_split is not None:
             return p.resolve_exact(remap, account)
-
-        Xb, yb, rids, buf_vals = p.buffered()
-        res = resolve_exact_threshold(*p.estimate(), buf_vals, yb)
+        buffered = p.buffered()
+        res = resolve_exact_threshold(*p.estimate(), buffered[3], buffered[1])
         if res is None:
             return p.collapse(remap)
         if res.from_buffer:
             stats.splits_resolved_exactly += 1
-        threshold = res.threshold
-
-        base = p.parts[0]
-        x_attr, edges = base.mset.x_attr, self._edges_of(base.mset)
-        left = BPart(next_slot(), MatrixSet.create(schema, x_attr, edges), base.predicted)
-        right = BPart(
-            next_slot(), MatrixSet.create(schema, x_attr, edges), p.parts[-1].predicted
-        )
-        for part, hi in zip(p.parts, p.region_tops()):
-            target = left if hi <= threshold else right
-            target.merge_from(part)
-            remap[part.slot] = target.slot
-        if len(yb):
-            goes_left = buf_vals <= threshold
-            for target, m in ((left, goes_left), (right, ~goes_left)):
-                target.update(Xb[m], yb[m])
-                nid[rids[m]] = target.slot
-        if left.class_counts.sum() == 0 or right.class_counts.sum() == 0:
-            return p.collapse(remap)
-        node = p.node
-        node.split = NumericSplit(p.attr, threshold, n_candidates=res.n_candidates)
-        node.left = account.new_node(node.depth + 1, left.class_counts.copy())
-        node.right = account.new_node(node.depth + 1, right.class_counts.copy())
-        return [(node.left, left), (node.right, right)]
+        split = NumericSplit(p.attr, res.threshold, n_candidates=res.n_candidates)
+        targets = p.fold_regions(res.threshold, remap)
+        return p.settle(split, targets, remap, account, nid, buffered, res.threshold)
 
     def _resolve_linear(
         self,
@@ -737,14 +714,11 @@ class CMPBBuilder(LevelBuilder):
         buffered prefix.
         """
         assert p.linear is not None
-        node = p.node
         under, above = p.parts
-        assert under.mset.class_counts is not None
-        assert above.mset.class_counts is not None
-        Xb, yb, rids, w = p.buffered()
+        buffered = Xb, yb, rids, w = p.buffered()
         buf_counts = np.bincount(yb, minlength=schema.n_classes).astype(np.float64)
-        base = under.mset.class_counts
-        totals = base + above.mset.class_counts + buf_counts
+        base = under.class_counts
+        totals = base + above.class_counts + buf_counts
 
         cut_thr, cut_left = prefix_cuts(
             w, yb, base, schema.n_classes, include_last=True
@@ -758,23 +732,11 @@ class CMPBBuilder(LevelBuilder):
             p.linear.attr_x, p.linear.attr_y, b=p.linear.b,
             c=threshold, a=p.linear.a,
         )
-        if len(yb):
-            goes_left = w <= threshold
-            for part, m in ((under, goes_left), (above, ~goes_left)):
-                part.update(Xb[m], yb[m])
-                nid[rids[m]] = part.slot
-        if (
-            under.mset.class_counts.sum() == 0
-            or above.mset.class_counts.sum() == 0
-        ):
-            return p.collapse(remap)
-        stats.linear_splits += 1
-        stats.splits_resolved_exactly += 1
-        node.split = split
-        leftn = account.new_node(node.depth + 1, under.mset.class_counts.copy())
-        rightn = account.new_node(node.depth + 1, above.mset.class_counts.copy())
-        node.left, node.right = leftn, rightn
-        return [(leftn, under), (rightn, above)]
+        kids = p.settle(split, p.parts, remap, account, nid, buffered, threshold)
+        if kids:
+            stats.linear_splits += 1
+            stats.splits_resolved_exactly += 1
+        return kids
 
     def _resolve_two_level(
         self,
@@ -933,12 +895,3 @@ class CMPBBuilder(LevelBuilder):
         assert lpart.mset.class_counts is not None
         child = account.new_node(parent_depth + 1, lpart.mset.class_counts.copy())
         return child, [(child, lpart)]
-
-    # ------------------------------------------------------------------ misc
-
-    @staticmethod
-    def _edges_of(mset: MatrixSet) -> dict[int, np.ndarray]:
-        edges = {mset.x_attr: mset.x_edges}
-        for j, m in mset.matrices.items():
-            edges[j] = m.y_edges
-        return edges

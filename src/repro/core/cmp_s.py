@@ -184,7 +184,6 @@ class CMPSBuilder(LevelBuilder):
         p: PendingSplit,
         nid: np.ndarray,
         remap: dict[int, int],
-        next_slot: Callable[[], int],
         account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
@@ -192,36 +191,12 @@ class CMPSBuilder(LevelBuilder):
         """Materialize a pending split; returns the children to decide on."""
         if p.exact_split is not None:
             return p.resolve_exact(remap, account)
-
-        Xb, yb, rids, buf_vals = p.buffered()
-        res = resolve_exact_threshold(*p.estimate(), buf_vals, yb)
+        buffered = p.buffered()
+        res = resolve_exact_threshold(*p.estimate(), buffered[3], buffered[1])
         if res is None:
             return p.collapse(remap)
         if res.from_buffer:
             stats.splits_resolved_exactly += 1
-        threshold = res.threshold
-
-        left = PartState(next_slot(), schema.n_classes, make_part_hists(schema, p.child_edges))
-        right = PartState(next_slot(), schema.n_classes, make_part_hists(schema, p.child_edges))
-        for part, hi in zip(p.parts, p.region_tops()):
-            side = left if hi <= threshold else right
-            side.merge_from(part)
-            remap[part.slot] = side.slot
-
-        if len(yb):
-            goes_left = buf_vals <= threshold
-            left.update(Xb[goes_left], yb[goes_left])
-            right.update(Xb[~goes_left], yb[~goes_left])
-            nid[rids[goes_left]] = left.slot
-            nid[rids[~goes_left]] = right.slot
-
-        if left.class_counts.sum() == 0 or right.class_counts.sum() == 0:
-            # Defensive: candidate validation should prevent this.
-            remap[left.slot] = remap[right.slot] = p.parent_slot
-            return p.collapse(remap)
-
-        node = p.node
-        node.split = NumericSplit(p.attr, threshold, n_candidates=res.n_candidates)
-        node.left = account.new_node(node.depth + 1, left.class_counts)
-        node.right = account.new_node(node.depth + 1, right.class_counts)
-        return [(node.left, left), (node.right, right)]
+        split = NumericSplit(p.attr, res.threshold, n_candidates=res.n_candidates)
+        targets = p.fold_regions(res.threshold, remap)
+        return p.settle(split, targets, remap, account, nid, buffered, res.threshold)

@@ -130,13 +130,10 @@ def gini_slope_walk(counts: np.ndarray) -> tuple[float, GridLine]:
 
     Returns the best (lowest) three-way gini seen along the walk and the
     line achieving it.  Flip the matrix's Y axis before calling to obtain
-    ``giniPositiveSlope``.
+    ``giniPositiveSlope``.  This is the reference that the native
+    ``cmp_slope_walks`` (:func:`_walks`) reproduces.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    native = native_scan.slope_walk(counts, _MAX_STEPS)
-    if native is not None:
-        best_gini, bx, by = native
-        return best_gini, GridLine(bx, by)
     scratch = _WalkScratch(counts)
     qx, qy = scratch.qx, scratch.qy
     # An intercept beyond qx + qy can no longer change which cells the line

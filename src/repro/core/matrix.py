@@ -152,14 +152,16 @@ class HistogramMatrix:
         """``(qx, c)`` class counts of x intervals."""
         return self.counts.sum(axis=1)
 
-    def merge_from(self, other: "HistogramMatrix") -> None:
+    def merge_from(self, other: "HistogramMatrix") -> bool:
         """Accumulate another matrix with identical structure (widening
-        out of the narrow dtype first when the sum could overflow it)."""
+        out of the narrow dtype first when the sum could overflow it).
+        Returns True when widening replaced the count cube."""
         if other.counts.shape != self.counts.shape:
             raise ValueError("matrices must share shape to merge")
-        self._widen_for(other._n_added)
+        widened = self._widen_for(other._n_added)
         self.counts += other.counts
         self.y_stats.merge_from(other.y_stats)
+        return widened
 
 
 def pseudo_histogram(
@@ -368,7 +370,7 @@ class MatrixSet:
         self.class_counts += other.class_counts
         self.x_stats.merge_from(other.x_stats)
         for j, m in self.matrices.items():
-            m.merge_from(other.matrices[j])
+            if m.merge_from(other.matrices[j]):
+                self._plan = None
         for j, h in self.categorical.items():
             h.merge_from(other.categorical[j])
-        self._plan = None  # a cube may have widened

@@ -22,9 +22,8 @@ resolve phase:
                         split of a tree level.
 ``cmp_requantile``      every child grid of one node, re-quantiled from
                         the parent's histograms.
-``cmp_slope_walk``      the full Figure-12 greedy intercept walk.
-``cmp_slope_walks``     every intercept walk of one matrix set: each
-                        matrix decimated, both slopes.
+``cmp_slope_walks``     every Figure-12 greedy intercept walk of one
+                        matrix set: each matrix decimated, both slopes.
 ``cmp_route``           a compiled tree's leaf index per record.
 ``cmp_forest_score``    a packed forest's summed leaf values per record.
 ======================  ===================================================
@@ -839,17 +838,6 @@ static void row_prefix(const double *grid, int64_t qx, int64_t qy, int64_t c,
     }
 }
 
-/* One walk over a float64 (qx, qy, c) grid whose counts the caller has
- * checked (slope_walk's exactness precondition).  scratch holds
- * qx*(qy+1)*c + 4*c doubles; out receives {best_gini, best_x, best_y}. */
-void cmp_slope_walk(int64_t qx, int64_t qy, int64_t c, const double *counts,
-                    int64_t max_steps, double *scratch, double *out)
-{
-    double *pre = scratch + 4 * c;
-    row_prefix(counts, qx, qy, c, 0, pre);
-    slope_walk(pre, qx, qy, c, max_steps, scratch, out);
-}
-
 /* Count e of a slope_walks plan row's cube, by the row's kind. */
 static double cube_count(const int64_t *p, int64_t e)
 {
@@ -1021,7 +1009,6 @@ _SIGNATURES = {
     "boundary_ginis": (None, [_I64, _I64, _PTR, _PTR, _PTR, _PTR]),
     "subset_splits": (ctypes.c_int, [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]),
     "requantile": (None, [_I64, _PTR, _I64, _PTR, _PTR, _PTR]),
-    "slope_walk": (None, [_I64, _I64, _I64, _PTR, _I64, _PTR, _PTR]),
     "slope_walks": (ctypes.c_int, [_I64, _PTR, _I64, _I64, _PTR, _PTR]),
     "route": (None, [_I64, _I64] + [_PTR] * 14),
     "forest_score": (None, [_I64, _I64, _PTR, _I64] + [_PTR] * 14 + [_I64, _PTR, _PTR, _PTR]),

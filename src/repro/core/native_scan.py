@@ -521,40 +521,6 @@ def boundary_ginis(cum: np.ndarray, totals: np.ndarray) -> np.ndarray | None:
     return out
 
 
-def slope_walk(
-    counts: np.ndarray, max_steps: int
-) -> tuple[float, float, float] | None:
-    """Native intercept walk: ``(best_gini, best_x, best_y)`` or ``None``.
-
-    Requires finite, non-negative, integer-valued counts totalling below
-    2**26 — the exactness precondition under which every partition sum
-    *and* every sum of squared partition sizes (``v @ v``, bounded by the
-    squared total) is exactly representable, making the C walk's
-    accumulation order irrelevant and its result bit-identical to numpy's.
-    (Builder matrices always qualify; arbitrary float counts fall back.)
-    """
-    fns = native._resolve()
-    if fns is None:
-        return None
-    if counts.ndim != 3:
-        return None
-    counts = np.ascontiguousarray(counts, dtype=np.float64)
-    if not np.all(np.isfinite(counts)):
-        return None
-    if not np.array_equal(counts, np.trunc(counts)):
-        return None
-    if counts.size and (counts.min() < 0.0 or counts.sum() >= 2.0**26):
-        return None
-    qx, qy, c = counts.shape
-    out = np.empty(3, dtype=np.float64)
-    scratch = np.empty(qx * (qy + 1) * c + 4 * c, dtype=np.float64)
-    fns["slope_walk"](
-        qx, qy, c, counts.ctypes.data, max_steps, scratch.ctypes.data, out.ctypes.data
-    )
-    _count("slope_walk")
-    return float(out[0]), float(out[1]), float(out[2])
-
-
 #: Count dtypes :func:`slope_walks` reads, by the kernel's kind code.
 _CUBE_KINDS = {np.dtype(np.float64): 0, np.dtype(np.int32): 1, np.dtype(np.int64): 2}
 
@@ -570,8 +536,12 @@ def slope_walks(
     each cube and walks it and its Y-flipped copy; row ``m`` of the
     ``(n, 2, 3)`` result holds ``(gini, x, y)`` of both walks, unflipped
     first.  Declines, before walking anything, when a cube falls outside
-    :func:`slope_walk`'s exactness envelope.  Counts two ``slope_walk``
-    calls per matrix, one per walk.
+    the walk's exactness envelope: finite, non-negative, integer-valued
+    counts totalling below 2**26, under which every partition sum *and*
+    every sum of squared partition sizes (bounded by the squared total)
+    is exactly representable, so the C walk's accumulation order is
+    irrelevant and its result bit-identical to numpy's.  Counts two
+    ``slope_walk`` calls per matrix, one per walk.
     """
     fns = native._resolve()
     if fns is None or not cubes:
@@ -710,7 +680,6 @@ __all__ = [
     "mset_plan",
     "fused_accum",
     "boundary_ginis",
-    "slope_walk",
     "slope_walks",
     "subset_splits",
     "requantile",

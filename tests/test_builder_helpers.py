@@ -11,21 +11,30 @@ from hypothesis import strategies as st
 from repro.baselines.rainforest import RainForestBuilder
 from repro.baselines.sliq import SliqBuilder
 from repro.baselines.sprint import SprintBuilder
+from repro.baselines.clouds import CloudsBuilder
 from repro.core.builder import (
     PartState,
     PendingSplit,
     RecordBuffer,
     ResolvedThreshold,
     adaptive_intervals,
+    apply_remap,
     classify_zones,
     make_part_hists,
     resolve_exact_threshold,
     zone_boundaries,
 )
+from repro.core.checkpoint import SlotCounter
+from repro.core.cmp_b import CMPBBuilder
+from repro.core.cmp_full import CMPBuilder
 from repro.core.cmp_s import CMPSBuilder
 from repro.core.gini import gini_partition
+from repro.core.matrix import MatrixSet
 from repro.core.splits import CategoricalSplit, NumericSplit
-from repro.core.tree import Node
+from repro.core.tree import Node, TreeAccount
+from repro.data.synthetic import generate_agrawal
+from repro.ensemble import BaggedForestBuilder
+from repro.eval.experiments import default_config
 from repro.data.schema import Schema, categorical, continuous
 from repro.io.pager import ScanChunk
 
@@ -275,6 +284,117 @@ class TestResolveExactThreshold:
             right = np.bincount(labels[values > cand], minlength=2)
             best = min(best, gini_partition(left, right))
         assert res.gini == pytest.approx(best)
+
+
+def estimated_pending(region_rows, buffered_rows):
+    """An estimated pending on attribute 0 with alive intervals (1, 2] and
+    (5, 6]: three region parts filled from ``region_rows`` and a buffer
+    holding ``buffered_rows``, each row ``(value, label)``."""
+    edges = {0: np.array([0.0, 3.0]), 1: np.array([0.0])}
+    alive = [(1.0, 2.0), (5.0, 6.0)]
+    p = PendingSplit(
+        node=Node(0, 0, np.zeros(2)),
+        parent_slot=0,
+        attr=0,
+        alive_bounds=alive,
+        zone_bounds=zone_boundaries(alive),
+        parts=[
+            PartState(slot, 2, make_part_hists(ROUTE_SCHEMA, edges))
+            for slot in (1, 2, 3)
+        ],
+    )
+    for part, rows in zip(p.parts, region_rows):
+        if rows:
+            X = np.array([[v, 0.0, 0.0] for v, __ in rows])
+            part.update(X, np.array([c for __, c in rows]))
+    X = np.array([[v, 0.0, 0.0] for v, __ in buffered_rows]).reshape(-1, 3)
+    rids = np.arange(len(buffered_rows))
+    p.buffer.append(X, np.array([c for __, c in buffered_rows], dtype=np.int64), rids)
+    return p
+
+
+class TestResolveFoldsInPlace:
+    """Resolution folds the region parts into two of them; nothing new."""
+
+    def test_sides_fold_into_their_first_region_part(self):
+        p = estimated_pending(
+            [[(0.5, 0)], [(3.0, 1), (4.0, 1)], [(7.0, 1)]], [(1.5, 0), (5.5, 1)]
+        )
+        first, middle, last = p.parts
+        remap, nid = {}, np.zeros(2, dtype=np.int64)
+        targets = p.fold_regions(2.0, remap)
+        assert targets[0] is first and targets[1] is middle
+        assert remap == {last.slot: middle.slot}
+        kids = p.settle(
+            NumericSplit(0, 2.0), targets, remap, TreeAccount(), nid, p.buffered(), 2.0
+        )
+        assert [part for __, part in kids] == [first, middle]
+        np.testing.assert_array_equal(nid, [first.slot, middle.slot])
+        np.testing.assert_array_equal(p.node.left.class_counts, [2.0, 0.0])
+        np.testing.assert_array_equal(p.node.right.class_counts, [0.0, 4.0])
+        np.testing.assert_array_equal(middle.hists[0].counts.sum(axis=0), [0.0, 4.0])
+
+    def test_empty_side_collapses_to_the_parent_slot(self):
+        # Only the right side holds records: every buffered value lies in
+        # (5, 6] and region 0 is empty.
+        p = estimated_pending([[], [(3.0, 0)], [(7.0, 1)]], [(5.5, 1), (5.8, 0)])
+        remap, nid = {}, np.full(2, p.parent_slot, dtype=np.int64)
+        targets = p.fold_regions(2.0, remap)
+        kids = p.settle(
+            NumericSplit(0, 2.0), targets, remap, TreeAccount(), nid, p.buffered(), 2.0
+        )
+        assert kids == []
+        assert p.node.split is None and p.node.left is None
+        assert remap == {part.slot: p.parent_slot for part in p.parts}
+        apply_remap(nid, remap)
+        np.testing.assert_array_equal(nid, [p.parent_slot] * 2)
+
+
+class TestResolveAllocatesNothing:
+    """No builder's ``_resolve`` creates an accumulator or draws a slot."""
+
+    @pytest.mark.parametrize("builder", ["CMP-S", "CMP-B", "CMP", "CLOUDS", "bagged"])
+    def test_build(self, builder, monkeypatch):
+        inside = [0]
+        made = []
+
+        def spy(owner, name, label):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                if inside[0]:
+                    made.append(label)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(PartState, "__init__", "PartState")
+        spy(MatrixSet, "create", "MatrixSet.create")
+        spy(SlotCounter, "__call__", "slot")
+        resolved = [0]
+        for owner in (CMPSBuilder, CMPBBuilder, CloudsBuilder):
+            original = owner._resolve
+
+            def resolve(self, *args, _original=original):
+                inside[0] += 1
+                resolved[0] += 1
+                try:
+                    return _original(self, *args)
+                finally:
+                    inside[0] -= 1
+
+            monkeypatch.setattr(owner, "_resolve", resolve)
+        cfg = default_config()
+        make = {
+            "CMP-S": lambda: CMPSBuilder(cfg),
+            "CMP-B": lambda: CMPBBuilder(cfg),
+            "CMP": lambda: CMPBuilder(cfg),
+            "CLOUDS": lambda: CloudsBuilder(cfg),
+            "bagged": lambda: BaggedForestBuilder(cfg, n_trees=2),
+        }[builder]
+        make().build(generate_agrawal("F7", 20_000, seed=1))
+        assert resolved[0] > 0
+        assert made == []
 
 
 class TestSerialScanAccounting:

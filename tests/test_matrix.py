@@ -411,6 +411,24 @@ class TestPlanLifecycle:
         a.update(*b[2])
         assert_msets_equal(a, self.reference(b))
 
+    def test_update_after_narrow_merge_keeps_plan(self):
+        b = self.batches()
+        a = MatrixSet.create(schema3(), 0, edges3())
+        a.update(*b[0])
+        plan = a._plan
+        other = MatrixSet.create(schema3(), 0, edges3())
+        other.update(*b[1])
+        a.merge_from(other)  # no cube widens: the plan stays valid
+        assert a._plan is plan
+        before = native_scan.kernel_counts()["matrix_accum"]
+        a.update(*b[2])
+        if native_scan.available():
+            assert (
+                native_scan.kernel_counts()["matrix_accum"]
+                == before + len(a.matrices)
+            )
+        assert_msets_equal(a, self.reference(b))
+
     def test_update_widening_mid_stream(self, monkeypatch):
         monkeypatch.setattr(matrix, "_NARROW_MAX", 300)
         b = self.batches()

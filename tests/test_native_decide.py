@@ -307,12 +307,7 @@ class TestSlopeWalks:
     @given(st.integers(2, 5).flatmap(lambda c: walk_matrices(c, max_axis=20)))
     @settings(max_examples=40, deadline=None)
     def test_single_walk_matches_numpy(self, m):
-        counts = np.asarray(m.counts, dtype=np.float64)
-        for view in (counts, counts[:, ::-1, :]):
-            with native_scan.force_numpy():
-                ref_g, ref_line = gini_slope_walk(view)
-            g, line = gini_slope_walk(view)
-            assert (g, line) == (ref_g, ref_line)
+        check_walks([m])
 
     @given(matrix_sets(max_matrices=3, max_axis=30))
     @settings(max_examples=40, deadline=None)

@@ -29,7 +29,6 @@ from repro.core import native_build, native_scan
 from repro.core.builder import PartState
 from repro.core.gini import _boundary_ginis_numpy, boundary_ginis
 from repro.core.histogram import CategoryHistogram, ClassHistogram
-from repro.core.linear import GridLine, gini_slope_walk
 from repro.core.matrix import HistogramMatrix, MatrixSet
 from repro.data.discretize import bin_index
 from repro.data.schema import Schema, continuous
@@ -562,39 +561,16 @@ class TestBoundaryGinis:
 
 
 class TestSlopeWalk:
-    def test_matches_python_walk(self, rng):
-        for _ in range(30):
-            qx = int(rng.integers(2, 12))
-            qy = int(rng.integers(2, 12))
-            c = int(rng.integers(2, 5))
-            counts = rng.integers(0, 25, size=(qx, qy, c)).astype(np.float64)
-            with native_scan.force_numpy():
-                ref_gini, ref_line = gini_slope_walk(counts)
-            got_gini, got_line = gini_slope_walk(counts)
-            assert got_gini == ref_gini
-            assert (got_line.x, got_line.y) == (ref_line.x, ref_line.y)
-
-    def test_flipped_view_matches(self, rng):
-        counts = rng.integers(0, 10, size=(6, 7, 2)).astype(np.float64)
-        flipped = counts[:, ::-1, :]  # giniPositiveSlope's view
-        with native_scan.force_numpy():
-            ref = gini_slope_walk(flipped)
-        got = gini_slope_walk(flipped)
-        assert got[0] == ref[0]
-        assert isinstance(got[1], GridLine)
-
     def test_declines_outside_exactness_envelope(self):
-        fractional = np.full((3, 3, 2), 0.5)
-        assert native_scan.slope_walk(fractional, 16) is None
-        negative = np.full((3, 3, 2), -1.0)
-        assert native_scan.slope_walk(negative, 16) is None
+        # Fractional, negative and int64 over-total cubes:
+        # tests/test_native_decide.py.
         nan = np.zeros((3, 3, 2))
         nan[0, 0, 0] = np.nan
-        assert native_scan.slope_walk(nan, 16) is None
+        assert native_scan.slope_walks([(nan, 1, 1)], 16) is None
         huge = np.zeros((3, 3, 2))
         huge[0, 0, 0] = 2.0**27
-        assert native_scan.slope_walk(huge, 16) is None
-        assert native_scan.slope_walk(np.zeros((2, 2)), 16) is None
+        assert native_scan.slope_walks([(huge, 1, 1)], 16) is None
+        assert native_scan.slope_walks([(np.zeros((2, 2)), 1, 1)], 16) is None
 
 
 # ---------------------------------------------------------------------------

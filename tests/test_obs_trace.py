@@ -272,15 +272,18 @@ class TestContinuity:
         assert grafted.duration_s == pytest.approx(orig.duration_s)
 
     def test_span_from_dict_round_trip(self):
-        tracer = Tracer()
-        with tracer.span("x", key="v"):
-            pass
-        sp = tracer.spans()[0]
-        back = span_from_dict(sp.to_dict())
+        # to_dict rounds times to 1 ns, so the span's start and duration
+        # are whole nanoseconds that binary floats also hold exactly.
+        sp = Span("x", 3, 1, 100.0, "main", {"key": "v"})
+        sp.end_s = 100.0 + 2.0**-9
+        d = sp.to_dict()
+        back = span_from_dict(d)
         assert back.name == sp.name
         assert back.span_id == sp.span_id
+        assert back.parent_id == sp.parent_id
         assert back.attrs == sp.attrs
         assert back.duration_s == pytest.approx(sp.duration_s)
+        assert span_from_dict(d).to_dict() == d
 
     def test_null_tracer_context_and_graft_are_noops(self):
         nt = NullTracer()
