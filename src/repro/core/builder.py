@@ -495,8 +495,10 @@ class PendingSplit:
     ``len(alive_bounds) + 1`` preliminary parts, alive-interval records are
     buffered, and the threshold is resolved after the scan.
 
-    ``parts`` hold :class:`PartState` for CMP-S; CMP-B's subclass holds
-    matrix parts.  ``child_edges`` are the CMP-S children's grids.
+    ``parts`` hold :class:`PartState` for CMP-S and matrix parts for
+    CMP-B, whose per-side second splits are plain pendings too (their
+    ``node`` is set when the side's child is made at resolution).
+    ``child_edges`` are the CMP-S children's grids.
     """
 
     node: Node
@@ -631,20 +633,14 @@ class PendingSplit:
     ) -> list:
         """The one resolve tail: deal the buffer, then commit or collapse.
 
-        ``buffered`` is :meth:`buffered`'s tuple; each of its records
-        goes to ``targets[0]`` when its split-axis value is at most
-        ``threshold`` and to ``targets[1]`` otherwise, and its new slot
-        is written to ``nid``.  A side left empty collapses the node (in
-        practice only when the deciding histogram was approximate at the
-        edges); otherwise ``split`` becomes the node's split and the
-        targets its children's parts.  Returns ``(child, part)`` pairs.
+        ``buffered`` (when given) is dealt into ``targets`` by
+        :meth:`deal`.  A side left empty collapses the node (in practice
+        only when the deciding histogram was approximate at the edges);
+        otherwise ``split`` becomes the node's split and the targets its
+        children's parts.  Returns ``(child, part)`` pairs.
         """
-        if buffered is not None and len(buffered[1]):
-            Xb, yb, rids, vals = buffered
-            goes_left = vals <= threshold
-            for part, m in zip(targets, (goes_left, ~goes_left)):
-                part.update(Xb[m], yb[m])
-                nid[rids[m]] = part.slot
+        if buffered is not None:
+            self.deal(targets, nid, buffered, threshold)
         left, right = targets
         if left.class_counts.sum() == 0 or right.class_counts.sum() == 0:
             return self.collapse(remap)
@@ -653,6 +649,21 @@ class PendingSplit:
         node.left = account.new_node(node.depth + 1, left.class_counts.copy())
         node.right = account.new_node(node.depth + 1, right.class_counts.copy())
         return [(node.left, left), (node.right, right)]
+
+    def deal(
+        self, targets: list, nid: np.ndarray, buffered: tuple, threshold: float
+    ) -> None:
+        """Deal :meth:`buffered`'s records into the ``[left, right]`` targets.
+
+        A record goes left when its split-axis value is at most
+        ``threshold``; its new slot is written to ``nid``.
+        """
+        Xb, yb, rids, vals = buffered
+        if len(yb):
+            goes_left = vals <= threshold
+            for part, m in zip(targets, (goes_left, ~goes_left)):
+                part.update(Xb[m], yb[m])
+                nid[rids[m]] = part.slot
 
     def scan_delta(self) -> "PendingSplit":
         """Structural clone with empty accumulators (one worker's delta).

@@ -30,7 +30,7 @@ Mechanics on top of CMP-S:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Generator
 
 import numpy as np
@@ -39,7 +39,6 @@ from repro.core.builder import (
     Decision,
     LevelBuilder,
     PendingSplit,
-    RecordBuffer,
     adaptive_intervals,
     alive_run_bounds,
     best_cut,
@@ -47,6 +46,7 @@ from repro.core.builder import (
     estimated_fields,
     prefix_cuts,
     resolve_exact_threshold,
+    zone_boundaries,
 )
 from repro.core.gini import gini
 from repro.core.histogram import CategoryHistogram, ClassHistogram, SubsetSplit
@@ -84,7 +84,6 @@ class BPart:
 
     slot: int
     mset: MatrixSet
-    predicted: bool
     marginals: dict[int, ClassHistogram] | None = field(
         default=None, repr=False, compare=False
     )
@@ -104,7 +103,7 @@ class BPart:
 
     def clone_empty(self) -> "BPart":
         """Structural copy with zeroed matrices (a worker's scan delta)."""
-        return BPart(self.slot, self.mset.clone_empty(), self.predicted)
+        return BPart(self.slot, self.mset.clone_empty())
 
     def merge_from(self, other: "BPart") -> None:
         """Fold another part's counts into this one (exact, associative)."""
@@ -112,53 +111,18 @@ class BPart:
 
 
 @dataclass
-class SecondSplit:
-    """Per-side second split of a two-level pending.
+class Side:
+    """One half of a two-level pending's first split.
 
-    Either ``exact_split`` is set (boundary split, no alive interval) or
-    the split is estimated around a single alive run ``(alive_lo,
-    alive_hi]`` of the side's grid along ``attr``; ``aux_hist`` (on the
-    parent-grid edges of ``attr``) accumulates the side's non-buffered
-    records so the exact threshold can be resolved without re-deriving the
-    side's marginals.
+    ``second`` is the side's second split (Figure 10, line 18): a
+    :class:`PendingSplit` over two parts, exact or estimated around one
+    alive run, that routes, buffers and takes scan deltas as any pending
+    does.  Its node is the side's child, made when the side resolves;
+    its ``parent_slot`` is its first part's, which a failed second split
+    folds into.
     """
 
-    attr: int
-    parts: list[BPart]
-    exact_split: NumericSplit | None = None
-    alive_lo: float = np.nan
-    alive_hi: float = np.nan
-    run_i0: int = -1
-    run_i1: int = -1
-    aux_hist: ClassHistogram | None = None
-    buffer: RecordBuffer = field(default_factory=RecordBuffer)
-
-    def scan_delta(self) -> "SecondSplit":
-        """Structural clone with empty accumulators (worker-private)."""
-        return replace(
-            self,
-            parts=[part.clone_empty() for part in self.parts],
-            aux_hist=(
-                self.aux_hist.clone_empty() if self.aux_hist is not None else None
-            ),
-            buffer=RecordBuffer(budget_bytes=self.buffer.budget_bytes),
-        )
-
-    def merge_scan_delta(self, delta: "SecondSplit") -> None:
-        """Fold one worker's delta in; callers merge in chunk order."""
-        for part, dpart in zip(self.parts, delta.parts):
-            part.merge_from(dpart)
-        if self.aux_hist is not None:
-            assert delta.aux_hist is not None
-            self.aux_hist.merge_from(delta.aux_hist)
-        self.buffer.extend_from(delta.buffer)
-
-
-@dataclass
-class Side:
-    """One half of a two-level pending's first split."""
-
-    second: SecondSplit | None
+    second: PendingSplit | None
     part: BPart | None  # the side's single part when ``second`` is None
 
     def parts(self) -> list[BPart]:
@@ -172,30 +136,12 @@ class Side:
         self, X: np.ndarray, y: np.ndarray, rids: np.ndarray, nid: np.ndarray
     ) -> None:
         """Route the records that fell on this side into its parts."""
-        if self.second is None:
-            assert self.part is not None
-            self.part.update(X, y)
-            nid[rids] = self.part.slot
+        if self.second is not None:
+            self.second.route(X, y, rids, nid)
             return
-        sec = self.second
-        if sec.exact_split is not None:
-            left = sec.exact_split.goes_left(X)
-            for part, m in zip(sec.parts, (left, ~left)):
-                part.update(X[m], y[m])
-                nid[rids[m]] = part.slot
-            return
-        v = X[:, sec.attr]
-        zones = classify_zones(v, np.array([sec.alive_lo, sec.alive_hi]))
-        buffered = zones == 1
-        if buffered.any():
-            sec.buffer.append(X[buffered], y[buffered], rids[buffered])
-        assert sec.aux_hist is not None
-        sec.aux_hist.update(v[~buffered], y[~buffered])
-        for r, part in enumerate(sec.parts):
-            m = zones == 2 * r
-            if m.any():
-                part.update(X[m], y[m])
-                nid[rids[m]] = part.slot
+        assert self.part is not None
+        self.part.update(X, y)
+        nid[rids] = self.part.slot
 
     def scan_delta(self) -> "Side":
         """Structural clone with empty accumulators (worker-private)."""
@@ -274,7 +220,7 @@ class BPending(PendingSplit):
         """Structural clone with empty accumulators (one worker's delta).
 
         Covers all four routing paths — exact, estimated, two-level and
-        linear; the sides' parts, aux histograms and buffers are fresh too.
+        linear; the sides' parts and buffers are fresh too.
         """
         delta = super().scan_delta()
         delta.sides = [side.scan_delta() for side in self.sides]
@@ -285,14 +231,6 @@ class BPending(PendingSplit):
         super().merge_scan_delta(delta)
         for side, dside in zip(self.sides, delta.sides):
             side.merge_scan_delta(dside)
-
-    def delta_nbytes(self) -> int:
-        """Bytes one fresh scan delta occupies (buffers start empty)."""
-        total = self.parts_nbytes()
-        for side in self.sides:
-            if side.second is not None and side.second.aux_hist is not None:
-                total += side.second.aux_hist.nbytes()
-        return total
 
     def buffer_nbytes(self) -> int:
         """Bytes buffered by the first split and every second split."""
@@ -331,7 +269,7 @@ class CMPBBuilder(LevelBuilder):
         """Root matrices (Figure 10, line 03) on a random X axis (§2.2)."""
         cont = schema.continuous_indices()
         root_x = int(cont[rng.integers(0, len(cont))])
-        return BPart(0, MatrixSet.create(schema, root_x, root_edges), False)
+        return BPart(0, MatrixSet.create(schema, root_x, root_edges))
 
     # ------------------------------------------------------------------ decide
 
@@ -386,7 +324,8 @@ class CMPBBuilder(LevelBuilder):
         best_cat_gini, best_cat = best_categorical_split(answers)
 
         # Prediction accounting: was the X axis the attribute that wins?
-        if part.predicted:
+        # Every part but the root's was given a predicted X axis.
+        if node.depth > 0:
             stats.predictions_made += 1
             chosen = (
                 winner.attr
@@ -470,7 +409,7 @@ class CMPBBuilder(LevelBuilder):
                 estimated = estimated_fields(winner, node_hists[winner.attr], runs)
         p = BPending(node=node, parent_slot=slot, exact_split=exact_split, **estimated)
         p.parts = [
-            BPart(next_slot(), MatrixSet.create(schema, predicted_x, child_edges), True)
+            BPart(next_slot(), MatrixSet.create(schema, predicted_x, child_edges))
             for _ in range(p.n_parts)
         ]
         return p
@@ -592,58 +531,37 @@ class CMPBBuilder(LevelBuilder):
         cfg = self.config
         side_gini = float(gini(self._side_counts(side_hists)))
 
-        second: SecondSplit | None = None
+        side_winner = None
         exact_scores = {a.attr: a.score for a in analyses if np.isfinite(a.score)}
         if analyses and allow_second:
-            side_winner = choose_split_attribute(analyses, self.SECOND_MAX_ALIVE)
-            if side_winner is not None and side_winner.score < side_gini - cfg.min_gain:
-                second = self._plan_second_split(
-                    side_winner, side_hists[side_winner.attr], schema
-                )
+            winner = choose_split_attribute(analyses, self.SECOND_MAX_ALIVE)
+            if winner is not None and winner.score < side_gini - cfg.min_gain:
+                side_winner = winner
 
         try:
             predicted_x = predict_split(exact_scores, parent_scores)
         except ValueError:
             predicted_x = mset.x_attr
-        if second is None:
-            part = BPart(
-                next_slot(), MatrixSet.create(schema, predicted_x, child_edges), True
-            )
-            return Side(second=None, part=part)
-        second.parts = [
-            BPart(next_slot(), MatrixSet.create(schema, predicted_x, child_edges), True)
-            for _ in range(2)
+        parts = [
+            BPart(next_slot(), MatrixSet.create(schema, predicted_x, child_edges))
+            for _ in range(1 if side_winner is None else 2)
         ]
-        return Side(second=second, part=None)
-
-    def _plan_second_split(
-        self,
-        side_winner: AttributeAnalysis,
-        hist: ClassHistogram,
-        schema: Schema,
-    ) -> SecondSplit:
-        runs = merge_contiguous(side_winner.alive)
-        if not runs:
-            return SecondSplit(
-                attr=side_winner.attr,
-                parts=[],
-                exact_split=NumericSplit(
-                    side_winner.attr,
-                    float(side_winner.edges[side_winner.best_boundary]),
-                    n_candidates=max(1, len(side_winner.edges)),
-                ),
-            )
-        i0, i1 = runs[0]
-        ((lo, hi),) = alive_run_bounds(hist, runs[:1])
-        return SecondSplit(
-            attr=side_winner.attr,
-            parts=[],
-            alive_lo=lo,
-            alive_hi=hi,
-            run_i0=i0,
-            run_i1=i1,
-            aux_hist=ClassHistogram(hist.edges, schema.n_classes),
+        if side_winner is None:
+            return Side(second=None, part=parts[0])
+        second = PendingSplit(
+            node=None, parent_slot=parts[0].slot, attr=side_winner.attr, parts=parts
         )
+        runs = merge_contiguous(side_winner.alive)
+        if runs:
+            second.alive_bounds = alive_run_bounds(side_hists[side_winner.attr], runs)
+            second.zone_bounds = zone_boundaries(second.alive_bounds)
+        else:
+            second.exact_split = NumericSplit(
+                side_winner.attr,
+                float(side_winner.edges[side_winner.best_boundary]),
+                n_candidates=max(1, len(side_winner.edges)),
+            )
+        return Side(second=second, part=None)
 
     def _grid_size(self, n_records: float) -> int:
         cfg = self.config
@@ -684,7 +602,7 @@ class CMPBBuilder(LevelBuilder):
         if p.linear is not None:
             return self._resolve_linear(p, nid, remap, account, schema, stats)
         if p.two_level:
-            return self._resolve_two_level(p, nid, remap, account, schema, stats)
+            return self._resolve_two_level(p, nid, remap, account, stats)
         if p.exact_split is not None:
             return p.resolve_exact(remap, account)
         buffered = p.buffered()
@@ -744,7 +662,6 @@ class CMPBBuilder(LevelBuilder):
         nid: np.ndarray,
         remap: dict[int, int],
         account: TreeAccount,
-        schema: Schema,
         stats: BuildStats,
     ) -> list[DecideItem]:
         node = p.node
@@ -770,7 +687,7 @@ class CMPBBuilder(LevelBuilder):
         children: list[Node] = []
         for side in p.sides:
             child, child_items = self._finish_side(
-                side, node.depth, remap, nid, account, schema, stats
+                side, node.depth + 1, remap, nid, account, stats
             )
             children.append(child)
             items.extend(child_items)
@@ -786,112 +703,74 @@ class CMPBBuilder(LevelBuilder):
     def _finish_side(
         self,
         side: Side,
-        parent_depth: int,
+        depth: int,
         remap: dict[int, int],
         nid: np.ndarray,
         account: TreeAccount,
-        schema: Schema,
         stats: BuildStats,
     ) -> tuple[Node, list[DecideItem]]:
-        if side.second is None:
-            assert side.part is not None
-            part = side.part
-            assert part.mset.class_counts is not None
-            child = account.new_node(parent_depth + 1, part.mset.class_counts.copy())
-            return child, [(child, part)]
+        """The side's child at ``depth`` and its ``(node, part)`` items.
 
+        A second split deals its buffer and settles as the child's split.
+        One without a valid threshold, or that leaves a part empty, folds
+        its second part into its first, and the child is decided again.
+        """
         sec = side.second
-        if sec.exact_split is not None:
-            split: NumericSplit | None = sec.exact_split
-            c2 = None
-        else:
-            split, c2 = self._resolve_second(sec, schema, stats)
-        lpart, rpart = sec.parts
+        if sec is None:
+            assert side.part is not None
+            child = account.new_node(depth, side.part.class_counts.copy())
+            return child, [(child, side.part)]
+        buffered = sec.buffered()
+        split = sec.exact_split
         if split is None:
-            return self._merge_side(side, parent_depth, remap, nid, account)
-        if c2 is not None:
-            # Distribute the second-level buffer.
-            Xb, yb, rids = sec.buffer.concatenated()
-            if len(yb):
-                goes_left = Xb[:, sec.attr] <= c2
-                for part, m in ((lpart, goes_left), (rpart, ~goes_left)):
-                    part.update(Xb[m], yb[m])
-                    nid[rids[m]] = part.slot
-        assert lpart.mset.class_counts is not None
-        assert rpart.mset.class_counts is not None
-        if (
-            lpart.mset.class_counts.sum() == 0
-            or rpart.mset.class_counts.sum() == 0
-        ):
-            return self._merge_side(side, parent_depth, remap, nid, account)
-        stats.two_level_splits += 1
-        child = account.new_node(
-            parent_depth + 1,
-            lpart.mset.class_counts + rpart.mset.class_counts,
-        )
-        child.split = split
-        stats.second_level_node_ids.append(child.node_id)
-        gl = account.new_node(parent_depth + 2, lpart.mset.class_counts.copy())
-        gr = account.new_node(parent_depth + 2, rpart.mset.class_counts.copy())
-        child.left, child.right = gl, gr
-        return child, [(gl, lpart), (gr, rpart)]
+            split = self._resolve_second(sec, buffered, stats)
+        threshold = np.inf if split is None else split.threshold
+        sec.deal(sec.parts, nid, buffered, threshold)
+        lpart, rpart = sec.parts
+        child = account.new_node(depth, lpart.class_counts + rpart.class_counts)
+        sec.node = child
+        kids = [] if split is None else sec.settle(split, sec.parts, remap, account)
+        if kids:
+            stats.two_level_splits += 1
+            stats.second_level_node_ids.append(child.node_id)
+            return child, kids
+        lpart.merge_from(rpart)
+        remap[rpart.slot] = lpart.slot
+        return child, [(child, lpart)]
 
     def _resolve_second(
-        self, sec: SecondSplit, schema: Schema, stats: BuildStats
-    ) -> tuple[NumericSplit | None, float | None]:
-        """Exact threshold for an estimated second split.
+        self, sec: PendingSplit, buffered: tuple, stats: BuildStats
+    ) -> NumericSplit | None:
+        """Exact split for an estimated second split, or ``None``.
 
         Candidates are the alive run's two edges (ginis recomputed on the
         side's final population) plus every distinct buffered value inside
-        the run.  Returns ``(split, threshold)`` or ``(None, None)`` when
-        no valid candidate exists.
+        the run.  The first part holds the side's records below the run,
+        so its counts are every candidate's base.
         """
-        assert sec.aux_hist is not None
-        Xb, yb, __ = sec.buffer.concatenated()
-        buf_vals = Xb[:, sec.attr] if len(yb) else np.empty(0)
-        base = sec.aux_hist.cum_below(sec.run_i0)
-        buf_counts = np.bincount(yb, minlength=schema.n_classes).astype(np.float64)
-        totals = sec.aux_hist.totals() + buf_counts
+        __, yb, __, buf_vals = buffered
+        lpart, rpart = sec.parts
+        ((alive_lo, alive_hi),) = sec.alive_bounds
+        base = lpart.class_counts
+        n_classes = len(base)
+        buf_counts = np.bincount(yb, minlength=n_classes).astype(np.float64)
+        totals = base + rpart.class_counts + buf_counts
 
-        cut_thr, cut_left = prefix_cuts(buf_vals, yb, base, schema.n_classes)
+        cut_thr, cut_left = prefix_cuts(buf_vals, yb, base, n_classes)
         thr_parts, left_parts = [cut_thr], [cut_left]
-        if np.isfinite(sec.alive_lo):
-            thr_parts.insert(0, [sec.alive_lo])
+        if np.isfinite(alive_lo):
+            thr_parts.insert(0, [alive_lo])
             left_parts.insert(0, base[None, :])
-        if np.isfinite(sec.alive_hi):
-            thr_parts.append([sec.alive_hi])
+        if np.isfinite(alive_hi):
+            thr_parts.append([alive_hi])
             left_parts.append((base + buf_counts)[None, :])
         cand_thr = np.concatenate(thr_parts)
         if len(cand_thr) == 0:
-            return None, None
+            return None
         best = best_cut(np.concatenate(left_parts), totals)
         if best is None:
-            return None, None
-        threshold = float(cand_thr[best[0]])
+            return None
         stats.splits_resolved_exactly += 1
-        return (
-            NumericSplit(sec.attr, threshold, n_candidates=len(cand_thr)),
-            threshold,
+        return NumericSplit(
+            sec.attr, float(cand_thr[best[0]]), n_candidates=len(cand_thr)
         )
-
-    def _merge_side(
-        self,
-        side: Side,
-        parent_depth: int,
-        remap: dict[int, int],
-        nid: np.ndarray,
-        account: TreeAccount,
-    ) -> tuple[Node, list[DecideItem]]:
-        """Collapse a side whose second split failed into one child."""
-        sec = side.second
-        assert sec is not None
-        lpart, rpart = sec.parts
-        lpart.mset.merge_from(rpart.mset)
-        remap[rpart.slot] = lpart.slot
-        Xb, yb, rids = sec.buffer.concatenated()
-        if len(yb):
-            lpart.mset.update(Xb, yb)
-            nid[rids] = lpart.slot
-        assert lpart.mset.class_counts is not None
-        child = account.new_node(parent_depth + 1, lpart.mset.class_counts.copy())
-        return child, [(child, lpart)]

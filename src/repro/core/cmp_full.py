@@ -82,7 +82,7 @@ class CMPBuilder(CMPBBuilder):
         p = BPending(node=node, parent_slot=slot, linear=proto)
         p.zone_bounds = np.array([cand.c_lo, cand.c_hi])
         p.parts = [
-            BPart(next_slot(), MatrixSet.create(schema, predicted_x, child_edges), True)
+            BPart(next_slot(), MatrixSet.create(schema, predicted_x, child_edges))
             for _ in range(2)
         ]
         return p

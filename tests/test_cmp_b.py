@@ -1,15 +1,22 @@
 """End-to-end tests for CMP-B (matrices, prediction, two-level growth)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.baselines.sprint import SprintBuilder
-from repro.core.cmp_b import CMPBBuilder
+from repro.core.builder import PendingSplit, zone_boundaries
+from repro.core.cmp_b import BPart, BPending, CMPBBuilder, Side
 from repro.core.cmp_full import CMPBuilder
 from repro.core.cmp_s import CMPSBuilder
+from repro.core.matrix import MatrixSet
+from repro.core.splits import NumericSplit
+from repro.core.tree import Node, TreeAccount
 from repro.data.dataset import Dataset
-from repro.data.schema import Schema, continuous
+from repro.data.schema import Schema, categorical, continuous
 from repro.eval.metrics import accuracy
+from repro.io.metrics import BuildStats
 
 from conftest import assert_tree_consistent
 
@@ -102,3 +109,125 @@ class TestCMPBEndToEnd:
         plain = CMPBBuilder(fast_config).build(f2_small)
         pruned = CMPBBuilder(fast_config.with_(prune="public")).build(f2_small)
         assert pruned.tree.n_nodes <= plain.tree.n_nodes
+
+
+SIDE_SCHEMA = Schema(
+    (continuous("a"), continuous("b"), categorical("c", ("x", "y", "z"))),
+    ("n", "p"),
+)
+
+
+def two_level_pending(first_exact: bool, kinds: tuple[str, str]) -> BPending:
+    """A two-level pending on ``a`` whose sides are ``kinds``: ``single``
+    (one part), or a second split on ``b`` that is ``exact`` or
+    ``estimated`` around one alive run."""
+    edges = {0: np.array([-0.5, 0.0, 0.5]), 1: np.array([-1.0, 0.0, 1.0])}
+    slots = itertools.count(1)
+
+    def part() -> BPart:
+        return BPart(next(slots), MatrixSet.create(SIDE_SCHEMA, 1, edges))
+
+    p = BPending(node=Node(0, 0, np.zeros(2)), parent_slot=0, attr=0, two_level=True)
+    if first_exact:
+        p.first_exact_threshold = 0.0
+    else:
+        p.alive_bounds = [(-0.25, 0.25)]
+        p.zone_bounds = zone_boundaries(p.alive_bounds)
+    for kind in kinds:
+        if kind == "single":
+            p.sides.append(Side(second=None, part=part()))
+            continue
+        parts = [part(), part()]
+        sec = PendingSplit(node=None, parent_slot=parts[0].slot, attr=1, parts=parts)
+        if kind == "exact":
+            sec.exact_split = NumericSplit(1, 0.3)
+        else:
+            sec.alive_bounds = [(-0.5, 0.5)]
+            sec.zone_bounds = zone_boundaries(sec.alive_bounds)
+        p.sides.append(Side(second=sec, part=None))
+    return p
+
+
+def buffers(p: BPending) -> list:
+    """The first split's and every second split's buffered arrays."""
+    bufs = [p.buffer] + [s.second.buffer for s in p.sides if s.second is not None]
+    return [arr for buf in bufs for arr in buf.concatenated()]
+
+
+class TestTwoLevelScanDeltas:
+    """Two scan deltas over split chunks, merged in order, equal one serial
+    route of a two-level pending, whatever its sides' shapes."""
+
+    @pytest.mark.parametrize("first_exact", [False, True])
+    @pytest.mark.parametrize(
+        "kinds",
+        [("single", "exact"), ("estimated", "single"), ("exact", "estimated")],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_deltas_merge_to_serial(self, first_exact, kinds, seed):
+        rng = np.random.default_rng(seed)
+        n = 400
+        X = np.column_stack(
+            [rng.normal(0, 0.5, n), rng.normal(0, 1, n), rng.integers(0, 3, n)]
+        ).astype(np.float64)
+        y = rng.integers(0, 2, n)
+        rids = np.arange(n)
+        serial = two_level_pending(first_exact, kinds)
+        nid_serial = np.zeros(n, dtype=np.int64)
+        serial.route(X, y, rids, nid_serial)
+
+        merged = two_level_pending(first_exact, kinds)
+        nid_merged = np.zeros(n, dtype=np.int64)
+        cut = int(rng.integers(1, n))
+        deltas = [merged.scan_delta() for __ in range(2)]
+        for delta, chunk in zip(deltas, (slice(0, cut), slice(cut, n))):
+            delta.route(X[chunk], y[chunk], rids[chunk], nid_merged)
+        for delta in deltas:
+            merged.merge_scan_delta(delta)
+
+        np.testing.assert_array_equal(nid_merged, nid_serial)
+        assert len(merged.all_parts()) == len(serial.all_parts())
+        for got, want in zip(merged.all_parts(), serial.all_parts()):
+            assert got.slot == want.slot
+            np.testing.assert_array_equal(got.class_counts, want.class_counts)
+            for j, m in want.mset.matrices.items():
+                np.testing.assert_array_equal(got.mset.matrices[j].counts, m.counts)
+            for j, h in want.mset.categorical.items():
+                np.testing.assert_array_equal(got.mset.categorical[j].counts, h.counts)
+        for got, want in zip(buffers(merged), buffers(serial), strict=True):
+            np.testing.assert_array_equal(got, want)
+        # The route reached every part, and every estimated split buffered.
+        assert all(part.class_counts.sum() > 0 for part in serial.all_parts())
+        estimated = [s.second for s in serial.sides if s.second is not None]
+        estimated = [q for q in [serial] + estimated if len(q.alive_bounds)]
+        assert all(q.buffer.n_records > 0 for q in estimated)
+
+
+class TestFailedSecondSplit:
+    def test_folds_into_first_part_and_is_decided_again(self, fast_config):
+        # Every record right of the first split has b = 0, inside the
+        # second split's alive run (-0.5, 0.5]: the run's edges leave a
+        # side empty and equal values give no cut, so no threshold is
+        # valid.  The side's child stays open on its first part.
+        rng = np.random.default_rng(4)
+        n = 200
+        a = rng.normal(0, 1, n)
+        X = np.column_stack([a, np.where(a > 0, 0.0, rng.normal(0, 1, n)), np.zeros(n)])
+        y = rng.integers(0, 2, n)
+        p = two_level_pending(True, ("single", "estimated"))
+        nid = np.zeros(n, dtype=np.int64)
+        p.route(X, y, np.arange(n), nid)
+        first, second = p.sides[1].second.parts
+        remap: dict[int, int] = {}
+        stats = BuildStats()
+        items = CMPBBuilder(fast_config)._resolve(
+            p, nid, remap, TreeAccount(), SIDE_SCHEMA, stats
+        )
+        child = p.node.right
+        assert child.is_leaf and items[-1] == (child, first)
+        want = np.bincount(y[a > 0], minlength=2)
+        np.testing.assert_array_equal(child.class_counts, want)
+        np.testing.assert_array_equal(first.class_counts, want)
+        assert remap[second.slot] == first.slot
+        assert (nid[a > 0] == first.slot).all()
+        assert stats.two_level_splits == 0

@@ -290,7 +290,11 @@ class TestMicroBatcherDeadlines:
         assert snap["timeouts"] == 1
         assert snap["batches"] == 0  # predict was never called
 
-    def test_all_expired_batch_skips_predict(self):
+    def test_all_expired_batch_skips_predict(self, monkeypatch):
+        # Each request's 5 ms budget runs from its own submit, and the
+        # flush thread acts at the earliest expiry.  It is held off until
+        # every budget has lapsed, so no later submit can be executed
+        # before its own expiry, however the submits are spread.
         t = random_tree(depth=3, seed=71)
         engine = ServingEngine()
         key = engine.registry.register(t)
@@ -298,7 +302,13 @@ class TestMicroBatcherDeadlines:
         with MicroBatcher(
             engine, key, max_delay_s=10.0, default_deadline_s=0.005
         ) as b:
+            wake_at = b._wake_at
+            monkeypatch.setattr(b, "_wake_at", lambda: time.perf_counter() + 60.0)
             futures = [b.submit(row) for row in X]
+            time.sleep(0.01)
+            with b._wake:
+                monkeypatch.setattr(b, "_wake_at", wake_at)
+                b._wake.notify()
             for f in futures:
                 with pytest.raises(DeadlineExceeded):
                     f.result(timeout=5.0)
