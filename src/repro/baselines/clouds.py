@@ -40,6 +40,7 @@ from repro.core.builder import (
     PendingSplit,
     alive_run_bounds,
     best_cut,
+    boundary_split,
     make_part_hists,
     prefix_cuts,
 )
@@ -143,11 +144,7 @@ class CloudsBuilder(CMPSBuilder):
             a = boundary_best
             hist = hists[a.attr]
             assert isinstance(hist, ClassHistogram)
-            p.best = NumericSplit(
-                a.attr,
-                float(a.edges[a.best_boundary]),
-                n_candidates=max(1, len(a.edges)),
-            )
+            p.best = boundary_split(a)
             p.best_gini = a.gini_min
             p.best_left = hist.cumulative()[a.best_boundary]
 

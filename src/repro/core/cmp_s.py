@@ -41,6 +41,7 @@ from repro.core.builder import (
     PendingSplit,
     RecordBuffer,
     adaptive_intervals,
+    boundary_split,
     estimated_fields,
     make_part_hists,
     resolve_exact_threshold,
@@ -149,12 +150,7 @@ class CMPSBuilder(LevelBuilder):
             j, mask = best_cat
             fields = dict(exact_split=CategoricalSplit(j, tuple(bool(b) for b in mask)))
         elif not winner.alive:
-            split = NumericSplit(
-                winner.attr,
-                float(winner.edges[winner.best_boundary]),
-                n_candidates=max(1, len(winner.edges)),
-            )
-            fields = dict(exact_split=split)
+            fields = dict(exact_split=boundary_split(winner))
         else:
             # Estimated split around the alive intervals.
             hist = hists[winner.attr]

@@ -114,12 +114,11 @@ def two_level_shapes():
 
     def spy(self, p, *args):
         if p.two_level:
-            first = "estimated" if p.first_exact_threshold is None else "exact"
+            first = "estimated" if p.exact_split is None else "exact"
             for side in p.sides:
-                sec = side.second
                 kind = (
-                    "none" if sec is None
-                    else "exact" if sec.exact_split is not None
+                    "none" if side.n_parts == 1
+                    else "exact" if side.exact_split is not None
                     else "estimated"
                 )
                 seen[(first, kind)] += 1
