@@ -3,11 +3,9 @@
 from repro.data.csv_io import infer_schema, load_csv, save_csv
 from repro.data.dataset import Dataset
 from repro.data.discretize import (
-    Discretizer,
     ReservoirSampler,
     bin_index,
     equal_depth_edges,
-    equal_width_edges,
 )
 from repro.data.schema import Attribute, AttributeKind, Schema, categorical, continuous
 from repro.data.statlog import STATLOG_SPECS, all_statlog, generate_statlog
@@ -24,11 +22,9 @@ __all__ = [
     "infer_schema",
     "load_csv",
     "save_csv",
-    "Discretizer",
     "ReservoirSampler",
     "bin_index",
     "equal_depth_edges",
-    "equal_width_edges",
     "Attribute",
     "AttributeKind",
     "Schema",

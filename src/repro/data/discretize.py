@@ -1,10 +1,8 @@
 """Discretization of continuous attributes (§1.1 "Sampling and discretization").
 
-Two histogram styles from the paper:
-
-* *equal-width* — the value range is cut into ``q`` equally wide intervals;
-* *equal-depth* (quantiling) — each interval holds approximately the same
-  number of records.  CLOUDS and the whole CMP family use this style.
+Of the paper's two histogram styles, equal-width and equal-depth, CLOUDS
+and the whole CMP family use *equal-depth* (quantiling): each interval
+holds approximately the same number of records.
 
 An interval structure is represented by its inner *edges*: an array of
 ``q - 1`` increasing cut points.  Interval ``i`` covers ``(edges[i-1],
@@ -17,19 +15,6 @@ candidate threshold.
 from __future__ import annotations
 
 import numpy as np
-
-
-def equal_width_edges(values: np.ndarray, q: int) -> np.ndarray:
-    """Inner edges of ``q`` equal-width intervals covering ``values``."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if len(values) == 0:
-        raise ValueError("cannot discretize an empty column")
-    lo = float(np.min(values))
-    hi = float(np.max(values))
-    if q == 1 or lo == hi:
-        return np.empty(0, dtype=np.float64)
-    return np.linspace(lo, hi, q + 1)[1:-1].astype(np.float64)
 
 
 def equal_depth_edges(values: np.ndarray, q: int) -> np.ndarray:
@@ -175,64 +160,6 @@ def edges_from_histograms(pairs: list[tuple[object, int]]) -> list[np.ndarray]:
         else edges_from_histogram(h.edges, h.counts.sum(axis=1), q, h.vmin, h.vmax)
         for (h, q), edges in zip(pairs, native)
     ]
-
-
-class Discretizer:
-    """Interval structure for one continuous attribute."""
-
-    def __init__(self, edges: np.ndarray) -> None:
-        edges = np.asarray(edges, dtype=np.float64)
-        if edges.ndim != 1:
-            raise ValueError("edges must be 1-D")
-        if len(edges) > 1 and not np.all(np.diff(edges) > 0):
-            raise ValueError("edges must be strictly increasing")
-        self.edges = edges
-
-    @classmethod
-    def equal_depth(cls, values: np.ndarray, q: int) -> "Discretizer":
-        """Build an equal-depth discretizer with (up to) ``q`` intervals."""
-        return cls(equal_depth_edges(values, q))
-
-    @classmethod
-    def equal_width(cls, values: np.ndarray, q: int) -> "Discretizer":
-        """Build an equal-width discretizer with ``q`` intervals."""
-        return cls(equal_width_edges(values, q))
-
-    @classmethod
-    def from_sketch(cls, sketch, q: int) -> "Discretizer":
-        """Interval structure from a one-pass mergeable quantile sketch.
-
-        The streaming alternative to :meth:`equal_depth`: the edges are
-        the sketch's equal-depth quantiles (every one an actual data
-        value, so each boundary remains a realizable ``a <= edge``
-        split), and the grid's deviation from true equal depth is
-        bounded by the sketch's explicit rank error — see
-        :meth:`repro.stream.sketch.QuantileSketch.rank_error_bound` and
-        :func:`repro.core.estimation.sketch_split_slack` for how that ε
-        feeds the estimator-bound chain.
-        """
-        return cls(sketch.edges(q))
-
-    @property
-    def n_intervals(self) -> int:
-        """Number of intervals (``len(edges) + 1``)."""
-        return len(self.edges) + 1
-
-    def bin(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized interval lookup."""
-        return bin_index(np.asarray(values), self.edges)
-
-    def interval_bounds(self, i: int) -> tuple[float, float]:
-        """Value-space ``(lower, upper]`` bounds of interval ``i``.
-
-        The first interval's lower bound is ``-inf`` and the last interval's
-        upper bound is ``+inf``.
-        """
-        if not 0 <= i < self.n_intervals:
-            raise IndexError(f"interval {i} out of range")
-        lo = -np.inf if i == 0 else float(self.edges[i - 1])
-        hi = np.inf if i == self.n_intervals - 1 else float(self.edges[i])
-        return lo, hi
 
 
 class ReservoirSampler:

@@ -116,16 +116,3 @@ class PagedTable:
         self.stats.begin_scan()
         for start in self.chunk_starts():
             yield self.read_chunk(start)
-
-    def column_unaccounted(self, j: int) -> np.ndarray:
-        """Direct view of column ``j`` for test/verification code only.
-
-        Production algorithms must use :meth:`scan`; this accessor exists so
-        tests can check results against ground truth without perturbing the
-        I/O counters.
-        """
-        return self._X[:, j]
-
-    def labels_unaccounted(self) -> np.ndarray:
-        """Direct view of the labels, for test/verification code only."""
-        return self._y

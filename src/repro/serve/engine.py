@@ -140,10 +140,6 @@ class ModelRegistry:
             )
         return fingerprint
 
-    def _canonical(self, fingerprint: str) -> str:
-        with self._lock:
-            return self._canonical_locked(fingerprint)
-
     def unregister(self, fingerprint: str) -> bool:
         """Remove a model, honouring rollout and drain semantics.
 

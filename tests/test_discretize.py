@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.data.discretize import (
-    Discretizer,
     ReservoirSampler,
     bin_index,
     edges_from_histogram,
     equal_depth_edges,
-    equal_width_edges,
 )
 
 finite_floats = st.floats(
@@ -21,24 +19,6 @@ finite_floats = st.floats(
 value_arrays = hnp.arrays(
     np.float64, st.integers(min_value=1, max_value=300), elements=finite_floats
 )
-
-
-class TestEqualWidth:
-    def test_even_spacing(self):
-        edges = equal_width_edges(np.array([0.0, 10.0]), 5)
-        np.testing.assert_allclose(edges, [2, 4, 6, 8])
-
-    def test_constant_column(self):
-        assert len(equal_width_edges(np.full(10, 3.0), 4)) == 0
-
-    def test_q_one(self):
-        assert len(equal_width_edges(np.arange(5.0), 1)) == 0
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            equal_width_edges(np.arange(5.0), 0)
-        with pytest.raises(ValueError):
-            equal_width_edges(np.empty(0), 3)
 
 
 class TestEqualDepth:
@@ -85,32 +65,6 @@ class TestBinIndex:
         bins = bin_index(values, edges)
         assert bins.min() >= 0
         assert bins.max() <= len(edges)
-
-
-class TestDiscretizer:
-    def test_interval_bounds(self):
-        d = Discretizer(np.array([1.0, 2.0]))
-        assert d.n_intervals == 3
-        assert d.interval_bounds(0) == (-np.inf, 1.0)
-        assert d.interval_bounds(1) == (1.0, 2.0)
-        assert d.interval_bounds(2) == (2.0, np.inf)
-
-    def test_interval_bounds_out_of_range(self):
-        with pytest.raises(IndexError):
-            Discretizer(np.array([1.0])).interval_bounds(5)
-
-    def test_rejects_unsorted_edges(self):
-        with pytest.raises(ValueError, match="increasing"):
-            Discretizer(np.array([2.0, 1.0]))
-
-    def test_bin_matches_bounds(self, rng):
-        values = rng.normal(size=200)
-        d = Discretizer.equal_depth(values, 6)
-        bins = d.bin(values)
-        for i in range(d.n_intervals):
-            lo, hi = d.interval_bounds(i)
-            sel = values[bins == i]
-            assert np.all((sel > lo) & (sel <= hi))
 
 
 class TestEdgesFromHistogram:

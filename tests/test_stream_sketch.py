@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.discretize import Discretizer
 from repro.stream.sketch import HeavyHitterSketch, QuantileSketch
 
 EPS_TARGET = 0.02
@@ -90,8 +89,6 @@ class TestQuantileSketchRankError:
         assert np.all(edges < values.max())
         # Every edge is an actual retained data value.
         assert np.all(np.isin(edges, values))
-        disc = Discretizer.from_sketch(sk, 16)
-        assert disc.n_intervals == len(edges) + 1
 
 
 class TestQuantileSketchMerge:
