@@ -1,5 +1,7 @@
 """Tests for the STATLOG stand-in generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,32 @@ class TestContent:
     def test_all_statlog(self):
         out = all_statlog(seed=1)
         assert set(out) == set(STATLOG_SPECS)
+
+
+# sha256 of ``X.tobytes()`` and ``y.tobytes()`` of each stand-in at seed 0.
+STATLOG_PINS = {
+    "letter": (
+        "82b3514c69595ae73c19847da1344c418af3945423ae8ceed9bf7786b5097741",
+        "fa69525ec058687dd56b98f33fb21f2ebdc06b2411951c40a60f652ac6bbc314",
+    ),
+    "satimage": (
+        "a84fb4f4a62430457fe7435c9726bede6909ea4bd95043a873706b49a1f42866",
+        "b44e727ef10b07e63beab9cb8ad59bb8016938e3844595d4a0f08ad1b3cfe705",
+    ),
+    "segment": (
+        "cfdb070018d454e36e750a2c8719648cea3e08da1852061fceea416325a92c89",
+        "e2d434a8984bdc8b2649d76644f0609ed48c6976ce35a2e6b97f872b6e19cfcf",
+    ),
+    "shuttle": (
+        "dabe604702f9b5630501a10a6a1d13932311e71b24da33fa15a209656053a345",
+        "3cc49e4c8a19e39a05ad40e96281b70ab4342b79baaefbffa6e97aeb5457455c",
+    ),
+}
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("name", sorted(STATLOG_SPECS))
+    def test_pin(self, name):
+        ds = generate_statlog(name, seed=0)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (ds.X, ds.y))
+        assert digests == STATLOG_PINS[name]
