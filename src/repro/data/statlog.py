@@ -88,12 +88,15 @@ def generate_statlog(name: str, seed: int = 0) -> Dataset:
     for j in range(spec.n_informative):
         class_means = rng.normal(0.0, spec.separation * (1.0 + 0.25 * j), spec.n_classes)
         class_scales = rng.uniform(0.8, 1.3, spec.n_classes)
-        X[:, j] = X[:, j] * class_scales[y] + class_means[y]
+        col = X[:, j]
+        col *= class_scales[y]
+        col += class_means[y]
     # Give every attribute a distinct affine range so discretization edges
     # differ per attribute, as they would on the real data.
     offsets = rng.uniform(-5.0, 5.0, spec.n_attributes)
     scales = rng.uniform(0.5, 20.0, spec.n_attributes)
-    X = X * scales + offsets
+    X *= scales
+    X += offsets
     return Dataset(X, y, _schema_for(spec))
 
 

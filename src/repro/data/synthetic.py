@@ -26,6 +26,13 @@ Class labels are "Group A" / "Group B".  A perturbation factor ``p``
 (default 5 %) optionally perturbs each continuous attribute by a uniform
 offset of up to ``p`` times its range, as in the original generator, which
 is what keeps the learning problems from being trivially separable.
+
+Footprint: the generators allocate the ``n x 9`` float64 record matrix and
+the ``n`` int64 labels once.  Each column is drawn straight into the
+matrix, labelled in fixed-size row blocks and perturbed in place, so at
+any time at most one column-sized temporary (the draw in hand) lives
+beside them: peak memory is about ``(72 + 8 + 8) n`` bytes, not twice the
+output.
 """
 
 from __future__ import annotations
@@ -70,6 +77,9 @@ AGRAWAL_SCHEMA = Schema(
 
 _COL = {name: i for i, name in enumerate(ATTRIBUTE_NAMES)}
 
+#: Rows labelled per predicate call.
+_LABEL_BLOCK = 65_536
+
 #: Value ranges used for perturbation of continuous attributes.
 _RANGES = {
     "salary": (20_000.0, 150_000.0),
@@ -82,37 +92,61 @@ _RANGES = {
 
 
 def _raw_attributes(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw the attribute matrix before any label assignment."""
+    """Draw the attribute matrix before any label assignment.
+
+    Each column is written as soon as it is drawn, so besides ``X`` only
+    the draw in hand is alive.  The draw order (salary, commission,
+    zipcode, hvalue, age, elevel, car, hyears, loan) is the generator's
+    stream order and fixes the output for a seed.
+    """
     X = np.empty((n, len(ATTRIBUTE_NAMES)), dtype=np.float64)
-    salary = rng.uniform(20_000, 150_000, n)
-    commission = np.where(
-        salary >= 75_000, 0.0, rng.uniform(10_000, 75_000, n)
-    )
-    zipcode = rng.integers(0, 9, n)
-    k = zipcode + 1
-    hvalue = rng.uniform(0.5, 1.5, n) * k * 100_000
-    X[:, _COL["salary"]] = salary
-    X[:, _COL["commission"]] = commission
+    salary = X[:, _COL["salary"]]
+    salary[:] = rng.uniform(20_000, 150_000, n)
+    commission = X[:, _COL["commission"]]
+    commission[:] = rng.uniform(10_000, 75_000, n)
+    commission[salary >= 75_000] = 0.0
+    zipcode = X[:, _COL["zipcode"]]
+    zipcode[:] = rng.integers(0, 9, n)
+    # hvalue = (u * (zipcode + 1)) * 100 000 with u ~ uniform [0.5, 1.5];
+    # the product commutes, so the column can start as zipcode + 1.
+    hvalue = X[:, _COL["hvalue"]]
+    np.add(zipcode, 1.0, out=hvalue)
+    hvalue *= rng.uniform(0.5, 1.5, n)
+    hvalue *= 100_000
     X[:, _COL["age"]] = rng.uniform(20, 80, n)
     X[:, _COL["elevel"]] = rng.integers(0, 5, n)
     X[:, _COL["car"]] = rng.integers(0, 20, n)
-    X[:, _COL["zipcode"]] = zipcode
-    X[:, _COL["hvalue"]] = hvalue
     X[:, _COL["hyears"]] = rng.uniform(1, 30, n)
     X[:, _COL["loan"]] = rng.uniform(0, 500_000, n)
     return X
 
 
-def _perturb(X: np.ndarray, factor: float, rng: np.random.Generator) -> np.ndarray:
-    """Perturb continuous columns by up to ``factor`` of their range."""
+def _label(
+    X: np.ndarray, y: np.ndarray, function: str, start: int, stop: int
+) -> None:
+    """Write the labels of rows ``[start, stop)`` of ``X`` into ``y``.
+
+    Rows go through the predicate ``_LABEL_BLOCK`` at a time, so its
+    temporaries stay small; every predicate is elementwise, so the labels
+    do not depend on the block size.
+    """
+    predicate = FUNCTIONS[function]
+    for lo in range(start, stop, _LABEL_BLOCK):
+        hi = min(lo + _LABEL_BLOCK, stop)
+        y[lo:hi] = np.where(predicate(X[lo:hi]), GROUP_A, GROUP_B)
+
+
+def _perturb(X: np.ndarray, factor: float, rng: np.random.Generator) -> None:
+    """Perturb continuous columns in place by up to ``factor`` of their range."""
     if factor <= 0:
-        return X
-    X = X.copy()
+        return
     for name, (lo, hi) in _RANGES.items():
-        j = _COL[name]
+        col = X[:, _COL[name]]
         span = (hi - lo) * factor
-        X[:, j] = np.clip(X[:, j] + rng.uniform(-span, span, len(X)), lo, hi)
-    return X
+        noise = rng.uniform(-span, span, len(X))
+        noise += col
+        np.clip(noise, lo, hi, out=col)
+        del noise  # free it before the next column's draw
 
 
 def _between(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -283,9 +317,9 @@ def generate_agrawal(
         raise ValueError("n_records must be positive")
     rng = np.random.default_rng(seed)
     X = _raw_attributes(n_records, rng)
-    in_group_a = FUNCTIONS[function](X)
-    y = np.where(in_group_a, GROUP_A, GROUP_B).astype(np.int64)
-    X = _perturb(X, perturbation, rng)
+    y = np.empty(n_records, dtype=np.int64)
+    _label(X, y, function, 0, n_records)
+    _perturb(X, perturbation, rng)
     return Dataset(X, y, AGRAWAL_SCHEMA)
 
 
@@ -328,11 +362,10 @@ def generate_drift(
     y = np.empty(total, dtype=np.int64)
     start = 0
     for function, n_records in segments:
-        stop = start + n_records
-        in_group_a = FUNCTIONS[function](X[start:stop])
-        y[start:stop] = np.where(in_group_a, GROUP_A, GROUP_B)
-        start = stop
-    return Dataset(_perturb(X, perturbation, rng), y, AGRAWAL_SCHEMA)
+        _label(X, y, function, start, start + n_records)
+        start += n_records
+    _perturb(X, perturbation, rng)
+    return Dataset(X, y, AGRAWAL_SCHEMA)
 
 
 def drift_boundaries(segments: tuple[tuple[str, int], ...]) -> list[int]:
