@@ -81,8 +81,8 @@ class ClassHistogram:
                 (bins, np.asarray(labels)),
                 np.asarray(weights, dtype=np.float64),
             )
-        np.minimum.at(self.vmin, bins, values)
-        np.maximum.at(self.vmax, bins, values)
+        np.fmin.at(self.vmin, bins, values)
+        np.fmax.at(self.vmax, bins, values)
 
     def atomic_intervals(self) -> np.ndarray:
         """Boolean mask of populated intervals holding one distinct value."""

@@ -51,11 +51,11 @@ class AxisStats:
         self.vmax = np.full(n_intervals, -np.inf)
 
     def update(self, bins: np.ndarray, values: np.ndarray) -> None:
-        """Fold a batch of binned values into the extrema."""
+        """Fold a batch of binned values into the extrema; NaN is ignored."""
         if len(values) == 0:
             return
-        np.minimum.at(self.vmin, bins, values)
-        np.maximum.at(self.vmax, bins, values)
+        np.fmin.at(self.vmin, bins, values)
+        np.fmax.at(self.vmax, bins, values)
 
     def merge_from(self, other: "AxisStats") -> None:
         """Combine extrema with another axis of identical shape."""

@@ -94,23 +94,22 @@ static int64_t bin_of(double v, const double *edges, int64_t m)
     return lo;
 }
 
-/* np.minimum / np.maximum semantics: NaN propagates from either side. */
+/* np.fmin / np.fmax semantics: a NaN value is ignored, so an interval
+ * holding only NaNs keeps its +inf / -inf start. */
 static void fold_min(double *slot, double v)
 {
-    double cur = *slot;
-    if (cur == cur && (v != v || v < cur))
+    if (v < *slot)
         *slot = v;
 }
 
 static void fold_max(double *slot, double v)
 {
-    double cur = *slot;
-    if (cur == cur && (v != v || v > cur))
+    if (v > *slot)
         *slot = v;
 }
 
 /* bins = searchsorted(edges, values); np.add.at(counts, (bins, labels), 1);
- * np.minimum.at(vmin, bins, values); np.maximum.at(vmax, bins, values).
+ * np.fmin.at(vmin, bins, values); np.fmax.at(vmax, bins, values).
  * Returns 1 on a label out of range (numpy raises IndexError). */
 int cmp_hist_accum(int64_t n, int64_t vstride, const double *values,
                    const int64_t *labels, const double *edges, int64_t m,

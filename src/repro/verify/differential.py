@@ -183,8 +183,8 @@ def _max_nonatomic_frac(values: np.ndarray, q: int) -> float:
     counts = np.bincount(bins, minlength=n_bins).astype(np.float64)
     vmin = np.full(n_bins, np.inf)
     vmax = np.full(n_bins, -np.inf)
-    np.minimum.at(vmin, bins, values)
-    np.maximum.at(vmax, bins, values)
+    np.fmin.at(vmin, bins, values)
+    np.fmax.at(vmax, bins, values)
     nonatomic = (counts > 0) & (vmax > vmin)
     if not nonatomic.any():
         return 0.0

@@ -83,8 +83,8 @@ def _grid_nonatomic_frac(values: np.ndarray, edges: np.ndarray) -> float:
     counts = np.bincount(bins, minlength=n_bins).astype(np.float64)
     vmin = np.full(n_bins, np.inf)
     vmax = np.full(n_bins, -np.inf)
-    np.minimum.at(vmin, bins, values)
-    np.maximum.at(vmax, bins, values)
+    np.fmin.at(vmin, bins, values)
+    np.fmax.at(vmax, bins, values)
     populated = counts > 0
     nonatomic = populated & (vmin < vmax)
     if not nonatomic.any():

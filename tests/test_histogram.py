@@ -1,5 +1,6 @@
 """Tests for class histograms (continuous and categorical)."""
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import native_scan
 from repro.core.gini import gini_partition
 from repro.core.histogram import CategoryHistogram, ClassHistogram
 
@@ -78,6 +80,26 @@ class TestClassHistogram:
         hist = ClassHistogram(np.array([1.0]), 2)
         hist.update(np.empty(0), np.empty(0, dtype=int))
         assert hist.n_records == 0
+
+    @pytest.mark.parametrize("numpy_only", [False, True], ids=["native", "numpy"])
+    def test_nan_is_ignored_by_extrema(self, numpy_only):
+        # NaN sorts above every number, so it is counted in the last
+        # interval; the interval's extrema stay those of its real values.
+        hist = ClassHistogram(np.array([0.0]), 2)
+        with native_scan.force_numpy() if numpy_only else contextlib.nullcontext():
+            hist.update(np.array([np.nan, 1.0, -1.0]), np.array([0, 1, 0]))
+        np.testing.assert_array_equal(hist.counts, [[1.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(hist.vmin, [-1.0, 1.0])
+        np.testing.assert_array_equal(hist.vmax, [-1.0, 1.0])
+
+    @pytest.mark.parametrize("numpy_only", [False, True], ids=["native", "numpy"])
+    def test_nan_only_interval_keeps_infinities(self, numpy_only):
+        hist = ClassHistogram(np.array([0.0]), 2)
+        with native_scan.force_numpy() if numpy_only else contextlib.nullcontext():
+            hist.update(np.array([np.nan, -1.0]), np.array([0, 1]))
+        np.testing.assert_array_equal(hist.vmin, [-1.0, np.inf])
+        np.testing.assert_array_equal(hist.vmax, [-1.0, -np.inf])
+        assert not hist.atomic_intervals()[1]
 
 
 class TestCategoryHistogram:

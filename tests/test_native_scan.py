@@ -67,9 +67,8 @@ class TestHistAccum:
         vmax = np.full(q, -np.inf)
         bins = bin_index(values, edges)
         np.add.at(counts, (bins, np.asarray(labels)), 1.0)
-        with np.errstate(invalid="ignore"):
-            np.minimum.at(vmin, bins, values)
-            np.maximum.at(vmax, bins, values)
+        np.fmin.at(vmin, bins, values)
+        np.fmax.at(vmax, bins, values)
         return counts, vmin, vmax
 
     def test_matches_numpy_with_nans(self, rng):
@@ -211,8 +210,8 @@ class TestMatrixAccum:
         np.add.at(ref, (x_bins, y_bins, np.asarray(labels)), 1)
         rmin = np.full(qy, np.inf)
         rmax = np.full(qy, -np.inf)
-        np.minimum.at(rmin, y_bins, yv)
-        np.maximum.at(rmax, y_bins, yv)
+        np.fmin.at(rmin, y_bins, yv)
+        np.fmax.at(rmax, y_bins, yv)
         ms = mset_xy(x_edges, y_edges, c, dtype)
         assert native_scan.fused_accum(plan_of(ms), np.column_stack([xv, yv]), labels)
         m = ms.matrices[1]
@@ -343,7 +342,7 @@ def assert_parts_equal(a, b):
 
 
 def numpy_part(pc, batches):
-    with native_scan.force_numpy(), np.errstate(invalid="ignore"):
+    with native_scan.force_numpy():
         ref = pc.part()
         for X, y, w in batches:
             ref.update(X, y, w)
