@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.native import native_available
 from repro.eval.treegen import random_batch, random_tree
+from repro.verify.walker import walk_predict, walk_predict_proba
 
 
 def _best(fn, repeats: int) -> float:
@@ -49,16 +50,16 @@ def run(records: int, depth: int, seed: int, repeats: int) -> dict[str, object]:
     compiled = tree.compiled()
     compiled.predict(X[:1000])  # warm: native build, caches
 
-    walked = tree.walk_predict(X)
+    walked = walk_predict(tree, X)
     predicted = compiled.predict(X)
     identical = bool(np.array_equal(walked, predicted)) and bool(
-        np.array_equal(tree.walk_predict_proba(X), compiled.predict_proba(X))
+        np.array_equal(walk_predict_proba(tree, X), compiled.predict_proba(X))
     )
 
-    walk_s = _best(lambda: tree.walk_predict(X), repeats)
+    walk_s = _best(lambda: walk_predict(tree, X), repeats)
     compiled_s = _best(lambda: compiled.predict(X), repeats)
     numpy_s = _best(lambda: compiled._route_numpy(np.ascontiguousarray(X)), repeats)
-    walk_proba_s = _best(lambda: tree.walk_predict_proba(X), repeats)
+    walk_proba_s = _best(lambda: walk_predict_proba(tree, X), repeats)
     proba_s = _best(lambda: compiled.predict_proba(X), repeats)
 
     report: dict[str, object] = {

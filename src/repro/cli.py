@@ -514,6 +514,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.eval.treegen import random_batch, random_tree
         from repro.obs import AccessLog, SLODefinition, SLOMonitor
         from repro.serve import BreakerPolicy, ModelRegistry, ServingEngine
+        from repro.verify.walker import walk_predict
 
         tracer, metrics_registry = _obs_objects(args)
         tree = random_tree(depth=args.depth, seed=args.seed)
@@ -522,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
         X = random_batch(tree.schema, args.records, seed=args.seed + 1)
 
         start = time.perf_counter()
-        walked = tree.walk_predict(X)
+        walked = walk_predict(tree, X)
         walk_s = time.perf_counter() - start
 
         breaker_policy = (

@@ -10,12 +10,12 @@ holds the pieces common to the CMP family and the baselines:
   every builder, solo or ensemble: timing, the ``build`` span, pruning
   and the node/leaf/level tallies.
 * :class:`LevelBuilder` — the level driver of CMP-S, CMP-B, CMP, CLOUDS
-  and the bagged forest: quantiling and root scans, the level loop,
-  overflow rescans, slot remapping, PUBLIC(1) pruning and checkpoints,
-  run over one :class:`Member` per tree.  Subclasses supply only their
-  root accumulator, the histograms a decision needs, the decision and
-  resolution (and CLOUDS its exact pass); the driver analyses a whole
-  level's histograms at once.
+  and the bagged forest: the quantiling scan, the level loop (whose
+  first scan fills the roots), overflow rescans, slot remapping,
+  PUBLIC(1) pruning and checkpoints, run over one :class:`Member` per
+  tree.  Subclasses supply only their root accumulator, the histograms
+  a decision needs, the decision and resolution (and CLOUDS its exact
+  pass); the driver analyses a whole level's histograms at once.
 * Zone arithmetic for preliminary splits around alive intervals.
 * :func:`resolve_exact_threshold` — the "from approximate split to exact
   split" computation (§2.1): combine boundary ginis with the sorted records
@@ -495,6 +495,10 @@ class PendingSplit:
     ``len(alive_bounds) + 1`` preliminary parts, alive-interval records are
     buffered, and the threshold is resolved after the scan.
 
+    A pending with one part and no split — a member's root before the
+    first level scan, or a CMP-B side that does not split again — routes
+    all its records to that part.
+
     ``parts`` hold :class:`PartState` for CMP-S and matrix parts for
     CMP-B, whose two-level sides are plain pendings too (their ``node``
     is set when the side's child is made at resolution).
@@ -522,8 +526,9 @@ class PendingSplit:
     @property
     def n_parts(self) -> int:
         """Preliminary parts of a single-level split: two for an exact
-        split, one per region around the alive intervals otherwise."""
-        return 2 if self.exact_split is not None else len(self.alive_bounds) + 1
+        split, one per region around the zone bounds' alive intervals (or
+        a linear split's band) otherwise.  A root pending has one."""
+        return 2 if self.exact_split is not None else len(self.zone_bounds) // 2 + 1
 
     def split_values(self, X: np.ndarray) -> np.ndarray:
         """The records' coordinates on the estimated split's axis."""
@@ -1051,9 +1056,10 @@ class Member:
     resolution); ``weights`` are its per-record bootstrap multiplicities,
     ``None`` for a solo build; ``prefix`` namespaces its memory-ledger
     keys, since node ids restart at zero in every tree; ``rng`` feeds its
-    quantiling reservoirs and root accumulator.  The remaining fields are
-    the tree's loop state; ``nid`` is its column of the shared map, and
-    never-drawn records hold ``-1`` there.
+    quantiling reservoirs and root accumulator (the one part of its root
+    pending).  The remaining fields are the tree's loop state; ``nid`` is
+    its column of the shared map, and never-drawn records hold ``-1``
+    there.
     """
 
     builder: "LevelBuilder"
@@ -1070,18 +1076,20 @@ class Member:
 class LevelBuilder(TreeBuilder):
     """The level-synchronous driver: one routing scan per tree level.
 
-    Two scans precede the loop: a quantiling pass that fixes the root
-    interval grid (charged to CLOUDS identically, see DESIGN.md §3) and
-    the root-accumulator pass (Figures 4 and 10, line 03).  Then each
-    level makes one scan that routes every record from its pending parent
-    into preliminary parts and buffers alive-interval records, followed
-    by resolution of the exact splits and the children's decisions.
+    One scan precedes the loop: a quantiling pass that fixes the root
+    interval grid (charged to CLOUDS identically, see DESIGN.md §3).  It
+    plants each root as a one-part pending, so level 0's scan fills the
+    root accumulator (Figures 4 and 10, line 03) and its step decides the
+    root.  Each later level makes one scan that routes every record from
+    its pending parent into preliminary parts and buffers alive-interval
+    records, followed by resolution of the exact splits and the
+    children's decisions.
 
     The driver, :meth:`_grow`, grows a list of :class:`Member` trees with
     the same scans: one member for a solo build, one per bootstrap draw
     for the bagged forest.  Builders supply the strategy:
 
-    * :meth:`_root_part` — the root accumulator scan 2 fills;
+    * :meth:`_root_part` — the root accumulator level 0's scan fills;
     * :meth:`_collect` — the histograms a node's decision needs analysed;
     * :meth:`_decide` — a node's pending split from those analyses, or
       ``None`` for a leaf;
@@ -1270,11 +1278,10 @@ class LevelBuilder(TreeBuilder):
                 m.pendings, m.next_slot = state["pendings"], state["next_slot"]
                 nid = m.nid
             else:
-                nid = self._plant(table, engine, stats, schema, members)
-                level = 0
-                checkpoint(level)
+                nid = self._plant(table, stats, schema, members)
+                level = -1
 
-            # --- One scan per level. ---------------------------------------
+            # --- One scan per level; level 0's fills the roots. -----------
             # A level's extra passes (``_ready``) file under its span.
             live = self._ready(table, engine, stats, schema, members)
             while live:
@@ -1302,27 +1309,21 @@ class LevelBuilder(TreeBuilder):
         return [DecisionTree(m.root, schema) for m in members]
 
     def _plant(
-        self,
-        table,
-        engine: ScanEngine,
-        stats: BuildStats,
-        schema: Schema,
-        members: list[Member],
+        self, table, stats: BuildStats, schema: Schema, members: list[Member]
     ) -> np.ndarray:
-        """Scans 1 and 2: every member's root grid, root node and root pending.
+        """The quantiling scan; then every member's root and root pending.
 
+        A root pending has one part, the member's root accumulator, so the
+        loop's first level scan fills it like any other node's part.
         Returns the shared ``nid`` map: one column per member, or a plain
         vector for a solo build.
         """
         n = table.n_records
         nid = np.zeros(n if len(members) == 1 else (n, len(members)), dtype=np.int64)
-
-        # --- Scan 1: quantiling pass (root grids + class totals). ----------
         with stats.phase("scan"):
             quantiled = self._quantile_scan(
                 table, schema, [(m.weights, m.rng) for m in members]
             )
-        parts = []
         # reshape(n, -1).T yields writable per-member column views of nid.
         for m, column, (totals, root_edges) in zip(
             members, nid.reshape(n, -1).T, quantiled
@@ -1331,45 +1332,9 @@ class LevelBuilder(TreeBuilder):
             m.nid = column
             if m.weights is not None:
                 column[m.weights == 0] = -1
-            parts.append(m.builder._root_part(schema, root_edges, m.rng))
-            stats.memory.allocate(f"{m.prefix}hist/root", parts[-1].nbytes())
-
-        # --- Scan 2: root accumulators. --------------------------------------
-        def route(chunk: ScanChunk, tgt: list) -> None:
-            for m, part in zip(members, tgt):
-                if m.weights is None:
-                    part.update(chunk.X, chunk.y)
-                    continue
-                w = m.weights[chunk.start : chunk.stop]
-                drawn = w > 0
-                if drawn.any():
-                    part.update(chunk.X[drawn], chunk.y[drawn], w[drawn])
-
-        with stats.phase("scan"):
-            engine.scan(
-                table,
-                route=route,
-                live=parts,
-                make_delta=lambda: [part.clone_empty() for part in parts],
-                merge_delta=lambda delta: [
-                    part.merge_from(d) for part, d in zip(parts, delta)
-                ],
-                memory=stats.memory,
-                delta_nbytes=sum(part.nbytes() for part in parts),
-            )
-        stats.io.count_nid_swap(n * len(members))
-
-        with stats.phase("resolve"):
-            firsts = self._decide_all(
-                [(m, m.root, part) for m, part in zip(members, parts)], schema, stats
-            )
-            for m, first in zip(members, firsts):
-                if first is not None:
-                    stats.memory.allocate(
-                        f"{m.prefix}parts/{m.root.node_id}", first.parts_nbytes()
-                    )
-                    m.pendings[0] = first
-                stats.memory.release(f"{m.prefix}hist/root")
+            part = m.builder._root_part(schema, root_edges, m.rng)
+            stats.memory.allocate(f"{m.prefix}parts/{m.root.node_id}", part.nbytes())
+            m.pendings[0] = PendingSplit(node=m.root, parent_slot=0, parts=[part])
         return nid
 
     def _scan_level(
@@ -1463,7 +1428,8 @@ class LevelBuilder(TreeBuilder):
     def _step(self, live: list[Member], schema: Schema, stats: BuildStats) -> None:
         """Every live member's post-scan step; sets its next pendings.
 
-        Resolves every scanned pending, decides all children with one
+        Resolves every scanned pending (a one-part pending hands its part
+        to its own node: level 0's roots), decides all children with one
         batched analysis, then, per member and pending in order, charges
         the ledger, remaps merged parts in ``nid`` and, under
         ``prune="public"``, runs the PUBLIC(1) pass for builders with
@@ -1479,7 +1445,11 @@ class LevelBuilder(TreeBuilder):
             remap: dict[int, int] = {}
             done = []
             for p in m.pendings.values():
-                kids = m.builder._resolve(p, m.nid, remap, m.account, schema, stats)
+                kids = (
+                    [(p.node, p.parts[0])]
+                    if p.n_parts == 1
+                    else m.builder._resolve(p, m.nid, remap, m.account, schema, stats)
+                )
                 todo.extend((m, child, part) for child, part in kids)
                 # What the ledger replay needs of each child, so its part
                 # can be freed as soon as it is decided.

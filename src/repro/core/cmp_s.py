@@ -18,9 +18,9 @@ and after the scan:
    batch — picks each child's splitting attribute, estimates its split
    and its alive intervals (lines 15-19).
 
-The scan loop itself — the quantiling and root scans, the per-level scan
-with its routing (:meth:`~repro.core.builder.PendingSplit.route`),
-overflow rescans, slot remapping, PUBLIC(1) pruning and checkpoints — is
+The scan loop itself — the quantiling scan, the per-level scan (level
+0's fills the root accumulator) with its routing
+(:meth:`~repro.core.builder.PendingSplit.route`), overflow rescans, slot remapping, PUBLIC(1) pruning and checkpoints — is
 :class:`~repro.core.builder.LevelBuilder`'s; this module supplies the
 CMP-S strategy: per-attribute histograms as the root accumulator, the
 histograms each decision needs analysed, decisions and resolution.

@@ -21,9 +21,9 @@ touch a Python node object:
 
 Every comparison uses the same float64 expression the object walker
 evaluates, so the compiled engine is **bit-identical** to
-``DecisionTree.walk_predict`` / ``walk_predict_proba`` on any input —
-the property tests in ``tests/test_compiled.py`` assert exactly that on
-randomized trees of all three split kinds.
+:func:`repro.verify.walker.walk_predict` / ``walk_predict_proba`` on
+any input — the property tests in ``tests/test_compiled.py`` assert
+exactly that on randomized trees of all three split kinds.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def compile_tree(tree: DecisionTree) -> CompiledTree:
             kind[i] = CATEGORICAL
             attr[i] = split.attr
             # Unseen category codes follow the heavier child (ties left) —
-            # the same rule DecisionTree._route applies.
+            # the same rule the object walker applies.
             default_left[i] = node.left.n_records >= node.right.n_records  # type: ignore[union-attr]
             m = np.asarray(split.left_mask, dtype=bool)
             cat_offset[i] = mask_total

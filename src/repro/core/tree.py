@@ -8,7 +8,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.gini import gini
-from repro.core.splits import CategoricalSplit, Split
+from repro.core.splits import Split
 from repro.data.schema import Schema
 
 
@@ -108,9 +108,9 @@ class DecisionTree:
 
     ``predict`` / ``predict_proba`` / ``apply`` route whole batches through
     the compiled array form (:mod:`repro.core.compiled`), built lazily on
-    first use and invalidated when the tree is pruned.  The original
-    object walker stays available as ``walk_*`` reference methods; the two
-    are bit-identical on every input.
+    first use and invalidated when the tree is pruned.  The object walker
+    in :mod:`repro.verify.walker` is its reference; the two are
+    bit-identical on every input.
     """
 
     def __init__(self, root: Node, schema: Schema) -> None:
@@ -189,77 +189,6 @@ class DecisionTree:
         """Per-class probabilities from the training-count distribution of
         each record's leaf; shape ``(n, n_classes)``."""
         return self.compiled().predict_proba(X)
-
-    # -- object-walker reference implementations ----------------------------
-    #
-    # The compiled engine is asserted bit-identical to these; they remain
-    # the executable specification (and the benchmark baseline).
-
-    def walk_apply(self, X: np.ndarray) -> np.ndarray:
-        """Object-walker ``apply``: leaf ``node_id`` per record."""
-        X = _as_batch(X)
-        out = np.empty(len(X), dtype=np.int64)
-        self._route(self.root, X, np.arange(len(X)), out)
-        return out
-
-    def walk_predict(self, X: np.ndarray) -> np.ndarray:
-        """Object-walker ``predict``: class label per record."""
-        X = _as_batch(X)
-        out = np.empty(len(X), dtype=np.int64)
-        self._route(self.root, X, np.arange(len(X)), out, predict=True)
-        return out
-
-    def walk_predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Object-walker ``predict_proba``.
-
-        A single leaf-indexed gather: one ``(n_leaves, c)`` probability
-        table plus a ``node_id -> row`` lookup replaces the former
-        per-leaf masked assignment, which rescanned all ``n`` leaf ids
-        once per leaf (O(n_leaves * n)).
-        """
-        leaf_ids = self.walk_apply(X)
-        leaves = [n for n in self.iter_nodes() if n.is_leaf]
-        table = np.empty((len(leaves), self.schema.n_classes), dtype=np.float64)
-        lookup = np.zeros(max(n.node_id for n in leaves) + 1, dtype=np.intp)
-        for row, node in enumerate(leaves):
-            counts = node.effective_counts
-            total = counts.sum()
-            table[row] = (
-                counts / total
-                if total > 0
-                else np.full_like(counts, 1.0 / len(counts))
-            )
-            lookup[node.node_id] = row
-        return table[lookup[leaf_ids]]
-
-    def _route(
-        self,
-        node: Node,
-        X: np.ndarray,
-        idx: np.ndarray,
-        out: np.ndarray,
-        predict: bool = False,
-    ) -> None:
-        # Iterative with an explicit stack: a chain tree deeper than
-        # Python's recursion limit (~1000) must still predict correctly.
-        stack = [(node, idx)]
-        while stack:
-            node, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.majority_class if predict else node.node_id
-                continue
-            split = node.split
-            if isinstance(split, CategoricalSplit):
-                # Category codes unseen at training time follow the child
-                # that absorbed more training records (ties go left).
-                heavier_left = node.left.n_records >= node.right.n_records  # type: ignore[union-attr]
-                goes_left = split.goes_left(X[idx], unseen_left=heavier_left)
-            else:
-                goes_left = split.goes_left(X[idx])  # type: ignore[union-attr]
-            stack.append((node.right, idx[~goes_left]))  # type: ignore[arg-type]
-            stack.append((node.left, idx[goes_left]))  # type: ignore[arg-type]
 
     def render(self) -> str:
         """Multi-line text rendering of the tree (for examples and docs)."""

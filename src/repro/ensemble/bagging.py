@@ -34,8 +34,8 @@ times.  The members run through the solo driver,
 :meth:`~repro.core.builder.LevelBuilder._grow`: each member is a
 :class:`~repro.core.cmp_s.CMPSBuilder` helper with the member's seed,
 its bootstrap weights and an ``m{t}/`` ledger prefix, so the quantiling
-and root scans, every level scan (overflow rescan included) and every
-post-scan step — resolve, decide, slot remap, PUBLIC(1) — are the solo
+scan, every level scan (the roots' included, overflow rescans too) and
+every post-scan step — resolve, decide, slot remap, PUBLIC(1) — are the solo
 build's code and cannot drift apart.
 """
 

@@ -333,8 +333,9 @@ class BuildStats:
     #: Member trees trained by an ensemble build (0 = single-tree build).
     ensemble_members: int = 0
     #: Level scans of the build, each shared by every member tree still
-    #: growing.  Reported for ensemble builds, whose solo equivalent would
-    #: have paid ``ensemble_members`` times as many table passes.
+    #: growing; level 0's pass, which fills the roots, counts as one.
+    #: Reported for ensemble builds, whose solo equivalent would have
+    #: paid ``ensemble_members`` times as many table passes.
     shared_level_scans: int = 0
     #: Wall-clock seconds per build phase ("scan", "resolve", "checkpoint").
     phase_seconds: dict[str, float] = field(default_factory=dict)

@@ -27,6 +27,8 @@ that claim into machine-checkable assertions:
   sketch-chosen split of the one-pass trainer replayed against the exact
   oracle within an explicit ε-derived bound, swept over seeds ×
   generator functions × stream orders.
+* :mod:`repro.verify.walker` — the object walker, the node-by-node
+  reference that compiled prediction must match bit for bit.
 * :mod:`repro.verify.runner` — the ``cmp-repro verify`` orchestration,
   wired into :mod:`repro.obs` tracing and metrics.
 

@@ -76,6 +76,7 @@ from repro.core.tree import DecisionTree
 from repro.data.dataset import Dataset
 from repro.data.discretize import bin_index, equal_depth_edges
 from repro.verify.oracle import OracleBuilder, OracleSplit, oracle_best_split
+from repro.verify.walker import walk_predict
 
 #: Builder name -> class, in canonical run order.
 BUILDER_FACTORIES = {
@@ -530,7 +531,7 @@ def run_differential(
         report.findings.extend(findings)
 
         compiled_pred = tree.predict(dataset.X)
-        walked_pred = tree.walk_predict(dataset.X)
+        walked_pred = walk_predict(tree, dataset.X)
         if not np.array_equal(compiled_pred, walked_pred):
             report.findings.append(
                 Finding(

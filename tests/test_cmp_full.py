@@ -37,6 +37,28 @@ class TestCMPLinear:
         result = CMPBuilder(fast_config).build(diagonal)
         assert_tree_consistent(result.tree, diagonal)
 
+    def test_every_pending_counts_its_parts(self, diagonal, fast_config, monkeypatch):
+        # A linear pending keeps its band in ``zone_bounds`` and no alive
+        # bounds; its two parts must still count as two, or the level
+        # step would take it for a one-part root pending.
+        seen = []
+        step = CMPBuilder._step
+
+        def spy(self, live, *args):
+            seen.extend(p for m in live for p in m.pendings.values())
+            return step(self, live, *args)
+
+        monkeypatch.setattr(CMPBuilder, "_step", spy)
+        result = CMPBuilder(fast_config).build(diagonal)
+        assert result.stats.linear_splits >= 1
+        # The roots' pendings are plain one-part pendings, the rest BPendings.
+        assert any(getattr(p, "linear", None) is not None for p in seen)
+        for p in seen:
+            sides = getattr(p, "sides", [])
+            assert p.n_parts == (len(sides) or len(p.parts))
+            for side in sides:
+                assert side.n_parts == len(side.parts)
+
     def test_function_f_consistency_and_lines(self, ff_small, fast_config):
         cfg = fast_config.with_(max_depth=10)
         result = CMPBuilder(cfg).build(ff_small)

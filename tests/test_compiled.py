@@ -20,6 +20,7 @@ from repro.core.tree import DecisionTree, Node, TreeAccount
 from repro.data.schema import Schema, categorical, continuous
 from repro.eval.treegen import random_batch, random_tree
 from repro.pruning.mdl import mdl_prune
+from repro.verify.walker import walk_apply, walk_predict, walk_predict_proba
 
 
 def cat_tree() -> DecisionTree:
@@ -83,10 +84,10 @@ class TestBitIdentity:
     def test_randomized_trees_all_split_kinds(self, seed, batch_seed, leaf_prob, unseen):
         t = random_tree(depth=6, seed=seed, leaf_prob=leaf_prob)
         X = random_batch(t.schema, 300, seed=batch_seed, unseen_frac=unseen)
-        np.testing.assert_array_equal(t.predict(X), t.walk_predict(X))
-        np.testing.assert_array_equal(t.apply(X), t.walk_apply(X))
+        np.testing.assert_array_equal(t.predict(X), walk_predict(t, X))
+        np.testing.assert_array_equal(t.apply(X), walk_apply(t, X))
         proba = t.predict_proba(X)
-        walked = t.walk_predict_proba(X)
+        walked = walk_predict_proba(t, X)
         assert proba.dtype == walked.dtype
         np.testing.assert_array_equal(proba, walked)
 
@@ -99,7 +100,7 @@ class TestBitIdentity:
         X = random_batch(t.schema, 300, seed=seed + 1, unseen_frac=0.1)
         c = t.compiled()
         routed = c._route_numpy(np.ascontiguousarray(X))
-        np.testing.assert_array_equal(c.node_id[routed], t.walk_apply(X))
+        np.testing.assert_array_equal(c.node_id[routed], walk_apply(t, X))
 
     def test_native_and_numpy_routes_agree(self):
         if not native_available():
@@ -116,7 +117,7 @@ class TestBitIdentity:
         wide = random_batch(t.schema, 200, seed=8)
         X = np.hstack([wide, wide])[:, : t.schema.n_attributes][::2]
         assert not X.flags.c_contiguous
-        np.testing.assert_array_equal(t.predict(X), t.walk_predict(X))
+        np.testing.assert_array_equal(t.predict(X), walk_predict(t, X))
 
 
 class TestEmptyBatch:
@@ -137,7 +138,7 @@ class TestUnseenCategories:
         X = np.array([[7.0, 0.0]])
         heavy_leaf = t.root.left.node_id
         assert t.apply(X)[0] == heavy_leaf
-        assert t.walk_apply(X)[0] == heavy_leaf
+        assert walk_apply(t, X)[0] == heavy_leaf
 
     def test_tie_goes_left(self):
         t = cat_tree()
@@ -150,7 +151,7 @@ class TestUnseenCategories:
     def test_walker_and_compiled_agree_on_unseen(self):
         t = random_tree(depth=6, seed=11, p_categorical=0.8, p_numeric=0.2, p_linear=0.0)
         X = random_batch(t.schema, 500, seed=12, unseen_frac=0.5)
-        np.testing.assert_array_equal(t.predict(X), t.walk_predict(X))
+        np.testing.assert_array_equal(t.predict(X), walk_predict(t, X))
 
 
 class TestFingerprint:

@@ -103,15 +103,22 @@ class TestBaggedForestBuilder:
 
     def test_one_scan_per_level_not_per_tree(self, small_mixed):
         result = BaggedForestBuilder(ENSEMBLE_CONFIG, n_trees=4).build(small_mixed)
-        # Two bootstrap scans plus one scan per shared level — far fewer
-        # than 4 independent builds would issue.
-        assert result.stats.shared_level_scans >= 1
-        assert result.stats.io.scans <= 2 + result.stats.shared_level_scans
+        # One quantiling scan plus one scan per shared level, the roots'
+        # included — far fewer than 4 independent builds would issue.
+        stats = result.stats
+        assert stats.shared_level_scans >= 2
+        assert stats.io.scans == (
+            1 + stats.shared_level_scans + stats.buffer_overflow_rescans
+        )
 
     def test_buffer_overflow_rescan_keeps_parity(self, small_mixed):
         cfg = ENSEMBLE_CONFIG.with_(buffer_budget_bytes=2_048)
         result = BaggedForestBuilder(cfg, n_trees=2).build(small_mixed)
-        assert result.stats.buffer_overflow_rescans > 0
+        stats = result.stats
+        assert stats.buffer_overflow_rescans > 0
+        assert stats.io.scans == (
+            1 + stats.shared_level_scans + stats.buffer_overflow_rescans
+        )
         n = small_mixed.n_records
         for t, member in enumerate(result.forest.members):
             boot = small_mixed.take(np.sort(bootstrap_indices(cfg.seed, t, n)))

@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.baselines.clouds import CloudsBuilder
 from repro.config import BuilderConfig
 from repro.core.cmp_b import CMPBBuilder
 from repro.core.cmp_full import CMPBuilder
@@ -85,8 +86,8 @@ class TestScanCrossCheck:
         (check,) = summary.builds
         assert check.builder == "CMP"
         assert check.counted_scans == check.recorded_scans
-        # Each completed level traces exactly one scan; the prelude
-        # (quantiling + root histogram) accounts for the rest.
+        # Each completed level traces exactly one scan, level 0 the
+        # root pass; the prelude (quantiling) accounts for the rest.
         per_level = check.scans_per_level
         assert all(per_level[lv] == 1 for lv in per_level if lv != -1)
         assert sum(per_level.values()) == check.counted_scans
@@ -105,18 +106,33 @@ class TestScanCrossCheck:
         assert check.scans_per_level[-1] == 1
         assert sum(check.scans_per_level.values()) == check.counted_scans
 
-    def test_bagged_scans_file_under_levels(self, dataset, config):
+    @pytest.mark.parametrize(
+        "make,level0_scans",
+        [
+            (lambda cfg, tr: BaggedForestBuilder(cfg, n_trees=3, tracer=tr), 1),
+            (lambda cfg, tr: CMPSBuilder(cfg, tracer=tr), 1),
+            (lambda cfg, tr: CMPBBuilder(cfg, tracer=tr), 1),
+            (lambda cfg, tr: CMPBuilder(cfg, tracer=tr), 1),
+            (lambda cfg, tr: CloudsBuilder(cfg.with_(clouds_mode="ss"), tracer=tr), 1),
+            # The exact pass the root's decision waits on files under level 0.
+            (lambda cfg, tr: CloudsBuilder(cfg.with_(clouds_mode="sse"), tracer=tr), 2),
+        ],
+        ids=["bagged", "CMP-S", "CMP-B", "CMP", "CLOUDS-SS", "CLOUDS-SSE"],
+    )
+    def test_level_scans_file_under_levels(self, make, level0_scans, dataset, config):
         tracer = Tracer()
-        result = BaggedForestBuilder(config, n_trees=3, tracer=tracer).build(
-            dataset
-        )
+        builder = make(config, tracer)
+        result = builder.build(dataset)
         summary = summarize_trace(tracer.spans())
         assert summary.consistent
         (check,) = summary.builds
-        assert check.builder == "bagged-CMP-S"
+        assert check.builder == builder.name
         assert check.counted_scans == result.stats.io.scans
-        # The shared quantiling and root scans precede the first level.
-        assert check.scans_per_level[-1] == 2
+        # Only the quantiling scan precedes the first level; level 0
+        # holds the root pass.
+        assert check.scans_per_level[-1] == 1
+        assert check.scans_per_level[0] == level0_scans
+        assert sum(check.scans_per_level.values()) == check.counted_scans
 
     def test_parallel_scan_spans_carry_worker_children(self, dataset, config):
         tracer = Tracer()

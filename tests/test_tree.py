@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.splits import CategoricalSplit, NumericSplit
 from repro.core.tree import DecisionTree, Node, TreeAccount
 from repro.data.schema import Schema, categorical, continuous
+from repro.verify.walker import walk_apply
 
 
 def small_tree() -> DecisionTree:
@@ -221,17 +222,17 @@ class TestUnseenCategoryRouting:
     def test_unseen_code_no_longer_raises(self):
         t = self.make_tree(left_heavy=True)
         X = np.array([[2.0, 0.0], [-1.0, 0.0]])  # codes 2 and -1 unseen
-        np.testing.assert_array_equal(t.walk_apply(X), [1, 1])
+        np.testing.assert_array_equal(walk_apply(t, X), [1, 1])
         np.testing.assert_array_equal(t.apply(X), [1, 1])
 
     def test_unseen_code_follows_heavier_right_child(self):
         t = self.make_tree(left_heavy=False)
         X = np.array([[5.0, 0.0]])
-        assert t.walk_apply(X)[0] == 2
+        assert walk_apply(t, X)[0] == 2
         assert t.apply(X)[0] == 2
 
     def test_seen_codes_unaffected(self):
         t = self.make_tree(left_heavy=False)
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(t.walk_apply(X), [1, 2])
+        np.testing.assert_array_equal(walk_apply(t, X), [1, 2])
         np.testing.assert_array_equal(t.apply(X), [1, 2])
