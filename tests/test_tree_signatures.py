@@ -153,6 +153,14 @@ def _case_ids() -> list[str]:
         for data in ("F2", "F7", "mixed")
     ]
     ids += ["CLOUDS-SS/F2/public", "CLOUDS-SSE/F7/public"]
+    # Forked-worker twins of the exact pass, the overflow refill and the
+    # boosted scan: their trees match the serial pins, while their cost
+    # and ledger peak carry the parallel pass and its worker deltas.
+    ids += [
+        "CLOUDS-SSE/F2/process2",
+        "CMP-S/F2/budget2048-process2",
+        "hist-gbdt/mixed/I3-process2",
+    ]
     return ids
 
 
@@ -160,26 +168,29 @@ def run_case(case: str) -> dict:
     """Build one case and return its pinned values."""
     builder, data, variant = case.split("/")
     ds = dataset(data)
+    base = CFG
+    if variant.endswith("process2"):
+        # Two forked scan workers on top of the variant named before it.
+        base = CFG.with_(scan_workers=2, scan_backend="process")
+        variant = variant.removesuffix("process2").removesuffix("-") or "none"
     if builder == "hist-gbdt":
-        result = HistGradientBoostingBuilder(CFG, n_iterations=3).build(ds)
+        result = HistGradientBoostingBuilder(base, n_iterations=3).build(ds)
         pin = _pin(None, result.stats)
         pin["sha256"] = result.forest.compiled().fingerprint
         return pin
     if builder in CLOUDS_MODES:
-        cfg = CFG.with_(clouds_mode=CLOUDS_MODES[builder], prune=variant)
+        cfg = base.with_(clouds_mode=CLOUDS_MODES[builder], prune=variant)
         result = CloudsBuilder(cfg).build(ds)
         return _pin(tree_signature(result.tree), result.stats)
     shape = None
     if variant in SHAPE_VARIANTS:
         cfg, shape = SHAPE_VARIANTS[variant]
     elif variant == "budget2048":
-        cfg = CFG.with_(buffer_budget_bytes=2048)
-    elif variant == "process2":
-        cfg = CFG.with_(scan_workers=2, scan_backend="process")
+        cfg = base.with_(buffer_budget_bytes=2048)
     elif variant == "T3":
-        cfg = CFG
+        cfg = base
     else:
-        cfg = CFG.with_(prune=variant)
+        cfg = base.with_(prune=variant)
     if builder == "bagged-CMP-S":
         result = BaggedForestBuilder(cfg.with_(prune="public"), n_trees=3).build(ds)
         signature = tuple(tree_signature(t) for t in result.forest.members)
@@ -202,7 +213,7 @@ def pinned() -> dict:
 
 @pytest.mark.parametrize("case", _case_ids())
 def test_tree_matches_pinned(case, pinned):
-    if case.endswith("process2") and not process_backend_available():
+    if "process2" in case and not process_backend_available():
         pytest.skip("fork start method unavailable")
     assert run_case(case) == pinned[case]
 
