@@ -56,21 +56,18 @@ from repro.core.splits import CategoricalSplit, NumericSplit, Split
 from repro.core.tree import Node, TreeAccount
 from repro.data.schema import Schema
 from repro.io.metrics import BuildStats
-from repro.io.pager import ScanChunk
 
 _EPS = 1e-12
 
 
 @dataclass
 class _AliveProbe:
-    """One alive interval awaiting the exact pass."""
+    """One alive interval ``(lo, hi]`` of ``attr`` awaiting the exact pass."""
 
     attr: int
     lo: float
     hi: float
     cum_below: np.ndarray
-    values: list[np.ndarray] = field(default_factory=list)
-    labels: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -78,15 +75,42 @@ class _Candidate(PendingSplit):
     """A node's best split known exactly so far, not yet applied.
 
     ``best*`` start as the best boundary or categorical split; under SSE
-    the records of the alive intervals in ``probes`` may beat it.  A
-    candidate routes no records: :meth:`CloudsBuilder._ready` settles it
-    with the exact pass before the level scan.
+    the records of the alive intervals in ``probes`` may beat it.  The
+    exact pass, which :meth:`CloudsBuilder._ready` makes before the
+    level scan, routes the node's records through :meth:`route` into
+    the candidate's buffer; it has no parts and writes no ``nid``.
     """
 
     best: Split | None = None
     best_gini: float = np.inf
     best_left: np.ndarray = field(default_factory=lambda: np.empty(0))
     probes: list[_AliveProbe] = field(default_factory=list)
+
+    def route(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        rids: np.ndarray,
+        nid: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> None:
+        """Buffer the records inside any probe's alive interval."""
+        inside = np.zeros(len(y), dtype=bool)
+        for probe in self.probes:
+            v = X[:, probe.attr]
+            inside |= (v > probe.lo) & (v <= probe.hi)
+        if inside.any():
+            self.buffer.append(X[inside], y[inside], rids[inside])
+
+    def probed(self) -> list[tuple[_AliveProbe, np.ndarray, np.ndarray]]:
+        """Each probe with the values and labels of its buffered records."""
+        Xb, yb, __ = self.buffer.concatenated()
+        out = []
+        for probe in self.probes:
+            v = Xb[:, probe.attr] if len(yb) else np.empty(0)
+            inside = (v > probe.lo) & (v <= probe.hi)
+            out.append((probe, v[inside], yb[inside]))
+        return out
 
 
 class CloudsBuilder(CMPSBuilder):
@@ -243,16 +267,19 @@ class CloudsBuilder(CMPSBuilder):
             slot: p for slot, p in m.pendings.items() if isinstance(p, _Candidate)
         }
         if waiting:
-            self._exact_pass(table, engine, stats, m.nid, waiting)
+            # The exact pass: a level scan over the waiting candidates.
+            exact = replace(m, pendings=waiting)
+            self._scan_level(table, engine, stats, m.nid, [exact])
             pendings = {s: p for s, p in m.pendings.items() if s not in waiting}
             with stats.phase("resolve"):
                 for slot, p in waiting.items():
                     node_id = p.node.node_id
+                    probed = p.probed()
                     stats.memory.allocate(
                         f"{m.prefix}probe/{node_id}",
-                        sum(2 * v.nbytes for pr in p.probes for v in pr.values),
+                        sum(2 * v.nbytes for __, v, __ in probed),
                     )
-                    q = self._finish(p, m.next_slot, m.account, schema, stats)
+                    q = self._finish(p, probed, m.next_slot, m.account, schema, stats)
                     stats.memory.release(f"{m.prefix}probe/{node_id}")
                     if q is None:
                         stats.memory.release(f"{m.prefix}parts/{node_id}")
@@ -264,71 +291,23 @@ class CloudsBuilder(CMPSBuilder):
             m.pendings = pendings
         return super()._ready(table, engine, stats, schema, members)
 
-    def _exact_pass(
-        self,
-        table,
-        engine: ScanEngine,
-        stats: BuildStats,
-        nid: np.ndarray,
-        waiting: dict[int, _Candidate],
-    ) -> None:
-        """One scan collecting the records inside every alive interval."""
-
-        def route(chunk: ScanChunk, tgt: dict[int, list[_AliveProbe]]) -> None:
-            slots = nid[chunk.start : chunk.stop]
-            for slot, probes in tgt.items():
-                mask = slots == slot
-                if not mask.any():
-                    continue
-                X = chunk.X[mask]
-                y = chunk.y[mask]
-                for probe in probes:
-                    v = X[:, probe.attr]
-                    inside = (v > probe.lo) & (v <= probe.hi)
-                    if inside.any():
-                        probe.values.append(v[inside])
-                        probe.labels.append(y[inside])
-
-        live = {slot: p.probes for slot, p in waiting.items()}
-
-        def merge(delta: dict[int, list[_AliveProbe]]) -> None:
-            for slot, probes in delta.items():
-                for probe, d in zip(live[slot], probes):
-                    probe.values.extend(d.values)
-                    probe.labels.extend(d.labels)
-
-        with stats.phase("scan"):
-            engine.scan(
-                table,
-                route=route,
-                live=live,
-                make_delta=lambda: {
-                    slot: [replace(pr, values=[], labels=[]) for pr in probes]
-                    for slot, probes in live.items()
-                },
-                merge_delta=merge,
-            )
-        stats.io.count_nid_swap(len(nid))
-
     def _finish(
         self,
         p: _Candidate,
+        probed: list[tuple[_AliveProbe, np.ndarray, np.ndarray]],
         next_slot: Callable[[], int],
         account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
     ) -> PendingSplit | None:
-        """Improve ``p`` with its probed records, then apply it."""
+        """Improve ``p`` with its ``probed`` records, then apply it."""
         totals = np.asarray(p.node.class_counts, dtype=np.float64)
         improved = False
-        for probe in p.probes:
-            if not probe.values:
+        for probe, values, labels in probed:
+            if not len(values):
                 continue
             thresholds, left = prefix_cuts(
-                np.concatenate(probe.values),
-                np.concatenate(probe.labels),
-                probe.cum_below,
-                schema.n_classes,
+                values, labels, probe.cum_below, schema.n_classes
             )
             best = best_cut(left, totals)
             if best is None:

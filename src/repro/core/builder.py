@@ -497,7 +497,8 @@ class PendingSplit:
 
     A pending with one part and no split — a member's root before the
     first level scan, or a CMP-B side that does not split again — routes
-    all its records to that part.
+    all its records to that part.  A copy with no parts, which the
+    overflow refill routes, only buffers its alive records.
 
     ``parts`` hold :class:`PartState` for CMP-S and matrix parts for
     CMP-B, whose two-level sides are plain pendings too (their ``node``
@@ -987,6 +988,71 @@ def public_pass(root: Node, pendings: dict[int, PendingSplit]) -> dict[int, Pend
     return {slot: p for slot, p in pendings.items() if p.node.node_id not in removed}
 
 
+@dataclass
+class PendingScan:
+    """One tree's pending splits as a :meth:`ScanEngine.scan` target.
+
+    ``nid`` is the tree's record→slot column and ``weights`` its
+    per-record bootstrap multiplicities (``None`` for a solo build).
+    They are the routing context: a worker's delta shares them, and a
+    forked worker's delta leaves them behind when it is pickled home.
+    """
+
+    nid: np.ndarray
+    weights: np.ndarray | None
+    pendings: dict[int, PendingSplit]
+
+    def __getstate__(self) -> dict:
+        return {"pendings": self.pendings}
+
+    def route(self, chunk: ScanChunk) -> None:
+        """Route one chunk's records through the tree's pending splits.
+
+        The chunk is sorted by slot once (stably, so each slot's records
+        keep their record order); every pending then routes one
+        contiguous run of that order.  The bagged forest's never-drawn
+        records carry a negative ``nid`` and so match no pending.
+        """
+        if not self.pendings:
+            return
+        slots = self.nid[chunk.start : chunk.stop]
+        order = np.argsort(slots, kind="stable")
+        keys = np.fromiter(self.pendings, dtype=slots.dtype, count=len(self.pendings))
+        sorted_slots = slots[order]
+        los = np.searchsorted(sorted_slots, keys, side="left").tolist()
+        his = np.searchsorted(sorted_slots, keys, side="right").tolist()
+        weights = self.weights
+        if weights is not None:
+            weights = weights[chunk.start : chunk.stop]
+        for p, lo, hi in zip(self.pendings.values(), los, his):
+            if lo < hi:
+                idx = order[lo:hi]
+                p.route(
+                    chunk.X[idx],
+                    chunk.y[idx],
+                    chunk.rids[idx],
+                    self.nid,
+                    None if weights is None else weights[idx],
+                )
+
+    def scan_delta(self) -> "PendingScan":
+        """Every pending's empty clone over the same routing context."""
+        return PendingScan(
+            self.nid,
+            self.weights,
+            {slot: p.scan_delta() for slot, p in self.pendings.items()},
+        )
+
+    def merge_scan_delta(self, delta: "PendingScan") -> None:
+        """Fold one worker's delta in; the engine merges in chunk order."""
+        for slot, dp in delta.pendings.items():
+            self.pendings[slot].merge_scan_delta(dp)
+
+    def delta_nbytes(self) -> int:
+        """Bytes one fresh delta occupies (its pendings' parts)."""
+        return sum(p.delta_nbytes() for p in self.pendings.values())
+
+
 def refill_overflowed(
     table,
     engine: ScanEngine,
@@ -998,43 +1064,27 @@ def refill_overflowed(
 
     The CLOUDS-style degradation path: when a node's alive buffer blew
     its memory budget during the level's scan, its records are
-    recoverable — alive records keep their parent's ``nid`` slot (only
-    preliminary-region records were reassigned).  One shared pass
-    (chunk-parallel like any other scan; worker sub-buffers concatenate
-    in chunk order) refills every overflowed buffer, preserving the exact
-    append order of the un-budgeted path, so resolution — and the final
-    tree — is unchanged; only the extra scan is charged.
+    recoverable.  After the level scan the records still at a pending's
+    ``parent_slot`` are exactly its alive ones, since its region records
+    moved to their parts' slots.  So each overflowed pending gets a
+    fresh, unbounded buffer and is routed again as a copy with no parts
+    that shares it: :meth:`PendingSplit.route` only buffers.  One shared
+    pass (chunk-parallel like any other scan) refills every overflowed
+    buffer in the exact append order of the un-budgeted path, so
+    resolution — and the final tree — is unchanged; only the extra scan
+    is charged.
 
     Each group is one tree's ``(nid column, per-record weights or None,
-    overflowed pendings)``.  Weighted records are appended ``weight``
-    times, as the bagged forest's routing does.
+    overflowed pendings)``.
     """
     stats.buffer_overflow_rescans += 1
-    by_key: dict[tuple[int, int], PendingSplit] = {}
-    for g, (__, __, overflowed) in enumerate(groups):
+    targets = []
+    for nid, weights, overflowed in groups:
         for p in overflowed:
             p.buffer = RecordBuffer()  # unbounded: contents fit by paper's premise
-            by_key[(g, p.parent_slot)] = p
-
-    def route(chunk: ScanChunk, buffers: dict[tuple[int, int], RecordBuffer]) -> None:
-        for (g, slot), buf in buffers.items():
-            nid, weights, __ = groups[g]
-            mask = nid[chunk.start : chunk.stop] == slot
-            if mask.any():
-                w = None if weights is None else weights[chunk.start : chunk.stop][mask]
-                buf.append(
-                    *expand_weighted(chunk.X[mask], chunk.y[mask], chunk.rids[mask], w)
-                )
-
-    engine.scan(
-        table,
-        route=route,
-        live={key: p.buffer for key, p in by_key.items()},
-        make_delta=lambda: {key: RecordBuffer() for key in by_key},
-        merge_delta=lambda delta: [
-            by_key[key].buffer.extend_from(buf) for key, buf in delta.items()
-        ],
-    )
+        copies = {p.parent_slot: replace(p, parts=[]) for p in overflowed}
+        targets.append(PendingScan(nid, weights, copies))
+    engine.scan(table, targets)
     stats.io.count_aux_read(n * len(groups))
 
 
@@ -1102,6 +1152,12 @@ class LevelBuilder(TreeBuilder):
     creates the children, SSE's exact pass runs in :meth:`_ready`, and
     the level scan only fills the growing children's histograms.
 
+    Every pass that routes records — the level scan, the overflow refill
+    and CLOUDS-SSE's exact pass — is one :meth:`ScanEngine.scan` over
+    one :class:`PendingScan` target per tree, so each record reaches its
+    pending through the same sort-by-slot routing and the pending's own
+    ``route``.
+
     Each level's post-scan step runs in three stages (:meth:`_step`):
     resolve every live member's pendings; analyse every child's collected
     histograms in **one** :func:`~repro.core.intervals.analyze_attributes`
@@ -1140,42 +1196,6 @@ class LevelBuilder(TreeBuilder):
     ):
         """The root accumulator (slot 0) on the quantiled root grid."""
         raise NotImplementedError
-
-    def _route_chunk(
-        self,
-        chunk: ScanChunk,
-        nid: np.ndarray,
-        pendings: dict[int, PendingSplit],
-        weights: np.ndarray | None = None,
-    ) -> None:
-        """Route one chunk's records through one tree's pending splits.
-
-        The chunk is sorted by slot once (stably, so each slot's records
-        keep their record order); every pending then routes one
-        contiguous run of that order.  ``weights`` (one per table record)
-        are the bagged forest's bootstrap multiplicities; its never-drawn
-        records carry a negative ``nid`` and so match no pending.
-        """
-        if not pendings:
-            return
-        slots = nid[chunk.start : chunk.stop]
-        order = np.argsort(slots, kind="stable")
-        keys = np.fromiter(pendings, dtype=slots.dtype, count=len(pendings))
-        sorted_slots = slots[order]
-        los = np.searchsorted(sorted_slots, keys, side="left").tolist()
-        his = np.searchsorted(sorted_slots, keys, side="right").tolist()
-        if weights is not None:
-            weights = weights[chunk.start : chunk.stop]
-        for p, lo, hi in zip(pendings.values(), los, his):
-            if lo < hi:
-                idx = order[lo:hi]
-                p.route(
-                    chunk.X[idx],
-                    chunk.y[idx],
-                    chunk.rids[idx],
-                    nid,
-                    None if weights is None else weights[idx],
-                )
 
     def _stops(self, node: Node) -> bool:
         """True when a stopping rule makes ``node`` a leaf outright."""
@@ -1347,33 +1367,18 @@ class LevelBuilder(TreeBuilder):
     ) -> None:
         """One level's scan, shared by every member that is still growing.
 
-        Workers route private deltas that merge in chunk order and write
-        new slots back into ``nid``.  The node-id swap is charged per
-        member, and buffers that overflowed their budget are refilled by
-        one extra scan.
+        Each member is one :class:`PendingScan` target.  Workers route
+        private deltas that merge in chunk order and write new slots
+        back into ``nid``.  The node-id swap is charged per member, and
+        buffers that overflowed their budget are refilled by one extra
+        scan.
         """
         n = len(nid)
-        pendings = [m.pendings for m in live]
-
-        def route(chunk: ScanChunk, tgt: list[dict[int, PendingSplit]]) -> None:
-            for m, d in zip(live, tgt):
-                self._route_chunk(chunk, m.nid, d, m.weights)
-
         with stats.phase("scan"):
             engine.scan(
                 table,
-                route=route,
-                live=pendings,
-                make_delta=lambda: [
-                    {slot: p.scan_delta() for slot, p in d.items()} for d in pendings
-                ],
-                merge_delta=lambda delta: [
-                    d[slot].merge_scan_delta(dp)
-                    for d, dd in zip(pendings, delta)
-                    for slot, dp in dd.items()
-                ],
+                [PendingScan(m.nid, m.weights, m.pendings) for m in live],
                 memory=stats.memory,
-                delta_nbytes=sum(p.delta_nbytes() for d in pendings for p in d.values()),
                 writeback=nid,
             )
         stats.io.count_nid_swap(n * len(live))
@@ -1514,6 +1519,7 @@ __all__ = [
     "LevelBuilder",
     "Member",
     "PartState",
+    "PendingScan",
     "PendingSplit",
     "RecordBuffer",
     "ResolvedThreshold",

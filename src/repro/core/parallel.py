@@ -9,15 +9,23 @@ exact ``merge_from`` reducers — which is precisely the structure that
 lets split finding parallelize in the streaming/massively-parallel
 model (Pham, Ta & Vu).
 
+Every pass hands :meth:`ScanEngine.scan` its **scan targets**.  A target
+has four methods:
+
+* ``route(chunk)`` folds one chunk into the target;
+* ``scan_delta()`` returns a structural clone with empty accumulators
+  that shares the target's routing context (``nid``, weights, …);
+* ``merge_scan_delta(delta)`` folds such a clone back in;
+* ``delta_nbytes()`` is the memory one fresh clone occupies.
+
 :class:`ScanEngine` exploits that:
 
-* the level's chunk list is partitioned into ``workers`` **contiguous**
+* the pass's chunk list is partitioned into ``workers`` **contiguous**
   slices, preserving chunk order within each slice;
 * each worker reads its chunks through the shared (retrying, possibly
-  fault-injecting) table handle and routes them into a **private
-  delta** — a structural clone of the live pendings with empty
-  accumulators;
-* after the pass, deltas are merged into the live pendings **in slice
+  fault-injecting) table handle and routes them into **private
+  deltas**, ``[t.scan_delta() for t in targets]``;
+* after the pass, deltas are merged into the targets **in slice
   order**, i.e. in global chunk order.
 
 Determinism rule: every accumulator update is exact (integer-valued
@@ -31,15 +39,16 @@ Two backends execute the worker slices:
 ``thread``
     A lazily created thread pool.  Workers share the live process, so
     ``nid`` writes need no delta at all — a chunk only ever writes the
-    record ids it covers, so chunk-disjoint writes commute.  Routing is
-    GIL-bound except where the native kernels release nothing but are
-    simply fast.
+    record ids it covers, so chunk-disjoint writes commute.  Routing
+    holds the GIL except inside the native kernels, whose ``ctypes``
+    calls release it.
 
 ``process``
     A per-scan ``fork`` pool.  Each worker is forked *at scan time*, so
-    it inherits the live pendings, table handle and routing closures by
-    copy-on-write — nothing is pickled on the way in.  Results travel
-    back explicitly: the accumulator delta, the worker's slice of the
+    it inherits the targets, their routing context and the table handle
+    by copy-on-write — nothing is pickled on the way in.  Results travel
+    back explicitly: the deltas, which pickle their accumulators and
+    leave the routing context behind, the worker's slice of the
     ``writeback`` array (the forked copy of ``nid`` is private to the
     child), an IO-counter delta folded into the shared stats so
     page/record/retry accounting matches the serial pass, a per-kernel
@@ -66,9 +75,8 @@ merging raises, pending batches are cancelled and the worker pool is
 shut down before the error propagates, so a poisoned scan leaves no
 live worker threads or processes behind.
 
-With ``workers == 1`` the engine streams chunks straight into the live
-pendings — byte-for-byte the pre-engine serial path, no pool, no
-deltas, no merge.
+With ``workers == 1`` the engine streams chunks straight into the
+targets — no pool, no deltas, no merge.
 """
 
 from __future__ import annotations
@@ -76,7 +84,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -145,27 +153,40 @@ def _record_kernel_spans(
                 pass
 
 
-def _run_fork_batch(
-    index: int, chunk_starts: list[int]
-) -> tuple[Any, int | None, int | None, Any, dict[str, int], dict[str, int], list[dict[str, object]] | None]:
+def _route_slice(
+    table: Any, targets: Sequence[Any], chunk_starts: list[int]
+) -> tuple[list[Any], int | None, int | None]:
+    """Route one worker's chunks into fresh deltas of ``targets``.
+
+    Returns the deltas and the ``[lo, hi)`` record range covered.
+    """
+    deltas = [t.scan_delta() for t in targets]
+    lo = hi = None
+    for start in chunk_starts:
+        chunk = table.read_chunk(start)
+        for d in deltas:
+            d.route(chunk)
+        lo = chunk.start if lo is None else lo
+        hi = chunk.stop
+    return deltas, lo, hi
+
+
+def _run_fork_batch(index: int, chunk_starts: list[int]) -> tuple:
     """Route one contiguous chunk slice inside a forked worker.
 
     Runs against the fork-inherited :data:`_FORK_JOB`.  Returns the
-    accumulator delta, the ``[lo, hi)`` record range covered (when a
-    writeback array is in play) with the worker's copy of that slice,
-    the worker's IO-counter delta relative to the fork point, the
-    per-kernel native-call delta, and — when the parent shipped a
+    targets' deltas, the ``[lo, hi)`` record range covered with the
+    worker's copy of that slice of the writeback array (when one is in
+    play), the worker's IO-counter delta relative to the fork point,
+    the per-kernel native-call delta, and — when the parent shipped a
     trace context — the worker's recorded spans as dicts (a
     ``chunk_batch`` root tagged with this worker's pid, io ``retry``
     children, and per-kernel dispatch markers) for the parent to graft.
     """
     job = _FORK_JOB
     assert job is not None, "fork batch outside an active process scan"
-    table = job["table"]
-    route = job["route"]
-    writeback = job["writeback"]
-    ctx = job["trace_ctx"]
-    wtracer: Tracer | None = None
+    table, writeback, ctx = job["table"], job["writeback"], job["trace_ctx"]
+    wtracer: "Tracer | NullTracer" = NULL_TRACER
     if ctx is not None:
         wtracer = Tracer.from_context(ctx)
         if hasattr(table, "tracer"):
@@ -175,36 +196,15 @@ def _run_fork_batch(
             table.tracer = wtracer
     kernels_before = native_scan.kernel_counts()
     before = table.stats.snapshot()
-    delta = job["make_delta"]()
-    lo: int | None = None
-    hi: int | None = None
-
-    def _route_slice() -> None:
-        nonlocal lo, hi
-        for start in chunk_starts:
-            chunk = table.read_chunk(start)
-            route(chunk, delta)
-            if writeback is not None:
-                if lo is None:
-                    lo = chunk.start
-                hi = chunk.stop
-
-    if wtracer is not None:
-        with wtracer.span(
-            "chunk_batch",
-            worker=index,
-            chunks=len(chunk_starts),
-            pid=os.getpid(),
-        ) as batch_span:
-            _route_slice()
-        _record_kernel_spans(
-            wtracer, batch_span, kernels_before, native_scan.kernel_counts()
-        )
-    else:
-        _route_slice()
+    with wtracer.span(
+        "chunk_batch", worker=index, chunks=len(chunk_starts), pid=os.getpid()
+    ) as batch_span:
+        deltas, lo, hi = _route_slice(table, job["targets"], chunk_starts)
+    kernels_after = native_scan.kernel_counts()
+    if wtracer.enabled:
+        _record_kernel_spans(wtracer, batch_span, kernels_before, kernels_after)
     after = table.stats.snapshot()
     io_delta = {key: after[key] - before[key] for key in after}
-    kernels_after = native_scan.kernel_counts()
     kernel_delta = {
         name: kernels_after[name] - kernels_before.get(name, 0)
         for name in kernels_after
@@ -213,10 +213,8 @@ def _run_fork_batch(
     nid_slice = None
     if writeback is not None and lo is not None:
         nid_slice = np.ascontiguousarray(writeback[lo:hi])
-    span_dicts = (
-        [sp.to_dict() for sp in wtracer.spans()] if wtracer is not None else None
-    )
-    return delta, lo, hi, nid_slice, io_delta, kernel_delta, span_dicts
+    span_dicts = [sp.to_dict() for sp in wtracer.spans()] if wtracer.enabled else None
+    return deltas, lo, hi, nid_slice, io_delta, kernel_delta, span_dicts
 
 
 class ScanEngine:
@@ -298,54 +296,48 @@ class ScanEngine:
     def scan(
         self,
         table: Any,
-        route: Callable[[Any, Any], None],
-        live: Any,
-        make_delta: Callable[[], Any],
-        merge_delta: Callable[[Any], None],
+        targets: Sequence[Any],
         *,
         memory: MemoryTracker | None = None,
-        delta_nbytes: int = 0,
         writeback: "np.ndarray | None" = None,
     ) -> None:
-        """One full accounted pass over ``table``.
+        """One full accounted pass over ``table``, routed into ``targets``.
 
-        ``route(chunk, target)`` folds one chunk into ``target`` —
-        ``live`` on the serial path, a private ``make_delta()`` result
-        per worker otherwise.  Deltas are handed to ``merge_delta`` in
-        chunk order.  ``delta_nbytes`` (per delta) is charged to
-        ``memory`` for the duration of a parallel pass so worker copies
-        show up in the Figure 19 accounting.  ``writeback`` names the
-        per-record array ``route`` writes through ``chunk.rids`` (the
-        ``nid`` map); process workers return their slice of it for the
-        parent to apply, thread workers write it in place.
+        Each chunk goes to every target in order: straight into the
+        targets on the serial path, into each worker's own
+        ``[t.scan_delta() for t in targets]`` otherwise, merged back by
+        ``merge_scan_delta`` in chunk order.  The workers' deltas,
+        ``sum(t.delta_nbytes())`` each, are charged to ``memory`` for the
+        duration of a parallel pass so worker copies show up in the
+        Figure 19 accounting.  ``writeback`` names the per-record array
+        the targets write through ``chunk.rids`` (the ``nid`` map);
+        process workers return their slice of it for the parent to
+        apply, thread workers write it in place.
         """
         if not self.parallel:
             for chunk in table.scan():
-                route(chunk, live)
+                for t in targets:
+                    t.route(chunk)
             return
         # Mirror RetryingTable.scan: charge the scan, then list the chunk
         # starts (a fault injector's kill_at_scan fires here, in the
         # caller's thread, before any worker launches).
         table.stats.begin_scan()
         slices = partition_chunks(list(table.chunk_starts()), self.workers)
+        delta_nbytes = sum(t.delta_nbytes() for t in targets)
         if memory is not None and delta_nbytes:
             memory.allocate(DELTA_ALLOCATION, len(slices) * delta_nbytes)
         try:
             if self.effective_backend == "process":
-                self._scan_processes(table, route, make_delta, merge_delta, slices, writeback)
+                self._scan_processes(table, targets, slices, writeback)
             else:
-                self._scan_threads(table, route, make_delta, merge_delta, slices)
+                self._scan_threads(table, targets, slices)
         finally:
             if memory is not None and delta_nbytes:
                 memory.release(DELTA_ALLOCATION)
 
     def _scan_threads(
-        self,
-        table: Any,
-        route: Callable[[Any, Any], None],
-        make_delta: Callable[[], Any],
-        merge_delta: Callable[[Any], None],
-        slices: list[list[int]],
+        self, table: Any, targets: Sequence[Any], slices: list[list[int]]
     ) -> None:
         with self.tracer.span(
             "scan",
@@ -357,7 +349,7 @@ class ScanEngine:
             pool = self._ensure_pool()
             traced = self.tracer.enabled
 
-            def job(index: int, chunk_starts: list[int]) -> Any:
+            def job(index: int, chunk_starts: list[int]) -> list[Any]:
                 kernels_before = (
                     native_scan.thread_kernel_counts() if traced else None
                 )
@@ -368,9 +360,7 @@ class ScanEngine:
                     chunks=len(chunk_starts),
                     pid=os.getpid(),
                 ) as batch_span:
-                    delta = make_delta()
-                    for start in chunk_starts:
-                        route(table.read_chunk(start), delta)
+                    deltas, __, __ = _route_slice(table, targets, chunk_starts)
                 if traced:
                     _record_kernel_spans(
                         self.tracer,
@@ -378,7 +368,7 @@ class ScanEngine:
                         kernels_before,
                         native_scan.thread_kernel_counts(),
                     )
-                return delta
+                return deltas
 
             futures = [pool.submit(job, i, s) for i, s in enumerate(slices)]
             self.batches_dispatched += len(slices)
@@ -387,7 +377,8 @@ class ScanEngine:
                 # re-raises worker failures (e.g. ScanFailedError after
                 # exhausted retries).
                 for future in futures:
-                    merge_delta(future.result())
+                    for t, d in zip(targets, future.result()):
+                        t.merge_scan_delta(d)
             except BaseException:
                 # Poisoned scan: drop queued batches, then tear the pool
                 # down so no worker threads outlive the failure.
@@ -399,9 +390,7 @@ class ScanEngine:
     def _scan_processes(
         self,
         table: Any,
-        route: Callable[[Any, Any], None],
-        make_delta: Callable[[], Any],
-        merge_delta: Callable[[Any], None],
+        targets: Sequence[Any],
         slices: list[list[int]],
         writeback: "np.ndarray | None",
     ) -> None:
@@ -419,8 +408,7 @@ class ScanEngine:
         ) as scan_span:
             _FORK_JOB = {
                 "table": table,
-                "route": route,
-                "make_delta": make_delta,
+                "targets": targets,
                 "writeback": writeback,
                 # Serializable continuation handle (None when tracing is
                 # off): workers build a local tracer from it and ship
@@ -428,7 +416,7 @@ class ScanEngine:
                 "trace_ctx": self.tracer.context(scan_span),
             }
             # A fresh pool per scan: fork workers must inherit *this*
-            # scan's live state (pendings, nid, table position), which a
+            # scan's live state (targets, nid, table position), which a
             # pool forked during an earlier scan would not see.
             pool = ProcessPoolExecutor(
                 max_workers=len(slices),
@@ -440,11 +428,12 @@ class ScanEngine:
                     pool.submit(_run_fork_batch, i, s) for i, s in enumerate(slices)
                 ]
                 self.batches_dispatched += len(slices)
-                for index, future in enumerate(futures):
-                    delta, lo, hi, nid_slice, io_delta, kernel_delta, span_dicts = (
+                for future in futures:
+                    deltas, lo, hi, nid_slice, io_delta, kernel_delta, span_dicts = (
                         future.result()
                     )
-                    merge_delta(delta)
+                    for t, d in zip(targets, deltas):
+                        t.merge_scan_delta(d)
                     if writeback is not None and nid_slice is not None:
                         writeback[lo:hi] = nid_slice
                     table.stats.merge_counter_delta(io_delta)

@@ -22,7 +22,7 @@ training set itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,18 +51,64 @@ class _OpenNode:
     count: int  #: record count
 
 
+@dataclass
 class _ChunkSums:
-    """Scan accumulator: per-chunk partial gradient histograms.
+    """A level scan's target: per-chunk partial gradient histograms.
 
-    Workers only *append*; the owner folds the chunks in start order
-    after the scan, so the reduction order never depends on scheduling.
+    ``keys`` are the open ``(tree, slot)`` pairs; ``nid``, ``grad``,
+    ``hess`` and ``binned`` are the routing context, which a worker's
+    delta shares and a forked worker's delta leaves behind when it is
+    pickled home.  Workers only *append*; the owner folds the chunks in
+    start order after the scan, so the reduction order never depends on
+    scheduling.
     """
 
-    def __init__(self) -> None:
-        self.chunks: list[tuple[int, dict]] = []
+    keys: list[tuple[int, int]]
+    nid: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+    binned: dict[int, np.ndarray]
+    n_bins: dict[int, int]
+    attr_order: list[int]
+    chunks: list[tuple[int, dict]] = field(default_factory=list)
 
-    def merge_from(self, other: "_ChunkSums") -> None:
-        self.chunks.extend(other.chunks)
+    def __getstate__(self) -> dict:
+        return {"chunks": self.chunks}
+
+    def route(self, chunk: ScanChunk) -> None:
+        """Append the chunk's per-``(tree, slot)`` partial histograms."""
+        lo, hi = chunk.start, chunk.stop
+        partial: dict = {}
+        for k, slot in self.keys:
+            mask = self.nid[lo:hi, k] == slot
+            if not mask.any():
+                continue
+            gk = self.grad[lo:hi, k][mask]
+            hk = self.hess[lo:hi, k][mask]
+            attrs = {}
+            for j in self.attr_order:
+                b = self.binned[j][lo:hi][mask]
+                nb = self.n_bins[j]
+                attrs[j] = (
+                    np.bincount(b, weights=gk, minlength=nb),
+                    np.bincount(b, weights=hk, minlength=nb),
+                    np.bincount(b, minlength=nb),
+                )
+            partial[(k, slot)] = attrs
+        self.chunks.append((lo, partial))
+
+    def scan_delta(self) -> "_ChunkSums":
+        """An empty clone over the same routing context."""
+        return replace(self, chunks=[])
+
+    def merge_scan_delta(self, delta: "_ChunkSums") -> None:
+        """Take a worker's chunks; :meth:`folded` puts them in order."""
+        self.chunks.extend(delta.chunks)
+
+    def delta_nbytes(self) -> int:
+        """A worker's histograms: three sums per bin per open node."""
+        bins = sum(self.n_bins[j] for j in self.attr_order)
+        return 3 * 8 * bins * len(self.keys)
 
     def folded(self) -> dict:
         """Per-key histograms folded left-to-right in chunk order."""
@@ -203,10 +249,12 @@ class HistGradientBoostingBuilder(TreeBuilder):
                     with self.tracer.span(
                         "level", level=level, pendings=len(frontier)
                     ):
-                        sums = self._scan_level(
-                            table, engine, stats, frontier, nid, grad, hess,
+                        sums = _ChunkSums(
+                            sorted(frontier), nid, grad, hess,
                             binned, n_bins, attr_order,
                         )
+                        with stats.phase("scan"):
+                            engine.scan(table, [sums], memory=stats.memory)
                         folded = sums.folded()
                         next_frontier: dict[tuple[int, int], _OpenNode] = {}
                         with stats.phase("resolve"):
@@ -274,57 +322,6 @@ class HistGradientBoostingBuilder(TreeBuilder):
             slot_values[opened.slot] = value
         else:
             frontier[(k, opened.slot)] = opened
-
-    def _scan_level(
-        self,
-        table,
-        engine: ScanEngine,
-        stats: BuildStats,
-        frontier: dict[tuple[int, int], _OpenNode],
-        nid: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        binned: dict[int, np.ndarray],
-        n_bins: dict[int, int],
-        attr_order: list[int],
-    ) -> _ChunkSums:
-        """One accounted pass accumulating every open node's histograms."""
-        keys = sorted(frontier)
-
-        def route(chunk: ScanChunk, target: _ChunkSums) -> None:
-            lo, hi = chunk.start, chunk.stop
-            partial: dict = {}
-            for k, slot in keys:
-                mask = nid[lo:hi, k] == slot
-                if not mask.any():
-                    continue
-                gk = grad[lo:hi, k][mask]
-                hk = hess[lo:hi, k][mask]
-                attrs = {}
-                for j in attr_order:
-                    b = binned[j][lo:hi][mask]
-                    nb = n_bins[j]
-                    attrs[j] = (
-                        np.bincount(b, weights=gk, minlength=nb),
-                        np.bincount(b, weights=hk, minlength=nb),
-                        np.bincount(b, minlength=nb),
-                    )
-                partial[(k, slot)] = attrs
-            target.chunks.append((lo, partial))
-
-        sums = _ChunkSums()
-        hist_bytes = 3 * 8 * sum(n_bins[j] for j in attr_order) * len(keys)
-        with stats.phase("scan"):
-            engine.scan(
-                table,
-                route=route,
-                live=sums,
-                make_delta=_ChunkSums,
-                merge_delta=sums.merge_from,
-                memory=stats.memory,
-                delta_nbytes=hist_bytes,
-            )
-        return sums
 
     def _split_or_leaf(
         self,

@@ -14,6 +14,7 @@ from repro.baselines.sprint import SprintBuilder
 from repro.baselines.clouds import CloudsBuilder
 from repro.core.builder import (
     PartState,
+    PendingScan,
     PendingSplit,
     RecordBuffer,
     ResolvedThreshold,
@@ -71,7 +72,7 @@ class TestZones:
 
 
 def route_by_masks(chunk, nid, pendings, weights=None):
-    """The per-slot mask routing ``LevelBuilder._route_chunk`` replaced."""
+    """The per-slot mask routing ``PendingScan.route`` replaced."""
     slots = nid[chunk.start : chunk.stop]
     if weights is not None:
         weights = weights[chunk.start : chunk.stop]
@@ -162,7 +163,7 @@ class TestGroupedRouting:
         pendings = random_pendings(rng, n_slots)
         want = copy.deepcopy(pendings)
         nid_want = nid.copy()
-        CMPSBuilder()._route_chunk(chunk, nid, pendings, weights)
+        PendingScan(nid, weights, pendings).route(chunk)
         route_by_masks(chunk, nid_want, want, weights)
         np.testing.assert_array_equal(nid, nid_want)
         assert_routed_alike(pendings, want)
@@ -170,7 +171,7 @@ class TestGroupedRouting:
     def test_no_pendings_is_a_no_op(self):
         nid = np.zeros(4, dtype=np.int64)
         chunk = ScanChunk(0, np.zeros((4, 3)), np.zeros(4, dtype=np.int64))
-        CMPSBuilder()._route_chunk(chunk, nid, {})
+        PendingScan(nid, None, {}).route(chunk)
         np.testing.assert_array_equal(nid, 0)
 
 

@@ -14,6 +14,7 @@ Two layers of evidence:
 """
 
 import multiprocessing
+import pickle
 import threading
 import time
 
@@ -25,7 +26,13 @@ from hypothesis import strategies as st
 from repro.config import BuilderConfig
 from repro.core import native_scan
 from repro.core import parallel as parallel_mod
-from repro.core.builder import PartState, RecordBuffer, make_part_hists
+from repro.core.builder import (
+    PartState,
+    PendingScan,
+    PendingSplit,
+    RecordBuffer,
+    make_part_hists,
+)
 from repro.baselines.clouds import CloudsBuilder
 from repro.core.cmp_b import CMPBBuilder
 from repro.core.cmp_full import CMPBuilder
@@ -39,9 +46,13 @@ from repro.core.parallel import (
     process_backend_available,
 )
 from repro.core.serialize import tree_to_json
+from repro.core.tree import Node
 from repro.data.schema import Schema, categorical, continuous
 from repro.data.synthetic import generate_agrawal
+from repro.ensemble.boosting import _ChunkSums
 from repro.io.faults import FaultInjector, FaultyDataset, InjectedCrash
+from repro.io.metrics import MemoryTracker
+from repro.io.pager import ScanChunk
 from repro.verify.differential import tree_signature
 
 CFG = BuilderConfig(n_intervals=16, max_depth=4, min_records=30)
@@ -329,7 +340,7 @@ class _FakeStats:
 
 
 class _FakeTable:
-    """Minimal chunked table: chunks are just ints."""
+    """Minimal chunked table: chunk ``i`` holds the one record ``i``."""
 
     def __init__(self, n_chunks):
         self.stats = _FakeStats()
@@ -339,61 +350,76 @@ class _FakeTable:
         return range(self._n)
 
     def read_chunk(self, start):
-        return start
+        return ScanChunk(start, np.zeros((1, 1)), np.zeros(1, dtype=np.int64))
 
     def scan(self):
         self.stats.begin_scan()
-        yield from self.chunk_starts()
+        for start in self.chunk_starts():
+            yield self.read_chunk(start)
+
+
+class _Starts:
+    """A scan target that records the chunk starts routed into it.
+
+    Routing chunk ``poison`` raises, and so does every merge when
+    ``merge_fails``; ``merges`` counts the deltas merged in.
+    """
+
+    def __init__(self, poison=None, merge_fails=False):
+        self.poison = poison
+        self.merge_fails = merge_fails
+        self.starts = []
+        self.merges = 0
+
+    def route(self, chunk):
+        if chunk.start == self.poison:
+            raise RuntimeError("poisoned")
+        self.starts.append(chunk.start)
+
+    def scan_delta(self):
+        return _Starts(self.poison)
+
+    def merge_scan_delta(self, delta):
+        if self.merge_fails:
+            raise RuntimeError("merge blew up")
+        self.merges += 1
+        self.starts.extend(delta.starts)
+
+    def delta_nbytes(self):
+        return 64
 
 
 class TestScanEngine:
     def test_serial_streams_into_live(self):
         table = _FakeTable(5)
-        seen = []
+        target = _Starts()
         with ScanEngine(1) as engine:
             assert not engine.parallel
-            engine.scan(
-                table,
-                route=lambda chunk, tgt: tgt.append(chunk),
-                live=seen,
-                make_delta=list,
-                merge_delta=lambda d: pytest.fail("serial path must not merge"),
-            )
-        assert seen == [0, 1, 2, 3, 4]
+            engine.scan(table, [target])
+        assert target.starts == [0, 1, 2, 3, 4]
+        assert target.merges == 0  # the serial path never merges
         assert table.stats.scans == 1
 
     def test_parallel_merges_in_chunk_order(self):
         table = _FakeTable(10)
-        merged = []
+        targets = [_Starts(), _Starts()]
+        memory = MemoryTracker()
         with ScanEngine(3) as engine:
             assert engine.parallel
-            engine.scan(
-                table,
-                route=lambda chunk, tgt: tgt.append(chunk),
-                live=merged,
-                make_delta=list,
-                merge_delta=merged.extend,
-            )
+            engine.scan(table, targets, memory=memory)
             assert engine.batches_dispatched == 3
-        assert merged == list(range(10))
+        for target in targets:
+            assert target.starts == list(range(10))
+            assert target.merges == 3
         assert table.stats.scans == 1
+        # Three workers' deltas of both targets, released after the pass.
+        assert memory.peak == 3 * 2 * 64
+        assert memory.current == 0
 
     def test_worker_error_propagates(self):
-        table = _FakeTable(4)
-
-        def route(chunk, tgt):
-            if chunk == 2:
-                raise RuntimeError("boom")
-
         with ScanEngine(2) as engine:
-            with pytest.raises(RuntimeError, match="boom"):
-                engine.scan(
-                    table,
-                    route=route,
-                    live=None,
-                    make_delta=list,
-                    merge_delta=lambda d: None,
-                )
+            with pytest.raises(RuntimeError, match="poisoned"):
+                engine.scan(_FakeTable(4), [_Starts(poison=2)])
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):
@@ -408,73 +434,40 @@ class TestScanEngine:
 class TestScanEngineProcess:
     def test_parallel_merges_in_chunk_order(self):
         table = _FakeTable(10)
-        merged = []
+        target = _Starts()
         with ScanEngine(3, backend="process") as engine:
             assert engine.effective_backend == "process"
-            engine.scan(
-                table,
-                route=lambda chunk, tgt: tgt.append(chunk),
-                live=merged,
-                make_delta=list,
-                merge_delta=merged.extend,
-            )
+            engine.scan(table, [target])
             assert engine.batches_dispatched == 3
-        assert merged == list(range(10))
+        assert target.starts == list(range(10))
+        assert target.merges == 3
         assert table.stats.scans == 1
         # Every worker handed an IO-counter delta back to the parent.
         assert len(table.stats.merged_deltas) == 3
 
     def test_serial_path_ignores_backend(self):
-        table = _FakeTable(4)
-        seen = []
+        target = _Starts()
         with ScanEngine(1, backend="process") as engine:
             assert not engine.parallel
-            engine.scan(
-                table,
-                route=lambda chunk, tgt: tgt.append(chunk),
-                live=seen,
-                make_delta=list,
-                merge_delta=lambda d: pytest.fail("serial path must not merge"),
-            )
-        assert seen == [0, 1, 2, 3]
+            engine.scan(_FakeTable(4), [target])
+        assert target.starts == [0, 1, 2, 3]
+        assert target.merges == 0
 
     def test_worker_error_propagates_from_child(self):
-        table = _FakeTable(4)
-
-        def route(chunk, tgt):
-            if chunk == 2:
-                raise RuntimeError("boom")
-
         with ScanEngine(2, backend="process") as engine:
-            with pytest.raises(RuntimeError, match="boom"):
-                engine.scan(
-                    table,
-                    route=route,
-                    live=None,
-                    make_delta=list,
-                    merge_delta=lambda d: None,
-                )
+            with pytest.raises(RuntimeError, match="poisoned"):
+                engine.scan(_FakeTable(4), [_Starts(poison=2)])
         assert parallel_mod._FORK_JOB is None
 
 
 class TestPoisonedScanTeardown:
     """Regression: a scan whose route or merge raises must not leak workers."""
 
-    def _poisoned_route(self, chunk, tgt):
-        if chunk == 3:
-            raise RuntimeError("poisoned")
-
     def test_thread_pool_torn_down(self):
         engine = ScanEngine(3)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="poisoned"):
-            engine.scan(
-                _FakeTable(6),
-                route=self._poisoned_route,
-                live=None,
-                make_delta=list,
-                merge_delta=lambda d: None,
-            )
+            engine.scan(_FakeTable(6), [_Starts(poison=3)])
         assert engine._pool is None
         leaked = [
             t
@@ -483,43 +476,22 @@ class TestPoisonedScanTeardown:
         ]
         assert leaked == []
         # The engine stays usable: the next scan builds a fresh pool.
-        merged = []
-        engine.scan(
-            _FakeTable(4),
-            route=lambda chunk, tgt: tgt.append(chunk),
-            live=merged,
-            make_delta=list,
-            merge_delta=merged.extend,
-        )
-        assert merged == [0, 1, 2, 3]
+        target = _Starts()
+        engine.scan(_FakeTable(4), [target])
+        assert target.starts == [0, 1, 2, 3]
         engine.close()
 
     def test_merge_error_tears_down_thread_pool(self):
-        def merge(delta):
-            raise RuntimeError("merge blew up")
-
         engine = ScanEngine(2)
         with pytest.raises(RuntimeError, match="merge blew up"):
-            engine.scan(
-                _FakeTable(6),
-                route=lambda chunk, tgt: tgt.append(chunk),
-                live=None,
-                make_delta=list,
-                merge_delta=merge,
-            )
+            engine.scan(_FakeTable(6), [_Starts(merge_fails=True)])
         assert engine._pool is None
 
     @needs_fork
     def test_process_pool_torn_down(self):
         engine = ScanEngine(3, backend="process")
         with pytest.raises(RuntimeError, match="poisoned"):
-            engine.scan(
-                _FakeTable(6),
-                route=self._poisoned_route,
-                live=None,
-                make_delta=list,
-                merge_delta=lambda d: None,
-            )
+            engine.scan(_FakeTable(6), [_Starts(poison=3)])
         assert parallel_mod._FORK_JOB is None
         # shutdown(wait=True) ran in the engine's finally; give the OS a
         # moment to reap, then require no surviving workers.
@@ -527,6 +499,39 @@ class TestPoisonedScanTeardown:
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
+
+
+def _pending_scan(n):
+    """A solo tree's root pending over an ``n``-record table."""
+    schema = Schema((continuous("a"), categorical("c", ("x", "y"))), ("n", "p"))
+    part = PartState(0, 2, make_part_hists(schema, {0: np.linspace(-1.0, 1.0, 7)}))
+    root = PendingSplit(node=Node(0, 0, np.zeros(2)), parent_slot=0, parts=[part])
+    return PendingScan(np.zeros(n, dtype=np.int64), np.ones(n), {0: root})
+
+
+def _chunk_sums(n):
+    """A boosted level scan's target over an ``n``-record table."""
+    grad = np.ones((n, 2))
+    return _ChunkSums(
+        [(0, 0), (1, 0)],
+        np.zeros((n, 2), dtype=np.int64),
+        grad,
+        grad,
+        {0: np.zeros(n, dtype=np.int64)},
+        {0: 8},
+        [0],
+    )
+
+
+class TestDeltaPickling:
+    """A forked worker's delta ships its accumulators, not its routing
+    context (``nid``, weights, gradients), so its size does not grow with
+    the table."""
+
+    @pytest.mark.parametrize("make", [_pending_scan, _chunk_sums])
+    def test_pickled_delta_size_independent_of_table(self, make):
+        small, large = (len(pickle.dumps(make(n).scan_delta())) for n in (10, 100_000))
+        assert small == large
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +671,10 @@ class TestProcessBackendBuilds:
         ).build(dataset)
         assert result.stats.scan_backend == "process"
         assert result.summary["scan_backend"] == "process"
-        if native_scan.available():
-            # Parent-side kernel calls only; forked workers count in
-            # their own copy of the module counters.
-            assert result.stats.native_kernel_calls >= 0
+        # The parent folds each forked worker's kernel-call delta back
+        # in, so the count matches the serial build's.
+        serial = CMPSBuilder(CFG).build(dataset)
+        assert result.stats.native_kernel_calls == serial.stats.native_kernel_calls
 
 
 class TestParallelCheckpointResume:
