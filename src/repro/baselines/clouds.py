@@ -37,11 +37,11 @@ import numpy as np
 from repro.core.builder import (
     Member,
     PartState,
+    PendingScan,
     PendingSplit,
     alive_run_bounds,
     best_cut,
     boundary_split,
-    make_part_hists,
     prefix_cuts,
 )
 from repro.core.cmp_s import (
@@ -93,6 +93,7 @@ class _Candidate(PendingSplit):
         rids: np.ndarray,
         nid: np.ndarray,
         weights: np.ndarray | None = None,
+        delta: PendingScan | None = None,
     ) -> None:
         """Buffer the records inside any probe's alive interval."""
         inside = np.zeros(len(y), dtype=bool)
@@ -100,7 +101,9 @@ class _Candidate(PendingSplit):
             v = X[:, probe.attr]
             inside |= (v > probe.lo) & (v <= probe.hi)
         if inside.any():
-            self.buffer.append(X[inside], y[inside], rids[inside])
+            (self.buffer if delta is None else delta.buffer(self)).append(
+                X[inside], y[inside], rids[inside]
+            )
 
     def probed(self) -> list[tuple[_AliveProbe, np.ndarray, np.ndarray]]:
         """Each probe with the values and labels of its buffered records."""
@@ -216,15 +219,12 @@ class CloudsBuilder(CMPSBuilder):
         node.left = account.new_node(node.depth + 1, left_counts)
         node.right = account.new_node(node.depth + 1, right_counts)
         # A child that is a leaf already needs only its slot and counts.
+        growing = [not self._stops(kid) for kid in (node.left, node.right)]
         parts = [
-            PartState(
-                next_slot(),
-                schema.n_classes,
-                {} if self._stops(kid) else make_part_hists(schema, p.child_edges),
-            )
-            for kid in (node.left, node.right)
+            PartState.planned(next_slot(), schema, p.child_edges if grows else None)
+            for grows in growing
         ]
-        if not any(part.hists for part in parts):
+        if not any(growing):
             return None
         return PendingSplit(
             node=node,

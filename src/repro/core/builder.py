@@ -9,6 +9,8 @@ holds the pieces common to the CMP family and the baselines:
 * :class:`TreeBuilder` — the abstract base and the one build wrapper of
   every builder, solo or ensemble: timing, the ``build`` span, pruning
   and the node/leaf/level tallies.
+* :class:`PartState` — a preliminary part, laid out with the rest of
+  its level in one :class:`~repro.core.arena.LevelArena`.
 * :class:`LevelBuilder` — the level driver of CMP-S, CMP-B, CMP, CLOUDS
   and the bagged forest: the quantiling scan, the level loop (whose
   first scan fills the roots), overflow rescans, slot remapping,
@@ -40,9 +42,11 @@ from repro.core.checkpoint import (
     build_fingerprint,
     loop_state,
 )
-from repro.core.gini import gini_partition
-from repro.core.parallel import ScanEngine
 from repro.core import native_scan
+from repro.core.arena import ArenaPart, LevelArena
+from repro.core.gini import gini_partition
+from repro.core.matrix import MatrixSet
+from repro.core.parallel import ScanEngine
 from repro.core.histogram import (
     CategoryHistogram,
     ClassHistogram,
@@ -313,93 +317,118 @@ class _ReservoirFeed:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PartState:
-    """One preliminary subnode being populated during a scan."""
+class PartState(ArenaPart):
+    """One preliminary subnode being populated during a scan.
 
-    slot: int
-    n_classes: int
-    hists: dict[int, ClassHistogram | CategoryHistogram] = field(default_factory=dict)
-    class_counts: np.ndarray | None = None
+    A CMP-S or CLOUDS part holds one histogram per attribute
+    (``hists``); a CMP-B or CMP part holds a :class:`MatrixSet`
+    (``mset``), whose ``marginals`` wait here from ``_collect`` to
+    ``_decide``.  Its :attr:`accumulator` is what a level arena lays
+    out.  A part built from histograms takes only their shape.
+    """
 
-    #: The fused kernel's pointer plan, built on first update.  Never
-    #: pickled (scan deltas and checkpoints) nor shared by clones.
-    _plan = None
+    def __init__(
+        self,
+        slot: int,
+        n_classes: int,
+        hists: dict[int, ClassHistogram | CategoryHistogram] | None = None,
+        *,
+        mset: MatrixSet | None = None,
+        grids: tuple[Schema, dict[int, np.ndarray] | None] | None = None,
+    ) -> None:
+        self.slot = slot
+        self.n_classes = n_classes
+        self.hists = {} if hists is None else hists
+        self.mset = mset
+        self.marginals: dict[int, ClassHistogram] | None = None
+        self._counts: np.ndarray | None = None
+        #: ``(attr, edges or n_categories)`` per histogram, in order.
+        self._shape: list[tuple[int, np.ndarray | int]] = [
+            (j, h.edges if isinstance(h, ClassHistogram) else h.n_categories)
+            for j, h in self.hists.items()
+        ]
+        if grids is not None and grids[1] is not None:
+            schema, edges = grids
+            self._shape = [
+                (j, np.ascontiguousarray(edges[j], dtype=np.float64) if a.is_continuous else a.cardinality)
+                for j, a in enumerate(schema.attributes)
+            ]
 
-    def __post_init__(self) -> None:
-        if self.class_counts is None:
-            self.class_counts = np.zeros(self.n_classes, dtype=np.float64)
+    @classmethod
+    def planned(
+        cls,
+        slot: int,
+        schema: Schema,
+        edges: dict[int, np.ndarray] | None = None,
+        x_attr: int | None = None,
+    ) -> "PartState":
+        """A part laid out with its level: per-attribute histograms on
+        ``edges``, a matrix set on X axis ``x_attr`` too when given, or
+        class counts only without ``edges``."""
+        if x_attr is not None:
+            return cls(slot, schema.n_classes, mset=MatrixSet.planned(schema, x_attr, edges))
+        return cls(slot, schema.n_classes, grids=(schema, edges))
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_plan", None)
-        return state
+    @property
+    def accumulator(self) -> "PartState | MatrixSet":
+        """What counts the part's records: its matrix set, or itself."""
+        return self if self.mset is None else self.mset
+
+    @property
+    def class_counts(self) -> np.ndarray:
+        """Class counts of the records added so far."""
+        acc = self.accumulator
+        acc.laid_out()
+        return self._counts if acc is self else acc.class_counts
+
+    def _spec(self) -> tuple:
+        if self.mset is not None:
+            return self.mset._spec()
+        conts = [(j, e) for j, e in self._shape if isinstance(e, np.ndarray)]
+        cats = [(j, k) for j, k in self._shape if not isinstance(k, np.ndarray)]
+        return self.n_classes, None, conts, cats
+
+    def _bind(self, views: list) -> None:
+        c, __, conts, cats = self._spec()
+        it = iter(views)
+        self._counts = next(it)
+        made: dict[int, ClassHistogram | CategoryHistogram] = {}
+        for j, edges in conts:
+            made[j] = ClassHistogram(edges, c, next(it), *next(it))
+        for j, k in cats:
+            made[j] = CategoryHistogram(k, c, next(it))
+        self.hists = {j: made[j] for j, __ in self._shape}
 
     def update(
-        self, X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None
+        self, X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None, arena=None
     ) -> None:
         """Add a batch of records to every histogram of this part.
 
-        One native call fills them all when the kernels are available;
-        the numpy body below is the reference.  ``weights`` are
-        integer-valued per-record multiplicities (bootstrap draw
-        counts); the weighted accumulation is exact and bit-identical to
-        repeating each record ``weight`` times.  Callers drop zero-weight
-        records beforehand.
+        One native call on the part's slice of its level's plan fills
+        them all when the kernels are available (see
+        :meth:`LevelArena.accumulate`).  ``weights`` are integer-valued
+        per-record multiplicities (bootstrap draw counts), exact and
+        bit-identical to repeating each record ``weight`` times; callers
+        drop zero-weight records.  A worker's delta ``arena`` takes the
+        counts instead of the part's own.
         """
-        if len(y) == 0:
-            return
-        if self._plan is None:
-            self._plan = native_scan.part_plan(
-                self.class_counts,
-                [(j, h) for j, h in self.hists.items() if isinstance(h, ClassHistogram)],
-                [(j, h) for j, h in self.hists.items() if isinstance(h, CategoryHistogram)],
-            )
-        if native_scan.fused_accum(self._plan, X, y, weights):
-            return
-        if weights is None:
-            self.class_counts += np.bincount(y, minlength=self.n_classes)
+        if self.mset is not None:
+            self.mset.update(X, y, weights, arena)
         else:
-            self.class_counts += np.bincount(
-                y, weights=weights, minlength=self.n_classes
-            )
-        for attr, hist in self.hists.items():
-            hist.update(X[:, attr], y, weights)
-
-    def nbytes(self) -> int:
-        """Memory footprint of all histograms."""
-        return sum(h.nbytes() for h in self.hists.values())
-
-    def clone_empty(self) -> "PartState":
-        """Structural copy with zeroed counts (a worker's scan delta)."""
-        return PartState(
-            self.slot,
-            self.n_classes,
-            {j: h.clone_empty() for j, h in self.hists.items()},
-        )
+            self._accumulate(X, y, weights, arena)
 
     def merge_from(self, other: "PartState") -> None:
-        """Fold another part's counts into this one (exact, associative)."""
-        self.class_counts += other.class_counts
-        for j, hist in self.hists.items():
-            hist.merge_from(other.hists[j])
-
-
-def make_part_hists(
-    schema: Schema, child_edges: dict[int, np.ndarray]
-) -> dict[int, ClassHistogram | CategoryHistogram]:
-    """Fresh histograms for one preliminary part.
-
-    Continuous attributes use the per-split grid in ``child_edges``;
-    categorical attributes get one bin per category.
-    """
-    hists: dict[int, ClassHistogram | CategoryHistogram] = {}
-    for j, a in enumerate(schema.attributes):
-        if a.is_continuous:
-            hists[j] = ClassHistogram(child_edges[j], schema.n_classes)
-        else:
-            hists[j] = CategoryHistogram(a.cardinality, schema.n_classes)
-    return hists
+        """Fold another part's counts into this one (exact, associative):
+        a row-range add in the arena."""
+        if self.mset is not None:
+            self.mset.merge_from(other.mset)
+            return
+        for (__, mine), (__, theirs) in zip(self._shape, other._shape):
+            if isinstance(mine, np.ndarray) and not (
+                mine is theirs or np.array_equal(mine, theirs)
+            ):
+                raise ValueError("histograms must share edges to merge")
+        self._merge_rows(other)
 
 
 @dataclass
@@ -430,7 +459,11 @@ class RecordBuffer:
         self.X_chunks.append(np.array(X, copy=True))
         self.y_chunks.append(np.array(y, copy=True))
         self.rid_chunks.append(np.array(rids, copy=True))
-        if self.budget_bytes and self.nbytes() > self.budget_bytes:
+        self._check_budget()
+
+    def _check_budget(self, overflowed: bool = False) -> None:
+        """Drop the whole buffer once it (or a delta) crossed the budget."""
+        if overflowed or (self.budget_bytes and self.nbytes() > self.budget_bytes):
             self.X_chunks.clear()
             self.y_chunks.clear()
             self.rid_chunks.clear()
@@ -447,20 +480,10 @@ class RecordBuffer:
         self.n_records += other.n_records
         if self.overflowed:
             return
-        if other.overflowed:
-            self.X_chunks.clear()
-            self.y_chunks.clear()
-            self.rid_chunks.clear()
-            self.overflowed = True
-            return
         self.X_chunks.extend(other.X_chunks)
         self.y_chunks.extend(other.y_chunks)
         self.rid_chunks.extend(other.rid_chunks)
-        if self.budget_bytes and self.nbytes() > self.budget_bytes:
-            self.X_chunks.clear()
-            self.y_chunks.clear()
-            self.rid_chunks.clear()
-            self.overflowed = True
+        self._check_budget(other.overflowed)
 
     def concatenated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (X, y, rids) as single arrays (possibly empty)."""
@@ -520,9 +543,13 @@ class PendingSplit:
     parts: list = field(default_factory=list)
     buffer: RecordBuffer = field(default_factory=RecordBuffer)
 
+    def with_sides(self) -> list["PendingSplit"]:
+        """This pending and every pending it routes into (CMP-B sides)."""
+        return [self]
+
     def all_parts(self) -> list:
         """Every preliminary part this pending accumulates into."""
-        return self.parts
+        return [part for q in self.with_sides() for part in q.parts]
 
     @property
     def n_parts(self) -> int:
@@ -561,6 +588,7 @@ class PendingSplit:
         rids: np.ndarray,
         nid: np.ndarray,
         weights: np.ndarray | None = None,
+        delta: "PendingScan | None" = None,
     ) -> None:
         """Route this node's records of one chunk (Figure 4, lines 05-09).
 
@@ -568,18 +596,21 @@ class PendingSplit:
         estimated split sends each preliminary region's records to that
         region's part and buffers the alive intervals' records.  New slots
         are written to ``nid``.  ``weights`` (bootstrap multiplicities)
-        weight the part updates and repeat the buffered records.
+        weight the part updates and repeat the buffered records.  A
+        worker's ``delta`` takes the counts and buffered records instead
+        of the parts' own arena and this pending's buffer.
         """
+        arena = None if delta is None else delta.arena
         if self.exact_split is not None:
             left = self.exact_split.goes_left(X)
             for part, m in zip(self.parts, (left, ~left)):
-                _update_part(part, X, y, m, weights)
+                _update_part(part, X, y, m, weights, arena)
                 nid[rids[m]] = part.slot
             return
         zones = classify_zones(self.split_values(X), self.zone_bounds)
         alive = (zones & 1) == 1
         if alive.any():
-            self.buffer.append(
+            (self.buffer if delta is None else delta.buffer(self)).append(
                 *expand_weighted(
                     X[alive],
                     y[alive],
@@ -590,7 +621,7 @@ class PendingSplit:
         for r, part in enumerate(self.parts):
             m = zones == 2 * r
             if m.any():
-                _update_part(part, X, y, m, weights)
+                _update_part(part, X, y, m, weights, arena)
                 nid[rids[m]] = part.slot
 
     def collapse(self, remap: dict[int, int]) -> list:
@@ -609,8 +640,8 @@ class PendingSplit:
         A region whose top is at most ``threshold`` lies left of the
         split, the others right (Figure 4, lines 11-13).  Each side's
         first part becomes that side's child accumulator in place: the
-        side's other parts merge into it in region order and their slots
-        remap to it.  Both sides always have a region part: the resolved
+        side's other parts merge into it in region order (a row-range add
+        in the level arena) and their slots remap to it.  Both sides always have a region part: the resolved
         threshold is the best boundary, an edge of the alive interval
         next to it, or a buffered value above an alive interval's lower
         edge, so it is at least the first region's top, and the last
@@ -668,39 +699,16 @@ class PendingSplit:
         if len(yb):
             goes_left = vals <= threshold
             for part, m in zip(targets, (goes_left, ~goes_left)):
-                part.update(Xb[m], yb[m])
+                _update_part(part, Xb, yb, m, None)
                 nid[rids[m]] = part.slot
-
-    def scan_delta(self) -> "PendingSplit":
-        """Structural clone with empty accumulators (one worker's delta).
-
-        Decision-time fields (split, zones, part slots) are shared
-        read-only; parts and buffer are fresh so each worker
-        accumulates privately during a parallel scan.
-        """
-        return replace(
-            self,
-            parts=[part.clone_empty() for part in self.parts],
-            buffer=RecordBuffer(budget_bytes=self.buffer.budget_bytes),
-        )
-
-    def merge_scan_delta(self, delta: "PendingSplit") -> None:
-        """Fold one worker's delta in; callers merge in chunk order."""
-        for part, dpart in zip(self.parts, delta.parts):
-            part.merge_from(dpart)
-        self.buffer.extend_from(delta.buffer)
 
     def parts_nbytes(self) -> int:
         """Bytes held by the preliminary parts (the ``parts/`` ledger entry)."""
         return sum(part.nbytes() for part in self.all_parts())
 
-    def delta_nbytes(self) -> int:
-        """Bytes one fresh scan delta occupies (buffers start empty)."""
-        return self.parts_nbytes()
-
     def buffer_nbytes(self) -> int:
         """Bytes of buffered records after the scan (the ``buf/`` entry)."""
-        return self.buffer.nbytes()
+        return sum(q.buffer.nbytes() for q in self.with_sides())
 
     def region_tops(self) -> list[float]:
         """Upper value bound of each preliminary region's part, in order."""
@@ -708,13 +716,18 @@ class PendingSplit:
 
 
 def _update_part(
-    part, X: np.ndarray, y: np.ndarray, m: np.ndarray, weights: np.ndarray | None
+    part: PartState,
+    X: np.ndarray,
+    y: np.ndarray,
+    m: np.ndarray,
+    weights: np.ndarray | None,
+    arena: LevelArena | None = None,
 ) -> None:
-    """Add the records selected by ``m`` to ``part`` (weighted when given)."""
-    if weights is None:
-        part.update(X[m], y[m])
-    else:
-        part.update(X[m], y[m], weights[m])
+    """Add the records selected by ``m`` to ``part``'s accumulator
+    (weighted when given), in ``arena`` when given (a worker's delta)."""
+    part.accumulator.update(
+        X[m], y[m], None if weights is None else weights[m], arena
+    )
 
 
 def expand_weighted(
@@ -994,16 +1007,32 @@ class PendingScan:
 
     ``nid`` is the tree's record→slot column and ``weights`` its
     per-record bootstrap multiplicities (``None`` for a solo build).
-    They are the routing context: a worker's delta shares them, and a
-    forked worker's delta leaves them behind when it is pickled home.
+    They are the routing context: a worker's delta shares them and
+    leaves them behind when it is pickled home.  Making the target lays
+    its pendings' parts out in one :class:`~repro.core.arena.LevelArena`;
+    a worker's delta (:meth:`scan_delta`) is that arena zeroed plus
+    ``buffers`` by pending ``parent_slot``, and pickles as only those.
     """
 
     nid: np.ndarray
     weights: np.ndarray | None
     pendings: dict[int, PendingSplit]
+    arena: LevelArena | None = None
+    buffers: dict[int, RecordBuffer] | None = None
+
+    def __post_init__(self) -> None:
+        if self.arena is None:
+            self.arena = LevelArena(
+                [
+                    part.accumulator
+                    for p in self.pendings.values()
+                    for part in p.all_parts()
+                ],
+                len(self.nid),
+            )
 
     def __getstate__(self) -> dict:
-        return {"pendings": self.pendings}
+        return {"arena": self.arena.arrays(), "buffers": self.buffers}
 
     def route(self, chunk: ScanChunk) -> None:
         """Route one chunk's records through the tree's pending splits.
@@ -1024,6 +1053,7 @@ class PendingScan:
         weights = self.weights
         if weights is not None:
             weights = weights[chunk.start : chunk.stop]
+        delta = None if self.buffers is None else self
         for p, lo, hi in zip(self.pendings.values(), los, his):
             if lo < hi:
                 idx = order[lo:hi]
@@ -1033,24 +1063,40 @@ class PendingScan:
                     chunk.rids[idx],
                     self.nid,
                     None if weights is None else weights[idx],
+                    delta,
                 )
 
+    def buffer(self, p: PendingSplit) -> RecordBuffer:
+        """``p``'s buffer in this delta: fresh, with ``p``'s budget."""
+        buf = self.buffers.get(p.parent_slot)
+        if buf is None:
+            buf = self.buffers[p.parent_slot] = RecordBuffer(
+                budget_bytes=p.buffer.budget_bytes
+            )
+        return buf
+
     def scan_delta(self) -> "PendingScan":
-        """Every pending's empty clone over the same routing context."""
-        return PendingScan(
-            self.nid,
-            self.weights,
-            {slot: p.scan_delta() for slot, p in self.pendings.items()},
-        )
+        """The zeroed arena and no buffers, over the same routing context."""
+        return PendingScan(self.nid, self.weights, self.pendings, self.arena.zeroed(), {})
 
     def merge_scan_delta(self, delta: "PendingScan") -> None:
-        """Fold one worker's delta in; the engine merges in chunk order."""
-        for slot, dp in delta.pendings.items():
-            self.pendings[slot].merge_scan_delta(dp)
+        """Fold one worker's delta in; the engine merges in chunk order.
+
+        One whole-array operation per arena array, then each buffered
+        pending's records, appended in chunk order.
+        """
+        self.arena.merge(delta.arena)
+        if delta.buffers:
+            owners = {
+                q.parent_slot: q for p in self.pendings.values() for q in p.with_sides()
+            }
+            for slot, buf in delta.buffers.items():
+                owners[slot].buffer.extend_from(buf)
 
     def delta_nbytes(self) -> int:
-        """Bytes one fresh delta occupies (its pendings' parts)."""
-        return sum(p.delta_nbytes() for p in self.pendings.values())
+        """Bytes one fresh delta occupies (its pendings' parts; buffers
+        start empty)."""
+        return sum(p.parts_nbytes() for p in self.pendings.values())
 
 
 def refill_overflowed(
@@ -1367,9 +1413,10 @@ class LevelBuilder(TreeBuilder):
     ) -> None:
         """One level's scan, shared by every member that is still growing.
 
-        Each member is one :class:`PendingScan` target.  Workers route
-        private deltas that merge in chunk order and write new slots
-        back into ``nid``.  The node-id swap is charged per member, and
+        Each member is one :class:`PendingScan` target, which lays the
+        member's parts out in one level arena.  Workers route private
+        deltas that merge in chunk order and write new slots back into
+        ``nid``.  The node-id swap is charged per member, and
         buffers that overflowed their budget are refilled by one extra
         scan.
         """
@@ -1402,8 +1449,8 @@ class LevelBuilder(TreeBuilder):
         One batched analysis serves every node's :meth:`_collect`, and
         one more each round serves the decisions still waiting on
         analyses.  Each member's own builder decides its nodes.  A part
-        is dropped once decided, so the level's resolved parts are not
-        all held until the last decision.
+        and its answers are dropped once decided; the level's arena goes
+        with its last part, before the next level's is laid out.
         """
         requests = [m.builder._collect(node, part) for m, node, part in todo]
         answers = _analyze_batched(requests, stats)
@@ -1523,7 +1570,6 @@ __all__ = [
     "PendingSplit",
     "RecordBuffer",
     "ResolvedThreshold",
-    "make_part_hists",
     "zone_boundaries",
     "classify_zones",
     "resolve_exact_threshold",

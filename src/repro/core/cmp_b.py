@@ -38,6 +38,8 @@ import numpy as np
 from repro.core.builder import (
     Decision,
     LevelBuilder,
+    PartState,
+    PendingScan,
     PendingSplit,
     adaptive_intervals,
     alive_run_bounds,
@@ -75,51 +77,14 @@ from repro.io.metrics import BuildStats
 
 
 @dataclass
-class BPart:
-    """A preliminary subnode accumulating a MatrixSet during a scan.
-
-    ``marginals`` holds the node's marginal histograms from
-    :meth:`CMPBBuilder._collect` until :meth:`CMPBBuilder._decide` takes
-    them.
-    """
-
-    slot: int
-    mset: MatrixSet
-    marginals: dict[int, ClassHistogram] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def update(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Add a batch of records to the matrices."""
-        self.mset.update(X, y)
-
-    def nbytes(self) -> int:
-        """Memory footprint of the matrices."""
-        return self.mset.nbytes()
-
-    @property
-    def class_counts(self) -> np.ndarray:
-        """Class counts of the records added so far."""
-        return self.mset.class_counts
-
-    def clone_empty(self) -> "BPart":
-        """Structural copy with zeroed matrices (a worker's scan delta)."""
-        return BPart(self.slot, self.mset.clone_empty())
-
-    def merge_from(self, other: "BPart") -> None:
-        """Fold another part's counts into this one (exact, associative)."""
-        self.mset.merge_from(other.mset)
-
-
-@dataclass
 class BPending(PendingSplit):
     """A CMP-B pending split (single- or two-level, or linear).
 
-    A single-level pending is a :class:`PendingSplit` over :class:`BPart`
-    matrix parts.  A two-level pending has no parts of its own: its
-    inherited fields carry the first split, exact (``exact_split``) or
-    estimated around one alive run, and ``sides`` hold one pending per
-    side.  A side is the side's second split (Figure 10, line 18) over
+    A single-level pending is a :class:`PendingSplit` over matrix parts
+    (a :class:`PartState` with a :class:`MatrixSet`).  A two-level
+    pending has no parts of its own: its inherited fields carry the
+    first split, exact (``exact_split``) or estimated around one alive
+    run, and ``sides`` hold one pending per side.  A side is the side's second split (Figure 10, line 18) over
     two parts, exact or estimated around one alive run, or a one-part
     pending with no alive bounds when the side does not split again,
     which routes all its records to that part.  A side's node is its
@@ -136,9 +101,9 @@ class BPending(PendingSplit):
         """True when the pending grows two levels (it has sides)."""
         return bool(self.sides)
 
-    def all_parts(self) -> list[BPart]:
-        """Every preliminary part, the sides' included."""
-        return self.parts + [part for side in self.sides for part in side.parts]
+    def with_sides(self) -> list[PendingSplit]:
+        """This pending and its sides."""
+        return [self, *self.sides]
 
     def split_values(self, X: np.ndarray) -> np.ndarray:
         """Attribute values, or the linear split's projection."""
@@ -151,10 +116,11 @@ class BPending(PendingSplit):
         rids: np.ndarray,
         nid: np.ndarray,
         weights: np.ndarray | None = None,
+        delta: PendingScan | None = None,
     ) -> None:
         """Route this node's records; two-level pendings route per side."""
         if not self.two_level:
-            super().route(X, y, rids, nid, weights)
+            super().route(X, y, rids, nid, weights, delta)
             return
         if self.exact_split is not None:
             left = self.exact_split.goes_left(X)
@@ -163,34 +129,16 @@ class BPending(PendingSplit):
             zones = classify_zones(X[:, self.attr], self.zone_bounds)
             buffered = zones == 1
             if buffered.any():
-                self.buffer.append(X[buffered], y[buffered], rids[buffered])
+                (self.buffer if delta is None else delta.buffer(self)).append(
+                    X[buffered], y[buffered], rids[buffered]
+                )
             masks = (zones == 0, zones == 2)
         for side, m in zip(self.sides, masks):
             if m.any():
-                side.route(X[m], y[m], rids[m], nid)
-
-    def scan_delta(self) -> "BPending":
-        """Structural clone with empty accumulators (one worker's delta).
-
-        Covers all four routing paths — exact, estimated, two-level and
-        linear; the sides' parts and buffers are fresh too.
-        """
-        delta = super().scan_delta()
-        delta.sides = [side.scan_delta() for side in self.sides]
-        return delta
-
-    def merge_scan_delta(self, delta: "BPending") -> None:
-        """Fold one worker's delta in; callers merge in chunk order."""
-        super().merge_scan_delta(delta)
-        for side, dside in zip(self.sides, delta.sides):
-            side.merge_scan_delta(dside)
-
-    def buffer_nbytes(self) -> int:
-        """Bytes buffered by the first split and every side."""
-        return self.buffer.nbytes() + sum(side.buffer.nbytes() for side in self.sides)
+                side.route(X[m], y[m], rids[m], nid, None, delta)
 
 
-DecideItem = tuple[Node, BPart]
+DecideItem = tuple[Node, PartState]
 
 
 class CMPBBuilder(LevelBuilder):
@@ -216,16 +164,16 @@ class CMPBBuilder(LevelBuilder):
         schema: Schema,
         root_edges: dict[int, np.ndarray],
         rng: np.random.Generator,
-    ) -> BPart:
+    ) -> PartState:
         """Root matrices (Figure 10, line 03) on a random X axis (§2.2)."""
         cont = schema.continuous_indices()
         root_x = int(cont[rng.integers(0, len(cont))])
-        return BPart(0, MatrixSet.create(schema, root_x, root_edges))
+        return PartState.planned(0, schema, root_edges, root_x)
 
     # ------------------------------------------------------------------ decide
 
     def _collect(
-        self, node: Node, part: BPart
+        self, node: Node, part: PartState
     ) -> list[tuple[int, ClassHistogram | CategoryHistogram]]:
         """The X marginal, every Y marginal, then every categorical
         histogram, unless the node stops.  The marginals stay on the part
@@ -241,7 +189,7 @@ class CMPBBuilder(LevelBuilder):
     def _decide(
         self,
         node: Node,
-        part: BPart,
+        part: PartState,
         answers: list[AttributeAnalysis | SubsetSplit],
         next_slot: Callable[[], int],
         account: TreeAccount,
@@ -356,7 +304,7 @@ class CMPBBuilder(LevelBuilder):
                 estimated = estimated_fields(winner, node_hists[winner.attr], runs)
         p = BPending(node=node, parent_slot=slot, exact_split=exact_split, **estimated)
         p.parts = [
-            BPart(next_slot(), MatrixSet.create(schema, predicted_x, child_edges))
+            PartState.planned(next_slot(), schema, child_edges, predicted_x)
             for _ in range(p.n_parts)
         ]
         return p
@@ -486,7 +434,7 @@ class CMPBBuilder(LevelBuilder):
         except ValueError:
             predicted_x = mset.x_attr
         parts = [
-            BPart(next_slot(), MatrixSet.create(schema, predicted_x, child_edges))
+            PartState.planned(next_slot(), schema, child_edges, predicted_x)
             for _ in range(1 if side_winner is None else 2)
         ]
         side = PendingSplit(node=None, parent_slot=parts[0].slot, parts=parts)

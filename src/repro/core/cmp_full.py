@@ -30,7 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.cmp_b import BPart, BPending, CMPBBuilder
+from repro.core.builder import PartState
+from repro.core.cmp_b import BPending, CMPBBuilder
 from repro.core.histogram import ClassHistogram
 from repro.core.linear import best_linear_candidate
 from repro.core.matrix import MatrixSet
@@ -82,7 +83,7 @@ class CMPBuilder(CMPBBuilder):
         p = BPending(node=node, parent_slot=slot, linear=proto)
         p.zone_bounds = np.array([cand.c_lo, cand.c_hi])
         p.parts = [
-            BPart(next_slot(), MatrixSet.create(schema, predicted_x, child_edges))
+            PartState.planned(next_slot(), schema, child_edges, predicted_x)
             for _ in range(2)
         ]
         return p

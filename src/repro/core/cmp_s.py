@@ -43,7 +43,6 @@ from repro.core.builder import (
     adaptive_intervals,
     boundary_split,
     estimated_fields,
-    make_part_hists,
     resolve_exact_threshold,
 )
 from repro.core.histogram import CategoryHistogram, ClassHistogram, SubsetSplit
@@ -109,7 +108,7 @@ class CMPSBuilder(LevelBuilder):
         rng: np.random.Generator,
     ) -> PartState:
         """Root histograms on the quantiled grid (Figure 4, line 03)."""
-        return PartState(0, schema.n_classes, make_part_hists(schema, root_edges))
+        return PartState.planned(0, schema, root_edges)
 
     # -- decisions (Figure 4, lines 15-19) ------------------------------------
 
@@ -161,8 +160,7 @@ class CMPSBuilder(LevelBuilder):
             )
         p = PendingSplit(node=node, parent_slot=slot, child_edges=child_edges, **fields)
         p.parts = [
-            PartState(next_slot(), schema.n_classes, make_part_hists(schema, child_edges))
-            for _ in range(p.n_parts)
+            PartState.planned(next_slot(), schema, child_edges) for _ in range(p.n_parts)
         ]
         return p
 

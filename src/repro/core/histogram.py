@@ -22,19 +22,27 @@ from repro.data.discretize import bin_index
 
 
 class ClassHistogram:
-    """Per-interval class counts for one continuous attribute."""
+    """Per-interval class counts for one continuous attribute, in its
+    own arrays unless handed them (a level arena's views)."""
 
-    def __init__(self, edges: np.ndarray, n_classes: int) -> None:
-        self.edges = np.asarray(edges, dtype=np.float64)
+    def __init__(
+        self,
+        edges: np.ndarray,
+        n_classes: int,
+        counts: np.ndarray | None = None,
+        vmin: np.ndarray | None = None,
+        vmax: np.ndarray | None = None,
+    ) -> None:
+        self.edges = np.ascontiguousarray(edges, dtype=np.float64)
         if self.edges.ndim != 1:
             raise ValueError("edges must be 1-D")
         self.n_classes = int(n_classes)
         q = len(self.edges) + 1
-        self.counts = np.zeros((q, self.n_classes), dtype=np.float64)
+        self.counts = np.zeros((q, self.n_classes)) if counts is None else counts
         # Per-interval value extrema; an interval with vmin == vmax holds a
         # single distinct value and therefore no interior split point.
-        self.vmin = np.full(q, np.inf)
-        self.vmax = np.full(q, -np.inf)
+        self.vmin = np.full(q, np.inf) if vmin is None else vmin
+        self.vmax = np.full(q, -np.inf) if vmax is None else vmax
 
     @property
     def n_intervals(self) -> int:
@@ -45,10 +53,6 @@ class ClassHistogram:
     def n_records(self) -> float:
         """Total number of records counted so far."""
         return float(self.counts.sum())
-
-    def nbytes(self) -> int:
-        """Memory footprint of the count matrix."""
-        return self.counts.nbytes
 
     def update(
         self,
@@ -110,37 +114,21 @@ class ClassHistogram:
             return np.zeros(self.n_classes, dtype=np.float64)
         return self.cumulative()[interval - 1]
 
-    def clone_empty(self) -> "ClassHistogram":
-        """Same edges and classes, zero counts (for scan-worker deltas)."""
-        return ClassHistogram(self.edges, self.n_classes)
-
-    def merge_from(self, other: "ClassHistogram") -> None:
-        """Accumulate another histogram with identical structure."""
-        if other.counts.shape != self.counts.shape or not np.array_equal(
-            other.edges, self.edges
-        ):
-            raise ValueError("histograms must share edges to merge")
-        self.counts += other.counts
-        np.minimum(self.vmin, other.vmin, out=self.vmin)
-        np.maximum(self.vmax, other.vmax, out=self.vmax)
-
 
 class CategoryHistogram:
     """Per-category class counts for one categorical attribute."""
 
-    def __init__(self, n_categories: int, n_classes: int) -> None:
+    def __init__(
+        self, n_categories: int, n_classes: int, counts: np.ndarray | None = None
+    ) -> None:
         if n_categories < 1:
             raise ValueError("need at least one category")
-        self.counts = np.zeros((n_categories, n_classes), dtype=np.float64)
+        self.counts = np.zeros((n_categories, n_classes)) if counts is None else counts
 
     @property
     def n_categories(self) -> int:
         """Number of category bins."""
         return self.counts.shape[0]
-
-    def nbytes(self) -> int:
-        """Memory footprint of the count matrix."""
-        return self.counts.nbytes
 
     def update(
         self,
@@ -174,16 +162,6 @@ class CategoryHistogram:
     def totals(self) -> np.ndarray:
         """Class counts of the whole node."""
         return self.counts.sum(axis=0)
-
-    def clone_empty(self) -> "CategoryHistogram":
-        """Same shape, zero counts (for scan-worker deltas)."""
-        return CategoryHistogram(self.counts.shape[0], self.counts.shape[1])
-
-    def merge_from(self, other: "CategoryHistogram") -> None:
-        """Accumulate another histogram with identical structure."""
-        if other.counts.shape != self.counts.shape:
-            raise ValueError("histograms must share shape to merge")
-        self.counts += other.counts
 
     def best_subset_split(
         self, criterion=None

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core import native_scan
 from repro.core.gini import gini_partition_many
-from repro.core.matrix import HistogramMatrix, MatrixSet
+from repro.core.matrix import AxisStats, HistogramMatrix, MatrixSet
 
 #: Safety cap on intercept-walk steps (the walk provably terminates well
 #: below this; the cap guards degenerate grids).
@@ -309,19 +309,15 @@ def _decimated(matrix: HistogramMatrix) -> HistogramMatrix:
     c = matrix.n_classes
     padded = np.zeros((qx * fx, qy * fy, c))
     padded[: matrix.qx, : matrix.qy] = matrix.counts
-    coarse_counts = padded.reshape(qx, fx, qy, fy, c).sum(axis=(1, 3))
-    coarse = HistogramMatrix(
-        matrix.x_attr, matrix.y_attr, grid.x_edges, grid.y_edges, c
-    )
-    coarse.counts = coarse_counts
     # Extrema per coarse bin: min/max over the merged fine bins.
-    coarse.y_stats.vmin = np.pad(
-        matrix.y_stats.vmin, (0, qy * fy - matrix.qy), constant_values=np.inf
-    ).reshape(qy, fy).min(axis=1)
-    coarse.y_stats.vmax = np.pad(
-        matrix.y_stats.vmax, (0, qy * fy - matrix.qy), constant_values=-np.inf
-    ).reshape(qy, fy).max(axis=1)
-    return coarse
+    pad = (0, qy * fy - matrix.qy)
+    vmin = np.pad(matrix.y_stats.vmin, pad, constant_values=np.inf)
+    vmax = np.pad(matrix.y_stats.vmax, pad, constant_values=-np.inf)
+    return HistogramMatrix(
+        matrix.x_attr, matrix.y_attr, grid.x_edges, grid.y_edges, c,
+        padded.reshape(qx, fx, qy, fy, c).sum(axis=(1, 3)),
+        AxisStats(qy, vmin.reshape(qy, fy).min(axis=1), vmax.reshape(qy, fy).max(axis=1)),
+    )
 
 
 def _walks(matrices: list[HistogramMatrix]) -> list[tuple[float, GridLine]]:

@@ -27,44 +27,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import native_scan
+from repro.core.arena import ArenaPart
 from repro.core.histogram import CategoryHistogram, ClassHistogram
-from repro.data.discretize import bin_index
 from repro.data.schema import Schema
 
 
-#: Narrow count dtype: 4 bytes per cell, the paper's memory story (Fig. 19).
-#: Integer, not float32 — float32 silently stops incrementing once a cell
-#: reaches 2**24 records, corrupting counts on exactly the large-data
-#: regime the paper targets.
+#: Count dtype of a standalone cube: 4 bytes per cell, the paper's memory
+#: story (Fig. 19).  Integer, not float32, which stops counting at 2**24.
+#: A level arena fixes its cubes' dtype from the table size instead.
 _COUNT_DTYPE = np.int32
-#: Widened dtype once a matrix has absorbed more records than int32 holds.
-_WIDE_DTYPE = np.int64
-_NARROW_MAX = np.iinfo(_COUNT_DTYPE).max
 
 
 class AxisStats:
     """Per-interval value extrema along one axis."""
 
-    def __init__(self, n_intervals: int) -> None:
-        self.vmin = np.full(n_intervals, np.inf)
-        self.vmax = np.full(n_intervals, -np.inf)
-
-    def update(self, bins: np.ndarray, values: np.ndarray) -> None:
-        """Fold a batch of binned values into the extrema; NaN is ignored."""
-        if len(values) == 0:
-            return
-        np.fmin.at(self.vmin, bins, values)
-        np.fmax.at(self.vmax, bins, values)
-
-    def merge_from(self, other: "AxisStats") -> None:
-        """Combine extrema with another axis of identical shape."""
-        np.minimum(self.vmin, other.vmin, out=self.vmin)
-        np.maximum(self.vmax, other.vmax, out=self.vmax)
+    def __init__(self, n_intervals: int, vmin=None, vmax=None) -> None:
+        self.vmin = np.full(n_intervals, np.inf) if vmin is None else vmin
+        self.vmax = np.full(n_intervals, -np.inf) if vmax is None else vmax
 
 
 class HistogramMatrix:
-    """One ``(x, y)`` bivariate class histogram."""
+    """One ``(x, y)`` bivariate class histogram, in its own int32 cube
+    and y extrema unless handed them (a level arena's views)."""
 
     def __init__(
         self,
@@ -73,29 +57,19 @@ class HistogramMatrix:
         x_edges: np.ndarray,
         y_edges: np.ndarray,
         n_classes: int,
+        counts: np.ndarray | None = None,
+        y_stats: AxisStats | None = None,
     ) -> None:
         self.x_attr = x_attr
         self.y_attr = y_attr
-        self.x_edges = np.asarray(x_edges, dtype=np.float64)
-        self.y_edges = np.asarray(y_edges, dtype=np.float64)
+        self.x_edges = np.ascontiguousarray(x_edges, dtype=np.float64)
+        self.y_edges = np.ascontiguousarray(y_edges, dtype=np.float64)
         self.n_classes = n_classes
-        # 4-byte integer counts (the paper's implementation uses 4-byte
-        # ints; the matrices dominate CMP's memory, Figure 19).  Exact up
-        # to 2**31 - 1 per cell; ``_n_added`` tracks the total records ever
-        # absorbed so the cube widens to int64 before any cell could
-        # overflow — counting never saturates or wraps.
-        self.counts = np.zeros(
-            (len(self.x_edges) + 1, len(self.y_edges) + 1, n_classes),
-            dtype=_COUNT_DTYPE,
-        )
-        self._n_added = 0
-        self.y_stats = AxisStats(len(self.y_edges) + 1)
-
-    def clone_empty(self) -> "HistogramMatrix":
-        """Structurally identical matrix with zero counts (worker deltas)."""
-        return HistogramMatrix(
-            self.x_attr, self.y_attr, self.x_edges, self.y_edges, self.n_classes
-        )
+        # Integer counts (the paper's implementation uses 4-byte ints;
+        # the matrices dominate CMP's memory, Figure 19).
+        shape = (len(self.x_edges) + 1, len(self.y_edges) + 1, n_classes)
+        self.counts = np.zeros(shape, dtype=_COUNT_DTYPE) if counts is None else counts
+        self.y_stats = AxisStats(len(self.y_edges) + 1) if y_stats is None else y_stats
 
     @property
     def qx(self) -> int:
@@ -107,42 +81,6 @@ class HistogramMatrix:
         """Number of y intervals."""
         return self.counts.shape[1]
 
-    def nbytes(self) -> int:
-        """Memory footprint of the count cube."""
-        return self.counts.nbytes
-
-    def _widen_for(self, incoming: int) -> bool:
-        """Switch to the wide dtype before cell counts could exceed int32.
-
-        A cell can never hold more than the matrix's total record count,
-        so widening when ``_n_added`` approaches the narrow maximum keeps
-        every addition exact without scanning the cube for its max.
-        Returns True when it replaced the count cube.
-        """
-        self._n_added += incoming
-        if self.counts.dtype != _WIDE_DTYPE and self._n_added > _NARROW_MAX:
-            self.counts = self.counts.astype(_WIDE_DTYPE)
-            return True
-        return False
-
-    def update_binned(
-        self, x_bins: np.ndarray, y_values: np.ndarray, labels: np.ndarray
-    ) -> None:
-        """Add records whose x-interval indices are already computed."""
-        if len(labels) == 0:
-            return
-        self._widen_for(len(labels))
-        self._add_binned(x_bins, y_values, labels)
-
-    def _add_binned(
-        self, x_bins: np.ndarray, y_values: np.ndarray, labels: np.ndarray
-    ) -> None:
-        """The numpy accumulation of :meth:`update_binned`, once widened."""
-        y_values = np.asarray(y_values)
-        y_bins = bin_index(y_values, self.y_edges)
-        np.add.at(self.counts, (x_bins, y_bins, np.asarray(labels)), 1)
-        self.y_stats.update(y_bins, y_values)
-
     def y_marginal_counts(self, x_lo: int = 0, x_hi: int | None = None) -> np.ndarray:
         """``(qy, c)`` class counts of y intervals, restricted to x columns
         ``[x_lo, x_hi)`` (the whole axis by default)."""
@@ -151,17 +89,6 @@ class HistogramMatrix:
     def x_marginal_counts(self) -> np.ndarray:
         """``(qx, c)`` class counts of x intervals."""
         return self.counts.sum(axis=1)
-
-    def merge_from(self, other: "HistogramMatrix") -> bool:
-        """Accumulate another matrix with identical structure (widening
-        out of the narrow dtype first when the sum could overflow it).
-        Returns True when widening replaced the count cube."""
-        if other.counts.shape != self.counts.shape:
-            raise ValueError("matrices must share shape to merge")
-        widened = self._widen_for(other._n_added)
-        self.counts += other.counts
-        self.y_stats.merge_from(other.y_stats)
-        return widened
 
 
 def pseudo_histogram(
@@ -172,21 +99,25 @@ def pseudo_histogram(
     n_classes: int,
 ) -> ClassHistogram:
     """Materialize a marginal view as a ClassHistogram (no data pass)."""
-    hist = ClassHistogram(edges, n_classes)
-    hist.counts = np.asarray(counts, dtype=np.float64)
-    hist.vmin = np.asarray(vmin, dtype=np.float64)
-    hist.vmax = np.asarray(vmax, dtype=np.float64)
-    return hist
+    return ClassHistogram(
+        edges,
+        n_classes,
+        np.asarray(counts, dtype=np.float64),
+        np.asarray(vmin, dtype=np.float64),
+        np.asarray(vmax, dtype=np.float64),
+    )
 
 
-@dataclass
-class MatrixSet:
+@dataclass(eq=False)
+class MatrixSet(ArenaPart):
     """All histograms of one CMP-B node (or preliminary part).
 
     One :class:`HistogramMatrix` per continuous attribute other than
     ``x_attr`` (all sharing ``x_attr`` as their X axis), a plain
     :class:`CategoryHistogram` per categorical attribute, and shared
-    X-axis extrema.
+    X-axis extrema.  Laid out in a level arena, every array is a view
+    of it.  A *planned* set (:meth:`planned`) holds only its ``grids``,
+    the schema and per-attribute edges, until its level is laid out.
     """
 
     x_attr: int
@@ -196,57 +127,31 @@ class MatrixSet:
     categorical: dict[int, CategoryHistogram] = field(default_factory=dict)
     x_stats: AxisStats | None = None
     class_counts: np.ndarray | None = None
+    grids: tuple[Schema, dict[int, np.ndarray]] | None = field(default=None, repr=False)
 
-    #: The fused kernel's pointer plan, built on first update and dropped
-    #: whenever a cube widens.  Never pickled nor shared by clones.
-    _plan = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_plan", None)
-        return state
+    @classmethod
+    def planned(
+        cls, schema: Schema, x_attr: int, edges: dict[int, np.ndarray]
+    ) -> "MatrixSet":
+        """An empty set on the given per-attribute grids, laid out later
+        with its level (or alone, on first use)."""
+        if not schema.attributes[x_attr].is_continuous:
+            raise ValueError("the shared X axis must be a continuous attribute")
+        return cls(
+            x_attr=x_attr,
+            x_edges=np.ascontiguousarray(edges[x_attr], dtype=np.float64),
+            n_classes=schema.n_classes,
+            grids=(schema, edges),
+        )
 
     @classmethod
     def create(
         cls, schema: Schema, x_attr: int, edges: dict[int, np.ndarray]
     ) -> "MatrixSet":
-        """Fresh, empty matrix set on the given per-attribute grids."""
-        if not schema.attributes[x_attr].is_continuous:
-            raise ValueError("the shared X axis must be a continuous attribute")
-        ms = cls(x_attr=x_attr, x_edges=edges[x_attr], n_classes=schema.n_classes)
-        ms.x_stats = AxisStats(len(ms.x_edges) + 1)
-        ms.class_counts = np.zeros(schema.n_classes, dtype=np.float64)
-        for j, attr in enumerate(schema.attributes):
-            if j == x_attr:
-                continue
-            if attr.is_continuous:
-                ms.matrices[j] = HistogramMatrix(
-                    x_attr, j, edges[x_attr], edges[j], schema.n_classes
-                )
-            else:
-                ms.categorical[j] = CategoryHistogram(
-                    attr.cardinality, schema.n_classes
-                )
-        return ms
-
-    def clone_empty(self) -> "MatrixSet":
-        """Structurally identical, empty matrix set.
-
-        Scan workers accumulate into private clones which are merged back
-        (``merge_from``) in chunk order; grids and attribute layout are
-        shared with the original, counts start at zero.
-        """
-        ms = MatrixSet(
-            x_attr=self.x_attr, x_edges=self.x_edges, n_classes=self.n_classes
-        )
-        ms.x_stats = AxisStats(len(self.x_edges) + 1)
-        ms.class_counts = np.zeros(self.n_classes, dtype=np.float64)
-        for j, m in self.matrices.items():
-            ms.matrices[j] = m.clone_empty()
-        for j, h in self.categorical.items():
-            ms.categorical[j] = CategoryHistogram(
-                h.n_categories, h.counts.shape[1]
-            )
+        """Fresh, empty matrix set on the given per-attribute grids: an
+        arena of one part."""
+        ms = cls.planned(schema, x_attr, edges)
+        ms.laid_out()
         return ms
 
     @property
@@ -254,43 +159,55 @@ class MatrixSet:
         """Number of x intervals."""
         return len(self.x_edges) + 1
 
-    def nbytes(self) -> int:
-        """Memory footprint of all matrices and histograms."""
-        total = sum(m.nbytes() for m in self.matrices.values())
-        total += sum(h.nbytes() for h in self.categorical.values())
-        return total
+    def _spec(self) -> tuple:
+        schema, edges = self.grids
+        conts = [
+            (j, np.ascontiguousarray(edges[j], dtype=np.float64))
+            for j in schema.continuous_indices()
+            if j != self.x_attr
+        ]
+        cats = [
+            (j, a.cardinality)
+            for j, a in enumerate(schema.attributes)
+            if not a.is_continuous
+        ]
+        return self.n_classes, (self.x_attr, self.x_edges), conts, cats
 
-    def update(self, X: np.ndarray, y: np.ndarray) -> None:
+    def _bind(self, views: list) -> None:
+        c, __, conts, cats = self._spec()
+        it = iter(views)
+        self.class_counts = next(it)
+        self.x_stats = AxisStats(self.qx, *next(it))
+        self.matrices = {
+            j: HistogramMatrix(
+                self.x_attr, j, self.x_edges, y_edges, c, next(it),
+                AxisStats(len(y_edges) + 1, *next(it)),
+            )
+            for j, y_edges in conts
+        }
+        self.categorical = {j: CategoryHistogram(k, c, next(it)) for j, k in cats}
+
+    def update(
+        self, X: np.ndarray, y: np.ndarray, weights: None = None, arena=None
+    ) -> None:
         """Add a batch of records to every histogram of the set.
 
-        One native call fills them all when the kernels are available;
-        the numpy body below is the reference.
+        One native call on the set's slice of its level's plan fills
+        them all when the kernels are available; the arena's numpy body
+        is the reference.  ``arena`` takes the counts instead of the
+        set's own: a worker's delta.  Matrix sets count unweighted
+        records.
         """
-        if len(y) == 0:
-            return
-        assert self.class_counts is not None and self.x_stats is not None
-        for m in self.matrices.values():
-            if m._widen_for(len(y)):
-                self._plan = None
-        if self._plan is None:
-            self._plan = native_scan.mset_plan(
-                self.class_counts,
-                self.x_attr,
-                self.x_edges,
-                self.x_stats,
-                list(self.matrices.items()),
-                list(self.categorical.items()),
-            )
-        if native_scan.fused_accum(self._plan, X, y):
-            return
-        self.class_counts += np.bincount(y, minlength=self.n_classes)
-        xv = X[:, self.x_attr]
-        x_bins = bin_index(xv, self.x_edges)
-        self.x_stats.update(x_bins, xv)
-        for j, m in self.matrices.items():
-            m._add_binned(x_bins, X[:, j], y)
-        for j, h in self.categorical.items():
-            h.update(X[:, j], y)
+        if weights is not None:
+            raise ValueError("a matrix set counts unweighted records")
+        self._accumulate(X, y, None, arena)
+
+    def merge_from(self, other: "MatrixSet") -> None:
+        """Accumulate a structurally identical matrix set: a row-range
+        add in the arena."""
+        if other.x_attr != self.x_attr:
+            raise ValueError("matrix sets must share the X attribute to merge")
+        self._merge_rows(other)
 
     # -- marginal views --------------------------------------------------------
 
@@ -360,17 +277,3 @@ class MatrixSet:
         return pseudo_histogram(
             masked, m.y_edges, m.y_stats.vmin, m.y_stats.vmax, self.n_classes
         )
-
-    def merge_from(self, other: "MatrixSet") -> None:
-        """Accumulate a structurally identical matrix set."""
-        if other.x_attr != self.x_attr:
-            raise ValueError("matrix sets must share the X attribute to merge")
-        assert self.class_counts is not None and other.class_counts is not None
-        assert self.x_stats is not None and other.x_stats is not None
-        self.class_counts += other.class_counts
-        self.x_stats.merge_from(other.x_stats)
-        for j, m in self.matrices.items():
-            if m.merge_from(other.matrices[j]):
-                self._plan = None
-        for j, h in self.categorical.items():
-            h.merge_from(other.categorical[j])

@@ -30,8 +30,9 @@ resolve phase:
 
 ``cmp_part_accum``, ``cmp_hist_accum`` and ``cmp_cat_accum`` also have
 ``_w`` variants that add a bootstrap weight per record.  The fused
-accumulators read a per-accumulator plan table of addresses (layout in
-the source) and validate a whole chunk before writing anything.
+accumulators read their part's block of a level's plan table of
+addresses (layout in the source) and validate a whole chunk before
+writing anything.
 ``cmp_route`` and ``cmp_forest_score`` share one per-record tree walk.
 The numpy loops they replace scan whole columns per node or per bin; a
 scalar C loop visits each record's row once while it sits in cache,
@@ -204,9 +205,10 @@ int cmp_cat_accum_w(int64_t n, int64_t vstride, const double *codes,
 }
 
 /* The fused kernels below fold one chunk's rows into every histogram of
- * one accumulator in a single pass.  Their plan, built once per
- * accumulator by repro.core.native_scan, is one int64 table holding
- * addresses as words:
+ * one part in a single pass.  A level's plan, built once per level arena
+ * by repro.core.native_scan, is one int64 table holding every part's
+ * block back to back; a call gets the address of its part's block, which
+ * holds addresses into the arena's arrays as words:
  *   words 0-3  {c, class_counts, nh, nc};
  *   words 4-8  a matrix set's shared x axis {x_attr, m, edges, vmin, vmax}
  *              (unused by parts);
@@ -270,8 +272,9 @@ static void cat_fold(const double *row, int64_t cs, int64_t lab, double w,
 }
 
 /* PartState.update: class counts, then per row every continuous
- * histogram (hist_accum's body) and every categorical one (cat_accum's).
- * weights == NULL adds 1 per record. */
+ * histogram (hist_accum's body) and every categorical one (cat_accum's),
+ * through the part's block of its level's plan.  weights == NULL adds 1
+ * per record. */
 static int part_accum(int64_t n, const double *X, int64_t rs, int64_t cs,
                       const int64_t *labels, const double *weights,
                       const int64_t *plan)
@@ -317,8 +320,9 @@ int cmp_part_accum_w(int64_t n, const double *X, int64_t rs, int64_t cs,
 
 /* MatrixSet.update: class counts, the shared x bin and its extrema,
  * every (x, y) cube cell with its y extrema, every categorical
- * histogram.  Two count dtypes (the cubes widen from int32 to int64 on
- * demand; every cube of a set shares one). */
+ * histogram, through the set's block of its level's plan.  Two count
+ * dtypes: a level arena's cubes are int32, or int64 when its table holds
+ * more records than an int32 cell can count. */
 #define MSET_ACCUM(NAME, CTYPE)                                             \
 int NAME(int64_t n, const double *X, int64_t rs, int64_t cs,                \
          const int64_t *labels, const int64_t *plan)                        \

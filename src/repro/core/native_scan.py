@@ -6,8 +6,8 @@ and the post-scan analysis sweeps — boundary ginis and the
 numpy evaluates as a chain of whole-array temporaries.  The C versions
 live in the one native library.  A scan part (``PartState`` or
 ``MatrixSet``) fills all its histograms with one :func:`fused_accum`
-call per chunk, through an :class:`AccumPlan` it builds once
-(:func:`part_plan`, :func:`mset_plan`).  The decide step's split
+call per chunk, through its slice of its level arena's one
+:class:`AccumPlan`, which holds every part's block back to back.  The decide step's split
 searches over per-node aggregates are batched the same way: one
 :func:`subset_splits` call per tree level, one :func:`requantile` call
 per node's child grids, one :func:`slope_walks` call per matrix set.
@@ -304,154 +304,38 @@ def _addr(a: np.ndarray) -> int:
 
 
 class AccumPlan:
-    """One accumulator's arrays, packed once for a fused kernel.
+    """A level arena's one kernel plan: every part's block in one table.
 
-    ``table`` is the kernel's int64 plan (layout in the C source): class
-    count width, the histograms' shapes, and their arrays' addresses.
-    ``keep`` holds every array it points into, so no address can dangle.
-    A plan is valid while its accumulator keeps exactly these arrays:
-    owners drop it whenever they replace one (matrix widening) and never
-    pickle or share it, since its addresses mean nothing in another
-    process.
+    ``blocks`` holds each part's ``(kernel, words, n_cols, counted)``,
+    its words laid out as the C source documents; they are laid end to
+    end, so :attr:`parts` gives each part's ``(kernel, address, n_cols,
+    counted)`` slice for :func:`fused_accum`.  ``keep`` holds every
+    array the table points into, so no address can dangle.  A plan
+    never crosses processes.
     """
 
-    __slots__ = ("kernel", "table", "address", "n_cols", "counted", "keep")
+    __slots__ = ("table", "parts", "keep")
 
-    def __init__(self, kernel: str, words: list[int], n_cols: int, counted, keep) -> None:
-        self.kernel = kernel
-        self.table = np.array(words, dtype=np.int64)
-        self.address = _addr(self.table)
-        self.n_cols = n_cols
-        self.counted = counted
+    def __init__(self, blocks: list, keep: tuple) -> None:
+        self.table = np.array([w for block in blocks for w in block[1]], dtype=np.int64)
         self.keep = keep
+        at = _addr(self.table) if len(self.table) else 0
+        self.parts = []
+        for kernel, words, n_cols, counted in blocks:
+            self.parts.append((kernel, at, n_cols, counted))
+            at += 8 * len(words)
 
     def __reduce__(self):
         raise TypeError("an AccumPlan holds process-local addresses")
 
 
-def _hist_rows(hists, shape: tuple, dtype, keep: list) -> list[int] | None:
-    """Flat ``{attr, m, edges, counts, vmin, vmax}`` rows of continuous
-    histograms or matrix y axes, or ``None`` when one lies outside the
-    kernels' layout.  ``shape`` is ``(c,)`` for histograms, whose counts
-    must be ``(q, c)``, and ``(qx, c)`` for cubes, ``(qx, q, c)``; every
-    count array must be C-contiguous ``dtype``."""
-    *lead, c = shape
-    rows: list[int] = []
-    for attr, edges, counts, vmin, vmax in hists:
-        q = len(edges) + 1
-        if not (
-            _contiguous_f64(edges)
-            and counts.dtype == dtype
-            and counts.flags.c_contiguous
-            and counts.shape == (*lead, q, c)
-            and _contiguous_f64(vmin)
-            and _contiguous_f64(vmax)
-            and vmin.shape == vmax.shape == (q,)
-        ):
-            return None
-        keep += (edges, counts, vmin, vmax)
-        rows += (attr, q - 1, _addr(edges), _addr(counts), _addr(vmin), _addr(vmax))
-    return rows
-
-
-def _cat_rows(cats, c: int, keep: list) -> list[int] | None:
-    """Flat ``{attr, ncat, counts}`` rows of categorical histograms, or
-    ``None`` when one lies outside the kernels' layout."""
-    rows: list[int] = []
-    for attr, h in cats:
-        counts = h.counts
-        if not (_contiguous_f64(counts) and counts.ndim == 2 and counts.shape[1] == c):
-            return None
-        keep.append(counts)
-        rows += (attr, counts.shape[0], _addr(counts))
-    return rows
-
-
-def _plan(kernel, class_counts, x_words, hist_rows, cat_rows, keep, counted) -> AccumPlan:
-    """Assemble a plan; ``x_words`` are a matrix set's x-axis words."""
-    keep.append(class_counts)
-    n_hist, n_cat = len(hist_rows) // 6, len(cat_rows) // 3
-    words = [len(class_counts), _addr(class_counts), n_hist, n_cat, *x_words]
-    return AccumPlan(
-        kernel,
-        words + hist_rows + cat_rows,
-        max([-1, x_words[0], *hist_rows[::6], *cat_rows[::3]]) + 1,
-        ((counted, n_hist), ("cat_accum", n_cat)),
-        keep,
-    )
-
-
-def _class_counts_ok(class_counts: np.ndarray) -> bool:
-    return class_counts.ndim == 1 and _contiguous_f64(class_counts)
-
-
-def part_plan(class_counts: np.ndarray, hists, cats) -> AccumPlan | bool:
-    """The plan of a ``PartState``: ``hists`` and ``cats`` are its
-    ``(attr, histogram)`` pairs, continuous and categorical.
-
-    Returns ``False`` when some array lies outside the kernels' layout
-    (the part then always takes its numpy path).
-    """
-    if not _class_counts_ok(class_counts):
-        return False
-    c, keep = len(class_counts), []
-    hist_rows = _hist_rows(
-        [(j, h.edges, h.counts, h.vmin, h.vmax) for j, h in hists],
-        (c,),
-        np.float64,
-        keep,
-    )
-    cat_rows = _cat_rows(cats, c, keep)
-    if hist_rows is None or cat_rows is None:
-        return False
-    no_x = [-1, 0, 0, 0, 0]
-    return _plan("part_accum", class_counts, no_x, hist_rows, cat_rows, keep, "hist_accum")
-
-
-def mset_plan(
-    class_counts: np.ndarray, x_attr: int, x_edges: np.ndarray, x_stats, matrices, cats
-) -> AccumPlan | bool:
-    """The plan of a ``MatrixSet``: ``matrices`` and ``cats`` are its
-    ``(attr, matrix)`` and ``(attr, histogram)`` pairs.
-
-    Every cube must share one count dtype, int32 or int64; otherwise (or
-    for any other array outside the kernels' layout) returns ``False``.
-    """
-    qx = len(x_edges) + 1
-    vmin, vmax = x_stats.vmin, x_stats.vmax
-    if not (
-        _class_counts_ok(class_counts)
-        and _contiguous_f64(x_edges)
-        and _contiguous_f64(vmin)
-        and _contiguous_f64(vmax)
-        and vmin.shape == vmax.shape == (qx,)
-    ):
-        return False
-    dtype = matrices[0][1].counts.dtype if matrices else np.dtype(np.int32)
-    if dtype not in (np.int32, np.int64):
-        return False
-    c, keep = len(class_counts), [x_edges, vmin, vmax]
-    hist_rows = _hist_rows(
-        [(j, m.y_edges, m.counts, m.y_stats.vmin, m.y_stats.vmax) for j, m in matrices],
-        (qx, c),
-        dtype,
-        keep,
-    )
-    cat_rows = _cat_rows(cats, c, keep)
-    if hist_rows is None or cat_rows is None:
-        return False
-    x_words = [x_attr, qx - 1, _addr(x_edges), _addr(vmin), _addr(vmax)]
-    kernel = "mset_accum32" if dtype == np.int32 else "mset_accum64"
-    return _plan(kernel, class_counts, x_words, hist_rows, cat_rows, keep, "matrix_accum")
-
-
 def fused_accum(
-    plan: AccumPlan | bool,
+    plan: tuple | None,
     X: np.ndarray,
     y: object,
     weights: object | None = None,
 ) -> bool:
-    """Fold a batch into every histogram of a planned accumulator.
+    """Fold a batch into every histogram of one part of a level plan.
 
     One native call replaces one per histogram.  Returns ``False`` (use
     numpy) without kernels, without a plan, or for an ``X`` the kernel
@@ -464,11 +348,12 @@ def fused_accum(
     fns = native._resolve()
     if fns is None or not plan:
         return False
+    kernel, address, n_cols, counted = plan
     if not (
         isinstance(X, np.ndarray)
         and X.dtype == np.float64
         and X.ndim == 2
-        and X.shape[1] >= plan.n_cols
+        and X.shape[1] >= n_cols
     ):
         return False
     n = X.shape[0]
@@ -479,19 +364,19 @@ def fused_accum(
     if lab is None:
         return False
     if weights is None:
-        rc = fns[plan.kernel](n, _addr(X), rs // 8, cs // 8, _addr(lab), plan.address)
+        rc = fns[kernel](n, _addr(X), rs // 8, cs // 8, _addr(lab), address)
     else:
         w = _weights_f64(weights, n)
-        if w is None or plan.kernel != "part_accum":
+        if w is None or kernel != "part_accum":
             return False
         rc = fns["part_accum_w"](
-            n, _addr(X), rs // 8, cs // 8, _addr(lab), _addr(w), plan.address
+            n, _addr(X), rs // 8, cs // 8, _addr(lab), _addr(w), address
         )
     if rc == 1:
         raise ValueError("class label outside [0, n_classes)")
     if rc:
         raise IndexError("category code out of bounds for histogram counts")
-    for name, calls in plan.counted:
+    for name, calls in counted:
         if calls:
             _count(name, calls)
     return True
@@ -676,8 +561,6 @@ __all__ = [
     "hist_accum",
     "cat_accum",
     "AccumPlan",
-    "part_plan",
-    "mset_plan",
     "fused_accum",
     "boundary_ginis",
     "slope_walks",

@@ -4,19 +4,21 @@ Every CMP builder is level-synchronous: a tree level is one sequential
 pass over the training table, during which each chunk's records are
 routed into per-pending accumulators (class histograms, histogram
 matrices, alive-interval record buffers) and the ``nid`` record→slot
-map.  All of those accumulators are *mergeable sketches* — they expose
-exact ``merge_from`` reducers — which is precisely the structure that
-lets split finding parallelize in the streaming/massively-parallel
+map.  All of those accumulators are *mergeable sketches* — a level's
+counts live in one arena of arrays that merge by add, ``fmin`` and
+``fmax``, and buffers concatenate — which is precisely the structure
+that lets split finding parallelize in the streaming/massively-parallel
 model (Pham, Ta & Vu).
 
 Every pass hands :meth:`ScanEngine.scan` its **scan targets**.  A target
 has four methods:
 
 * ``route(chunk)`` folds one chunk into the target;
-* ``scan_delta()`` returns a structural clone with empty accumulators
-  that shares the target's routing context (``nid``, weights, …);
-* ``merge_scan_delta(delta)`` folds such a clone back in;
-* ``delta_nbytes()`` is the memory one fresh clone occupies.
+* ``scan_delta()`` returns empty accumulators (a level build's zeroed
+  arena and fresh buffers) that share the target's routing context
+  (``nid``, weights, …);
+* ``merge_scan_delta(delta)`` folds such a delta back in;
+* ``delta_nbytes()`` is the memory one fresh delta occupies.
 
 :class:`ScanEngine` exploits that:
 

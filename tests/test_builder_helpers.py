@@ -21,7 +21,6 @@ from repro.core.builder import (
     adaptive_intervals,
     apply_remap,
     classify_zones,
-    make_part_hists,
     resolve_exact_threshold,
     zone_boundaries,
 )
@@ -121,7 +120,7 @@ def random_pendings(rng, n_slots):
             fields = dict(exact_split=split)
         parts = []
         for __ in range(2):
-            parts.append(PartState(next_slot, 2, make_part_hists(ROUTE_SCHEMA, edges)))
+            parts.append(PartState.planned(next_slot, ROUTE_SCHEMA, edges))
             next_slot += 1
         pendings[slot] = PendingSplit(node=node, parent_slot=slot, parts=parts, **fields)
     return pendings
@@ -300,7 +299,7 @@ def estimated_pending(region_rows, buffered_rows):
         alive_bounds=alive,
         zone_bounds=zone_boundaries(alive),
         parts=[
-            PartState(slot, 2, make_part_hists(ROUTE_SCHEMA, edges))
+            PartState.planned(slot, ROUTE_SCHEMA, edges)
             for slot in (1, 2, 3)
         ],
     )

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.sprint import SprintBuilder
-from repro.core.builder import PendingSplit, zone_boundaries
-from repro.core.cmp_b import BPart, BPending, CMPBBuilder
+from repro.core.builder import PartState, PendingScan, PendingSplit, zone_boundaries
+from repro.core.cmp_b import BPending, CMPBBuilder
 from repro.core.cmp_full import CMPBuilder
 from repro.core.cmp_s import CMPSBuilder
-from repro.core.matrix import MatrixSet
 from repro.core.splits import NumericSplit
 from repro.core.tree import Node, TreeAccount
 from repro.data.dataset import Dataset
@@ -124,8 +123,8 @@ def two_level_pending(first_exact: bool, kinds: tuple[str, str]) -> BPending:
     edges = {0: np.array([-0.5, 0.0, 0.5]), 1: np.array([-1.0, 0.0, 1.0])}
     slots = itertools.count(1)
 
-    def part() -> BPart:
-        return BPart(next(slots), MatrixSet.create(SIDE_SCHEMA, 1, edges))
+    def part() -> PartState:
+        return PartState.planned(next(slots), SIDE_SCHEMA, edges, x_attr=1)
 
     p = BPending(node=Node(0, 0, np.zeros(2)), parent_slot=0, attr=0)
     if first_exact:
@@ -180,12 +179,13 @@ class TestTwoLevelScanDeltas:
 
         merged = two_level_pending(first_exact, kinds)
         nid_merged = np.zeros(n, dtype=np.int64)
+        scan = PendingScan(nid_merged, None, {0: merged})
         cut = int(rng.integers(1, n))
-        deltas = [merged.scan_delta() for __ in range(2)]
+        deltas = [scan.scan_delta() for __ in range(2)]
         for delta, chunk in zip(deltas, (slice(0, cut), slice(cut, n))):
-            delta.route(X[chunk], y[chunk], rids[chunk], nid_merged)
+            merged.route(X[chunk], y[chunk], rids[chunk], nid_merged, None, delta)
         for delta in deltas:
-            merged.merge_scan_delta(delta)
+            scan.merge_scan_delta(delta)
 
         np.testing.assert_array_equal(nid_merged, nid_serial)
         assert len(merged.all_parts()) == len(serial.all_parts())

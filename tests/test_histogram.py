@@ -9,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import native_scan
+from repro.core.builder import PartState
 from repro.core.gini import gini_partition
 from repro.core.histogram import CategoryHistogram, ClassHistogram
+
+
+def part_of(hist):
+    """A one-histogram part on attribute 0 (merges are part merges)."""
+    return PartState(0, 2, {0: hist})
 
 
 class TestClassHistogram:
@@ -61,18 +67,21 @@ class TestClassHistogram:
         assert not atomic[0]
 
     def test_merge_preserves_extrema(self):
-        a = ClassHistogram(np.array([1.0]), 2)
-        b = ClassHistogram(np.array([1.0]), 2)
-        a.update(np.array([0.5]), np.array([0]))
-        b.update(np.array([0.2]), np.array([1]))
+        # Histograms merge as their parts' arena rows: counts add, the
+        # extrema fold by fmin / fmax.
+        a = part_of(ClassHistogram(np.array([1.0]), 2))
+        b = part_of(ClassHistogram(np.array([1.0]), 2))
+        a.update(np.array([[0.5]]), np.array([0]))
+        b.update(np.array([[0.2]]), np.array([1]))
         a.merge_from(b)
-        assert a.vmin[0] == 0.2
-        assert a.vmax[0] == 0.5
-        assert a.n_records == 2
+        (hist,) = a.hists.values()
+        assert hist.vmin[0] == 0.2
+        assert hist.vmax[0] == 0.5
+        assert hist.n_records == 2
 
     def test_merge_requires_same_edges(self):
-        a = ClassHistogram(np.array([1.0]), 2)
-        b = ClassHistogram(np.array([2.0]), 2)
+        a = part_of(ClassHistogram(np.array([1.0]), 2))
+        b = part_of(ClassHistogram(np.array([2.0]), 2))
         with pytest.raises(ValueError, match="share edges"):
             a.merge_from(b)
 
@@ -141,12 +150,12 @@ class TestCategoryHistogram:
             hist.best_subset_split()
 
     def test_merge(self):
-        a = CategoryHistogram(2, 2)
-        b = CategoryHistogram(2, 2)
-        a.update(np.array([0]), np.array([0]))
-        b.update(np.array([1]), np.array([1]))
+        a = part_of(CategoryHistogram(2, 2))
+        b = part_of(CategoryHistogram(2, 2))
+        a.update(np.array([[0.0]]), np.array([0]))
+        b.update(np.array([[1.0]]), np.array([1]))
         a.merge_from(b)
-        assert a.counts.sum() == 2
+        assert a.hists[0].counts.sum() == 2
 
     @given(
         st.lists(

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import matrix, native_scan
+from repro.core import native_scan
+from repro.core.arena import LevelArena, cube_dtype
 from repro.core.histogram import ClassHistogram
-from repro.core.matrix import AxisStats, HistogramMatrix, MatrixSet, pseudo_histogram
+from repro.core.matrix import MatrixSet, pseudo_histogram
 from repro.data.schema import Schema, categorical, continuous
 
 
@@ -143,20 +144,28 @@ class TestMatrixSetMarginals:
         assert ms.nbytes() > 0
 
 
+def schema_xy(c=2):
+    return Schema((continuous("x"), continuous("y")), tuple(f"k{i}" for i in range(c)))
+
+
 class TestAxisStats:
     def test_update_and_merge(self):
-        a = AxisStats(3)
-        a.update(np.array([0, 2]), np.array([1.0, 9.0]))
-        b = AxisStats(3)
-        b.update(np.array([0]), np.array([-1.0]))
+        # Extrema merge as their sets' arena rows, by fmin / fmax.
+        edges = {0: np.array([2.0, 5.0]), 1: np.array([5.0])}
+        a = MatrixSet.create(schema_xy(), 0, edges)
+        a.update(np.array([[1.0, 0.0], [9.0, 0.0]]), np.array([0, 0]))
+        b = MatrixSet.create(schema_xy(), 0, edges)
+        b.update(np.array([[-1.0, 0.0]]), np.array([0]))
         a.merge_from(b)
-        assert a.vmin[0] == -1.0
-        assert a.vmax[0] == 1.0
-        assert a.vmax[2] == 9.0
+        assert a.x_stats.vmin[0] == -1.0
+        assert a.x_stats.vmax[0] == 1.0
+        assert a.x_stats.vmax[2] == 9.0
 
     def test_nan_is_ignored(self):
-        a = AxisStats(3)
-        a.update(np.array([1, 1, 0, 2]), np.array([np.nan, 1.0, -1.0, np.nan]))
+        ms = MatrixSet.create(schema_xy(), 0, {0: np.array([0.0, 2.0]), 1: np.array([0.0])})
+        x = np.array([np.nan, 1.0, -1.0, np.nan])  # bins 2, 1, 0, 2
+        ms.update(np.column_stack([x, np.zeros(4)]), np.zeros(4, dtype=np.int64))
+        a = ms.x_stats
         np.testing.assert_array_equal(a.vmin, [-1.0, 1.0, np.inf])
         np.testing.assert_array_equal(a.vmax, [-1.0, 1.0, -np.inf])
 
@@ -210,48 +219,59 @@ class TestPseudoHistogram:
 class TestCountExactness:
     """Regression: float32 counts silently saturate at 2**24 = 16 777 216.
 
-    The count cube is integer now and widens to int64 before any cell
-    could exceed int32; totals must stay exact far past the float32
-    saturation point.
+    The count cube is integer, and a level arena fixes it at int64 when
+    the table holds more records than an int32 cell can count; totals
+    must stay exact far past the float32 saturation point.
     """
 
+    EDGES = {0: np.array([5.0]), 1: np.array([5.0])}
+
     def test_counts_exact_past_float32_saturation(self):
-        m = HistogramMatrix(0, 1, np.array([5.0]), np.array([5.0]), 1)
+        ms = MatrixSet.create(schema_xy(), 0, self.EDGES)
         batch = 1 << 20
-        x_bins = np.zeros(batch, dtype=np.intp)
-        y_values = np.zeros(batch)
+        X = np.zeros((batch, 2))
         labels = np.zeros(batch, dtype=np.int64)
-        m.update_binned(x_bins, y_values, labels)
-        # Double the single cell by self-merging clones: 2**20 -> 2**25.
+        ms.update(X, labels)
+        # Double the single cell by merging copies: 2**20 -> 2**25.
         for _ in range(5):
-            other = HistogramMatrix(0, 1, np.array([5.0]), np.array([5.0]), 1)
-            other.counts = m.counts.copy()
-            other._n_added = m._n_added
-            m.merge_from(other)
+            other = MatrixSet.create(schema_xy(), 0, self.EDGES)
+            other.matrices[1].counts[:] = ms.matrices[1].counts
+            ms.merge_from(other)
         expected = batch * 32  # 2**25, well past float32's 2**24 plateau
-        assert int(m.counts[0, 0, 0]) == expected
+        assert int(ms.matrices[1].counts[0, 0, 0]) == expected
         # And incremental updates keep counting exactly from there.
-        m.update_binned(x_bins[:3], y_values[:3], labels[:3])
-        assert int(m.counts[0, 0, 0]) == expected + 3
+        ms.update(X[:3], labels[:3])
+        assert int(ms.matrices[1].counts[0, 0, 0]) == expected + 3
         # float32 would have plateaued: (2**24) + 1 == 2**24 in float32.
         assert np.float32(2**24) + np.float32(1) == np.float32(2**24)
 
     def test_widens_to_int64_before_int32_overflow(self):
-        m = HistogramMatrix(0, 1, np.array([5.0]), np.array([5.0]), 1)
-        assert m.counts.dtype == np.int32  # 4 bytes/cell (Figure 19 story)
-        m._n_added = np.iinfo(np.int32).max - 1
-        m.update_binned(
-            np.zeros(2, dtype=np.intp), np.zeros(2), np.zeros(2, dtype=np.int64)
-        )
-        assert m.counts.dtype == np.int64
-
-    def test_merge_widens(self):
-        a = HistogramMatrix(0, 1, np.array([5.0]), np.array([5.0]), 1)
-        b = HistogramMatrix(0, 1, np.array([5.0]), np.array([5.0]), 1)
-        a._n_added = 2**30
-        b._n_added = 2**30 + 1
-        a.merge_from(b)
-        assert a.counts.dtype == np.int64
+        # The width is fixed once, at layout, from the table's record
+        # count (no record is materialised): a cell never holds more than
+        # the table's records.
+        assert MatrixSet.create(schema_xy(), 0, self.EDGES).matrices[1].counts.dtype == np.int32
+        assert cube_dtype(2**31 - 1) == np.int32
+        assert cube_dtype(2**31) == np.int64
+        for n, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
+            ms = MatrixSet.planned(schema_xy(), 0, self.EDGES)
+            arena = LevelArena([ms], n)
+            assert arena.cube_dtype == dtype
+            assert ms.matrices[1].counts.dtype == dtype
+            assert ms.nbytes() == 4 * 2 * 2 * 2  # the ledger's 4-byte cells
+        # The int64 arena's kernel (mset_accum64) counts like numpy.
+        X, y = random_data(300)
+        X = X[:, :2]
+        fused = MatrixSet.planned(schema_xy(), 0, self.EDGES)
+        LevelArena([fused], 2**31)
+        before = native_scan.kernel_counts()["matrix_accum"]
+        fused.update(X, y)
+        if native_scan.available():
+            assert native_scan.kernel_counts()["matrix_accum"] == before + 1
+        with native_scan.force_numpy():
+            ref = MatrixSet.planned(schema_xy(), 0, self.EDGES)
+            LevelArena([ref], 2**31)
+            ref.update(X, y)
+        assert_msets_equal(fused, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +294,7 @@ def laid_out(X, layout):
 
 @st.composite
 def mset_cases(draw, max_n=120):
-    """A matrix set's attributes, a stream of batches and a widening point."""
+    """A matrix set's attributes, a stream of batches and a cube width."""
     kinds = [("cont", draw(st.integers(1, 200))) for _ in range(draw(st.integers(1, 6)))]
     kinds += [("cat", draw(st.integers(1, 6))) for _ in range(draw(st.integers(0, 4)))]
     return dict(
@@ -284,7 +304,7 @@ def mset_cases(draw, max_n=120):
         seed=draw(st.integers(0, 2**32 - 1)),
         layout=draw(st.sampled_from(["c", "f", "strided", "reversed"])),
         special=draw(st.booleans()),
-        narrow_max=draw(st.sampled_from([None, 0, 3, 60, 250])),
+        wide=draw(st.booleans()),
     )
 
 
@@ -307,6 +327,7 @@ class MsetCase:
             edges = np.sort(rng.normal(size=kinds[j][1] - 1))
             self.edges[j] = np.round(edges, 1) if case["special"] else edges
         self.x_attr = cont[int(rng.integers(0, len(cont)))]
+        self.n_records = 2**31 if case["wide"] else 0
         self.batches = []
         for n in case["sizes"]:
             X = np.empty((n, len(kinds)))
@@ -326,7 +347,9 @@ class MsetCase:
             self.batches.append((laid_out(X, case["layout"]), y))
 
     def mset(self):
-        return MatrixSet.create(self.schema, self.x_attr, self.edges)
+        ms = MatrixSet.planned(self.schema, self.x_attr, self.edges)
+        LevelArena([ms], self.n_records)  # int64 cubes when wide
+        return ms
 
 
 def assert_msets_equal(a, b):
@@ -354,16 +377,12 @@ def numpy_mset(mc, batches):
 
 def check_fused_mset(case):
     mc = MsetCase(case)
-    with pytest.MonkeyPatch.context() as mp:
-        if case["narrow_max"] is not None:
-            # Widen the cubes to int64 part-way through the stream.
-            mp.setattr(matrix, "_NARROW_MAX", case["narrow_max"])
-        fused = mc.mset()
-        before = native_scan.kernel_counts()
-        for X, y in mc.batches:
-            fused.update(X, y)
-        after = native_scan.kernel_counts()
-        ref = numpy_mset(mc, mc.batches)
+    fused = mc.mset()
+    before = native_scan.kernel_counts()
+    for X, y in mc.batches:
+        fused.update(X, y)
+    after = native_scan.kernel_counts()
+    ref = numpy_mset(mc, mc.batches)
     if native_scan.available():
         # The fused entry filled every histogram: no silent numpy fallback.
         filled = sum(len(y) > 0 for __, y in mc.batches)
@@ -404,7 +423,7 @@ class TestFusedUpdate:
 
 
 class TestPlanLifecycle:
-    """The fused kernel's pointer plan never goes stale or crosses copies."""
+    """The arena's one pointer plan never goes stale or crosses copies."""
 
     def batches(self):
         X, y = random_data(600, seed=3)
@@ -419,47 +438,28 @@ class TestPlanLifecycle:
 
     def test_update_after_pickle_round_trip(self):
         b = self.batches()
-        ms = MatrixSet.create(schema3(), 0, edges3())
-        ms.update(*b[0])
-        copy = pickle.loads(pickle.dumps(ms))
-        assert copy._plan is None
+        # A planned set pickles as its grids and lays out where it lands.
+        planned = MatrixSet.planned(schema3(), 0, edges3())
+        copy = pickle.loads(pickle.dumps(planned))
+        copy.update(*b[0])
         copy.update(*b[1])
         assert_msets_equal(copy, self.reference(b[:2]))
-        # The copy wrote through its own arrays, not the original's.
-        assert_msets_equal(ms, self.reference(b[:1]))
-
-    def test_update_after_clone_empty(self):
-        b = self.batches()
+        assert planned.arena is None and planned.class_counts is None
+        # A laid-out set refuses: its views would not survive the trip.
         ms = MatrixSet.create(schema3(), 0, edges3())
         ms.update(*b[0])
-        clone = ms.clone_empty()
-        assert clone._plan is None
-        clone.update(*b[1])
-        assert_msets_equal(clone, self.reference(b[1:2]))
-        assert_msets_equal(ms, self.reference(b[:1]))
-
-    def test_update_after_widening_merge(self, monkeypatch):
-        monkeypatch.setattr(matrix, "_NARROW_MAX", 300)
-        b = self.batches()
-        a = MatrixSet.create(schema3(), 0, edges3())
-        a.update(*b[0])  # 200 records: still int32
-        other = MatrixSet.create(schema3(), 0, edges3())
-        other.update(*b[1])
-        assert a.matrices[1].counts.dtype == np.int32
-        a.merge_from(other)  # 400 > 300: the cube widens
-        assert a.matrices[1].counts.dtype == np.int64
-        a.update(*b[2])
-        assert_msets_equal(a, self.reference(b))
+        with pytest.raises(TypeError):
+            pickle.dumps(ms)
 
     def test_update_after_narrow_merge_keeps_plan(self):
         b = self.batches()
         a = MatrixSet.create(schema3(), 0, edges3())
         a.update(*b[0])
-        plan = a._plan
+        plan = a.arena.plan
         other = MatrixSet.create(schema3(), 0, edges3())
         other.update(*b[1])
-        a.merge_from(other)  # no cube widens: the plan stays valid
-        assert a._plan is plan
+        a.merge_from(other)  # a row-range add: the plan stays valid
+        assert a.arena.plan is plan
         before = native_scan.kernel_counts()["matrix_accum"]
         a.update(*b[2])
         if native_scan.available():
@@ -468,12 +468,3 @@ class TestPlanLifecycle:
                 == before + len(a.matrices)
             )
         assert_msets_equal(a, self.reference(b))
-
-    def test_update_widening_mid_stream(self, monkeypatch):
-        monkeypatch.setattr(matrix, "_NARROW_MAX", 300)
-        b = self.batches()
-        ms = MatrixSet.create(schema3(), 0, edges3())
-        for X, y in b:
-            ms.update(X, y)
-        assert ms.matrices[1].counts.dtype == np.int64
-        assert_msets_equal(ms, self.reference(b))

@@ -29,6 +29,7 @@ from repro.core import native_build, native_scan
 from repro.core.builder import PartState
 from repro.core.gini import _boundary_ginis_numpy, boundary_ginis
 from repro.core.histogram import CategoryHistogram, ClassHistogram
+from repro.core.arena import LevelArena, cube_dtype
 from repro.core.matrix import HistogramMatrix, MatrixSet
 from repro.data.discretize import bin_index
 from repro.data.schema import Schema, continuous
@@ -174,23 +175,16 @@ class TestCatAccum:
 
 
 def mset_xy(x_edges, y_edges, c, dtype=np.int32):
-    """A two-attribute matrix set (x = attribute 0, one y matrix)."""
+    """A two-attribute matrix set (x = attribute 0, one y matrix), laid
+    out alone with ``dtype`` cubes."""
     schema = Schema((continuous("x"), continuous("y")), tuple(f"k{i}" for i in range(c)))
-    ms = MatrixSet.create(schema, 0, {0: x_edges, 1: y_edges})
-    m = ms.matrices[1]
-    m.counts = m.counts.astype(dtype)
+    ms = MatrixSet.planned(schema, 0, {0: x_edges, 1: y_edges})
+    LevelArena([ms], 2**31 if dtype == np.int64 else 0)
     return ms
 
 
 def plan_of(ms):
-    return native_scan.mset_plan(
-        ms.class_counts,
-        ms.x_attr,
-        ms.x_edges,
-        ms.x_stats,
-        list(ms.matrices.items()),
-        list(ms.categorical.items()),
-    )
+    return ms.arena.plan.parts[ms.index]
 
 
 class TestMatrixAccum:
@@ -221,7 +215,6 @@ class TestMatrixAccum:
         np.testing.assert_array_equal(m.y_stats.vmax, rmax)
 
     def test_update_binned_identical(self, rng):
-        m_off = HistogramMatrix(0, 1, np.array([0.0]), np.array([-1.0, 1.0]), 2)
         ms = mset_xy(np.array([0.0]), np.array([-1.0, 1.0]), 2)
         xv = rng.normal(size=600)
         yv = rng.normal(size=600)
@@ -229,19 +222,25 @@ class TestMatrixAccum:
         before = native_scan.kernel_counts()["matrix_accum"]
         ms.update(np.column_stack([xv, yv]), labels)
         assert native_scan.kernel_counts()["matrix_accum"] == before + 1
-        with native_scan.force_numpy():
-            m_off.update_binned(bin_index(xv, m_off.x_edges), yv, labels)
         m_on = ms.matrices[1]
-        np.testing.assert_array_equal(m_on.counts, m_off.counts)
-        np.testing.assert_array_equal(m_on.y_stats.vmin, m_off.y_stats.vmin)
-        np.testing.assert_array_equal(m_on.y_stats.vmax, m_off.y_stats.vmax)
+        # The binned numpy reference: x and y bins, one add per record.
+        y_bins = bin_index(yv, m_on.y_edges)
+        ref = np.zeros((2, 3, 2), dtype=np.int32)
+        np.add.at(ref, (bin_index(xv, ms.x_edges), y_bins, labels), 1)
+        rmin, rmax = np.full(3, np.inf), np.full(3, -np.inf)
+        np.fmin.at(rmin, y_bins, yv)
+        np.fmax.at(rmax, y_bins, yv)
+        np.testing.assert_array_equal(m_on.counts, ref)
+        np.testing.assert_array_equal(m_on.y_stats.vmin, rmin)
+        np.testing.assert_array_equal(m_on.y_stats.vmax, rmax)
 
     def test_unsupported_count_dtype_declines(self, rng):
-        ms = mset_xy(np.array([0.0]), np.array([0.0]), 2, np.float64)
-        plan = plan_of(ms)
-        assert plan is False
+        # A level arena lays out int32 or int64 cubes only, and a part
+        # without a plan slice takes its numpy path.
+        dtypes = {cube_dtype(n) for n in (0, 2**31 - 1, 2**31, 2**40)}
+        assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
         X = rng.normal(size=(4, 2))
-        assert not native_scan.fused_accum(plan, X, np.zeros(4, dtype=np.int64))
+        assert not native_scan.fused_accum(None, X, np.zeros(4, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +429,7 @@ class TestFusedPartAccum:
 
 
 class TestPartPlanLifecycle:
-    """A part's pointer plan never goes stale or crosses copies."""
+    """A part's slice of its arena's plan never goes stale or crosses copies."""
 
     CASE = dict(
         kinds=[("cont", 12), ("cont", 5), ("cat", 4)],
@@ -446,23 +445,17 @@ class TestPartPlanLifecycle:
     def test_update_after_pickle_round_trip(self):
         pc = PartCase(self.CASE)
         part = pc.part()
-        part.update(*pc.batches[0])
-        assert part._plan
+        # A part not yet laid out pickles with its own arrays ...
         copy = pickle.loads(pickle.dumps(part))
-        assert copy._plan is None
+        copy.update(*pc.batches[0])
         copy.update(*pc.batches[1])
         assert_parts_equal(copy, numpy_part(pc, pc.batches))
-        # The copy wrote through its own arrays, not the original's.
-        assert_parts_equal(part, numpy_part(pc, pc.batches[:1]))
-
-    def test_update_after_clone_empty(self):
-        pc = PartCase(self.CASE)
-        part = pc.part()
+        assert part.arena is None
+        # ... and one laid out in an arena refuses to.
         part.update(*pc.batches[0])
-        clone = part.clone_empty()
-        assert clone._plan is None
-        clone.update(*pc.batches[1])
-        assert_parts_equal(clone, numpy_part(pc, pc.batches[1:]))
+        assert part.arena.plan.parts[part.index]
+        with pytest.raises(TypeError):
+            pickle.dumps(part)
         assert_parts_equal(part, numpy_part(pc, pc.batches[:1]))
 
     def test_merge_then_update(self):
@@ -479,7 +472,7 @@ class TestPartPlanLifecycle:
         part = pc.part()
         part.update(*pc.batches[0])
         with pytest.raises(TypeError):
-            pickle.dumps(part._plan)
+            pickle.dumps(part.arena.plan)
 
 
 class TestNoSilentFallback:

@@ -2,10 +2,10 @@
 
 Two layers of evidence:
 
-* **merge equivalence** — every accumulator the engine clones for worker
-  deltas (class/category histograms, histogram matrices, axis extrema,
-  matrix sets, record buffers) produces identical state whether a batch
-  stream is folded in one pass or partitioned arbitrarily and merged; and
+* **merge equivalence** — a level's parts (class/category histograms,
+  histogram matrices, axis extrema, matrix sets) and record buffers
+  hold identical state whether a batch stream is routed in one pass or
+  partitioned arbitrarily into zeroed arena deltas and merged; and
 * **bit-identity** — the three CMP builders produce the same serialized
   tree, predictions and scan counts under any worker count, either
   backend (thread or forked-process workers) and with native kernels on
@@ -31,14 +31,13 @@ from repro.core.builder import (
     PendingScan,
     PendingSplit,
     RecordBuffer,
-    make_part_hists,
+    zone_boundaries,
 )
 from repro.baselines.clouds import CloudsBuilder
 from repro.core.cmp_b import CMPBBuilder
 from repro.core.cmp_full import CMPBuilder
 from repro.core.cmp_s import CMPSBuilder
-from repro.core.histogram import CategoryHistogram, ClassHistogram
-from repro.core.matrix import AxisStats, HistogramMatrix, MatrixSet
+from repro.core.splits import CategoricalSplit, NumericSplit
 from repro.core.parallel import (
     SCAN_BACKENDS,
     ScanEngine,
@@ -127,137 +126,151 @@ def _partition(n: int, cuts: list[int]) -> list[slice]:
 batches = st.lists(st.integers(min_value=0, max_value=10_000), max_size=6)
 
 
+SCHEMAS = {
+    "cont": Schema((continuous("x"), continuous("y")), ("n", "p")),
+    "cat": Schema(
+        (categorical("c", ("a", "b", "d")), categorical("e", ("u", "v"))), ("n", "p")
+    ),
+    "mixed": Schema(
+        (continuous("x"), continuous("y"), categorical("c", ("a", "b"))), ("n", "p")
+    ),
+}
+
+
+def level_pendings(seed, schema, kind):
+    """A level of exact and estimated pendings over slots 0..5, each with
+    two parts of ``kind``: ``cmp-s`` histograms, ``matrix`` sets, or
+    ``clouds`` (exact splits only; some parts count classes only)."""
+    rng = np.random.default_rng(seed)
+    cont = schema.continuous_indices()
+    cats = [j for j in range(schema.n_attributes) if j not in cont]
+    edges = {j: np.sort(rng.uniform(0, 10, int(rng.integers(0, 5)))) for j in cont}
+    next_slot, pendings = 6, {}
+    for slot in range(6):
+        if cont and kind != "clouds" and rng.random() < 0.5:
+            lo = float(rng.uniform(0, 9))
+            alive = [(lo, lo + 1.0)]
+            fields = dict(
+                attr=cont[int(rng.integers(0, len(cont)))],
+                alive_bounds=alive,
+                zone_bounds=zone_boundaries(alive),
+            )
+        elif cont and (not cats or rng.random() < 0.5):
+            fields = dict(exact_split=NumericSplit(cont[0], float(rng.uniform(0, 10))))
+        else:
+            k = schema.attributes[cats[0]].cardinality
+            mask = tuple(bool(b) for b in rng.integers(0, 2, k))
+            fields = dict(exact_split=CategoricalSplit(cats[0], mask))
+        parts = []
+        for __ in range(2):
+            grids = None if kind == "clouds" and rng.random() < 0.5 else edges
+            x_attr = cont[-1] if kind == "matrix" else None
+            parts.append(PartState.planned(next_slot, schema, grids, x_attr))
+            next_slot += 1
+        pendings[slot] = PendingSplit(
+            node=Node(slot, 1, np.zeros(2)), parent_slot=slot, parts=parts, **fields
+        )
+    return pendings
+
+
+def check_delta_merge(kind, schema_name, seed, cuts, workers=2, weighted=False, pickled=False):
+    """Split chunks routed into ``workers`` zeroed deltas, merged in chunk
+    order (through a pickle round trip, as forked workers ship them,
+    when ``pickled``), equal one serial route: arena, buffers and ``nid``."""
+    schema = SCHEMAS[schema_name]
+    rng = np.random.default_rng(seed + 1)
+    n = 300
+    X = np.column_stack(
+        [
+            rng.uniform(0, 10, n) if a.is_continuous else rng.integers(0, a.cardinality, n)
+            for a in schema.attributes
+        ]
+    ).astype(np.float64)
+    y = rng.integers(0, 2, n)
+    nid = rng.integers(0, 6, n)
+    weights = None
+    if weighted:
+        weights = rng.integers(0, 4, n).astype(np.float64)
+        nid[weights == 0] = -1
+    chunks = [ScanChunk(sl.start, X[sl], y[sl]) for sl in _partition(n, cuts)]
+    serial = PendingScan(nid.copy(), weights, level_pendings(seed, schema, kind))
+    for chunk in chunks:
+        serial.route(chunk)
+    merged = PendingScan(nid.copy(), weights, level_pendings(seed, schema, kind))
+    for group in partition_chunks(list(range(len(chunks))), workers):
+        delta = merged.scan_delta()
+        for i in group:
+            delta.route(chunks[i])
+        merged.merge_scan_delta(pickle.loads(pickle.dumps(delta)) if pickled else delta)
+    np.testing.assert_array_equal(merged.nid, serial.nid)
+    for got, want in zip(merged.arena.arrays(), serial.arena.arrays(), strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    for p, q in zip(merged.pendings.values(), serial.pendings.values()):
+        for part, qart in zip(p.parts, q.parts):
+            np.testing.assert_array_equal(part.class_counts, qart.class_counts)
+        for got, want in zip(p.buffer.concatenated(), q.buffer.concatenated()):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestMergeEquivalence:
+    """Per-accumulator entry points into :func:`check_delta_merge`: each
+    routes one kind of part through zeroed arena deltas."""
+
     @given(seed=st.integers(0, 2**16), cuts=batches)
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_class_histogram(self, seed, cuts):
-        rng = np.random.default_rng(seed)
-        n = 300
-        values = rng.uniform(0, 10, n)
-        labels = rng.integers(0, 3, n)
-        edges = np.array([2.0, 5.0, 8.0])
-        serial = ClassHistogram(edges, 3)
-        serial.update(values, labels)
-        merged = ClassHistogram(edges, 3)
-        for sl in _partition(n, cuts):
-            delta = merged.clone_empty()
-            delta.update(values[sl], labels[sl])
-            merged.merge_from(delta)
-        np.testing.assert_array_equal(merged.counts, serial.counts)
-        np.testing.assert_array_equal(merged.vmin, serial.vmin)
-        np.testing.assert_array_equal(merged.vmax, serial.vmax)
+        check_delta_merge("cmp-s", "cont", seed, cuts)
 
     @given(seed=st.integers(0, 2**16), cuts=batches)
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_category_histogram(self, seed, cuts):
-        rng = np.random.default_rng(seed)
-        n = 300
-        codes = rng.integers(0, 4, n).astype(float)
-        labels = rng.integers(0, 2, n)
-        serial = CategoryHistogram(4, 2)
-        serial.update(codes, labels)
-        merged = CategoryHistogram(4, 2)
-        for sl in _partition(n, cuts):
-            delta = merged.clone_empty()
-            delta.update(codes[sl], labels[sl])
-            merged.merge_from(delta)
-        np.testing.assert_array_equal(merged.counts, serial.counts)
+        check_delta_merge("cmp-s", "cat", seed, cuts)
 
     @given(seed=st.integers(0, 2**16), cuts=batches)
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_axis_stats(self, seed, cuts):
-        rng = np.random.default_rng(seed)
-        n = 300
-        bins = rng.integers(0, 5, n)
-        values = rng.normal(size=n)
-        serial = AxisStats(5)
-        serial.update(bins, values)
-        merged = AxisStats(5)
-        for sl in _partition(n, cuts):
-            delta = AxisStats(5)
-            delta.update(bins[sl], values[sl])
-            merged.merge_from(delta)
-        np.testing.assert_array_equal(merged.vmin, serial.vmin)
-        np.testing.assert_array_equal(merged.vmax, serial.vmax)
+        check_delta_merge("matrix", "cont", seed, cuts, workers=3, pickled=True)
 
     @given(seed=st.integers(0, 2**16), cuts=batches)
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_histogram_matrix(self, seed, cuts):
-        rng = np.random.default_rng(seed)
-        n = 300
-        x_bins = rng.integers(0, 3, n)
-        y_values = rng.uniform(0, 10, n)
-        labels = rng.integers(0, 2, n)
-        x_edges = np.array([3.0, 6.0])
-        y_edges = np.array([2.0, 5.0, 8.0])
-        serial = HistogramMatrix(0, 1, x_edges, y_edges, 2)
-        serial.update_binned(x_bins, y_values, labels)
-        merged = serial.clone_empty()
-        for sl in _partition(n, cuts):
-            delta = merged.clone_empty()
-            delta.update_binned(x_bins[sl], y_values[sl], labels[sl])
-            merged.merge_from(delta)
-        np.testing.assert_array_equal(merged.counts, serial.counts)
-        np.testing.assert_array_equal(merged.y_stats.vmin, serial.y_stats.vmin)
-        np.testing.assert_array_equal(merged.y_stats.vmax, serial.y_stats.vmax)
+        check_delta_merge("matrix", "cont", seed, cuts)
 
     @given(seed=st.integers(0, 2**16), cuts=batches)
     @settings(max_examples=25, deadline=None)
     def test_matrix_set(self, seed, cuts):
-        schema = Schema(
-            (continuous("x"), continuous("y"), categorical("c", ("a", "b"))),
-            ("n", "p"),
-        )
-        rng = np.random.default_rng(seed)
-        n = 300
-        X = np.column_stack(
-            [rng.uniform(0, 10, n), rng.uniform(0, 10, n), rng.integers(0, 2, n)]
-        ).astype(float)
-        y = rng.integers(0, 2, n)
-        edges = {0: np.array([3.0, 6.0]), 1: np.array([2.0, 5.0, 8.0])}
-        serial = MatrixSet.create(schema, 0, edges)
-        serial.update(X, y)
-        merged = serial.clone_empty()
-        for sl in _partition(n, cuts):
-            delta = merged.clone_empty()
-            delta.update(X[sl], y[sl])
-            merged.merge_from(delta)
-        np.testing.assert_array_equal(merged.class_counts, serial.class_counts)
-        for j in serial.matrices:
-            np.testing.assert_array_equal(
-                merged.matrices[j].counts, serial.matrices[j].counts
-            )
-        for j in serial.categorical:
-            np.testing.assert_array_equal(
-                merged.categorical[j].counts, serial.categorical[j].counts
-            )
+        check_delta_merge("matrix", "mixed", seed, cuts)
 
-    @given(seed=st.integers(0, 2**16), cuts=batches)
+    @given(seed=st.integers(0, 2**16), cuts=batches, weighted=st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_part_state(self, seed, cuts):
-        schema = Schema(
-            (continuous("x"), continuous("y"), categorical("c", ("a", "b"))),
-            ("n", "p"),
+    def test_part_state(self, seed, cuts, weighted):
+        check_delta_merge("cmp-s", "mixed", seed, cuts, weighted=weighted)
+
+
+class TestArenaDeltaMerge:
+    """One arena-level property: any number of zeroed deltas, merged in
+    chunk order, equal one serial route — for CMP-S parts (weighted or
+    not), CMP-B/CMP matrix parts and CLOUDS parts."""
+
+    @given(
+        kind=st.sampled_from(["cmp-s", "cmp-s-weighted", "matrix", "clouds"]),
+        schema_name=st.sampled_from(sorted(SCHEMAS)),
+        seed=st.integers(0, 2**16),
+        cuts=batches,
+        workers=st.integers(1, 4),
+        pickled=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_deltas_merge_to_one_serial_route(
+        self, kind, schema_name, seed, cuts, workers, pickled
+    ):
+        if kind == "matrix" and schema_name == "cat":
+            schema_name = "mixed"  # a matrix set needs a continuous X axis
+        check_delta_merge(
+            kind.removesuffix("-weighted"), schema_name, seed, cuts, workers,
+            weighted=kind.endswith("weighted"), pickled=pickled,
         )
-        rng = np.random.default_rng(seed)
-        n = 300
-        X = np.column_stack(
-            [rng.uniform(0, 10, n), rng.uniform(0, 10, n), rng.integers(0, 2, n)]
-        ).astype(float)
-        y = rng.integers(0, 2, n)
-        edges = {0: np.array([3.0, 6.0]), 1: np.array([2.0, 5.0, 8.0])}
-        serial = PartState(0, 2, make_part_hists(schema, edges))
-        serial.update(X, y)
-        merged = PartState(0, 2, make_part_hists(schema, edges))
-        for sl in _partition(n, cuts):
-            delta = merged.clone_empty()
-            delta.update(X[sl], y[sl])
-            merged.merge_from(delta)
-        np.testing.assert_array_equal(merged.class_counts, serial.class_counts)
-        for j in serial.hists:
-            np.testing.assert_array_equal(
-                merged.hists[j].counts, serial.hists[j].counts
-            )
 
 
 class TestRecordBufferExtend:
@@ -504,7 +517,7 @@ class TestPoisonedScanTeardown:
 def _pending_scan(n):
     """A solo tree's root pending over an ``n``-record table."""
     schema = Schema((continuous("a"), categorical("c", ("x", "y"))), ("n", "p"))
-    part = PartState(0, 2, make_part_hists(schema, {0: np.linspace(-1.0, 1.0, 7)}))
+    part = PartState.planned(0, schema, {0: np.linspace(-1.0, 1.0, 7)})
     root = PendingSplit(node=Node(0, 0, np.zeros(2)), parent_slot=0, parts=[part])
     return PendingScan(np.zeros(n, dtype=np.int64), np.ones(n), {0: root})
 
@@ -532,6 +545,79 @@ class TestDeltaPickling:
     def test_pickled_delta_size_independent_of_table(self, make):
         small, large = (len(pickle.dumps(make(n).scan_delta())) for n in (10, 100_000))
         assert small == large
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_pickled_delta_is_arena_arrays_plus_buffers(self, buffered):
+        # A delta ships its arena's arrays and its buffers: the rest is a
+        # fixed overhead, whether the level has 1 part or 300.
+        def overhead(n_parts):
+            schema = SCHEMAS["mixed"]
+            edges = {0: np.linspace(1.0, 9.0, 5), 1: np.linspace(1.0, 9.0, 3)}
+            pendings = {}
+            for slot in range(n_parts):
+                alive = [(4.0, 5.0)]
+                pendings[slot] = PendingSplit(
+                    node=Node(slot, 1, np.zeros(2)),
+                    parent_slot=slot,
+                    parts=[PartState.planned(n_parts + slot, schema, edges)],
+                    attr=0,
+                    alive_bounds=alive if buffered else [],
+                    zone_bounds=zone_boundaries(alive if buffered else []),
+                )
+            delta = PendingScan(np.zeros(8, dtype=np.int64), None, pendings).scan_delta()
+            X = np.full((8, 3), 4.5 if buffered else 1.0)
+            X[:, 2] = 0.0
+            delta.route(ScanChunk(0, X, np.zeros(8, dtype=np.int64)))
+            blob = pickle.dumps(delta)
+            assert b"PartState" not in blob and b"PendingSplit" not in blob
+            assert len(delta.buffers) == int(buffered)
+            arrays = sum(a.nbytes for a in delta.arena.arrays())
+            return len(blob) - arrays - len(pickle.dumps(delta.buffers))
+
+        one, many = overhead(1), overhead(300)
+        # Only each array's shape and length fields grow, by a few bytes.
+        assert abs(many - one) <= 8 * 4
+
+
+class TestPlansPerBuild:
+    """One kernel plan per level arena: a build plans at most one arena
+    per level scan and member, plus one zeroed delta per worker and
+    scan (built in the forked workers, so not seen here)."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process2"])
+    @pytest.mark.parametrize(
+        "builder", ["CMP", "CMP-B", "CMP-S", "CLOUDS-SS", "bagged-CMP-S"]
+    )
+    def test_plans_per_build(self, builder, backend, monkeypatch):
+        from repro.ensemble import BaggedForestBuilder
+        from repro.eval.experiments import default_config
+
+        if backend == "process2" and not process_backend_available():
+            pytest.skip("fork start method unavailable")
+        built = []
+        init = native_scan.AccumPlan.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(native_scan.AccumPlan, "__init__", counted)
+        cfg = default_config()
+        if backend == "process2":
+            cfg = cfg.with_(scan_workers=2, scan_backend="process")
+        members = 2 if builder.startswith("bagged") else 1
+        make = {
+            "CMP": lambda: CMPBuilder(cfg),
+            "CMP-B": lambda: CMPBBuilder(cfg),
+            "CMP-S": lambda: CMPSBuilder(cfg),
+            "CLOUDS-SS": lambda: clouds_ss(cfg),
+            "bagged-CMP-S": lambda: BaggedForestBuilder(cfg, n_trees=members),
+        }[builder]
+        stats = make().build(generate_agrawal("F7", 20_000, seed=1)).stats
+        assert stats.shared_level_scans >= 2
+        assert len(built) <= stats.shared_level_scans * members
+        if native_scan.available() and backend == "serial":
+            assert built
 
 
 # ---------------------------------------------------------------------------
