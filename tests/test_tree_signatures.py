@@ -1,4 +1,5 @@
-"""Pinned trees: every level-scan builder's exact output on fixed small inputs.
+"""Pinned trees: every level-scan builder's and exact baseline's output on
+fixed small inputs.
 
 Each case records the sha256 of ``repr(tree_signature(tree))`` together
 with the build's scan count, simulated cost and memory-ledger peak (the
@@ -27,6 +28,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.clouds import CloudsBuilder
+from repro.baselines.rainforest import RainForestBuilder
+from repro.baselines.sliq import SliqBuilder
+from repro.baselines.sprint import SprintBuilder
 from repro.config import BuilderConfig
 from repro.core.cmp_b import CMPBBuilder
 from repro.core.cmp_full import CMPBuilder
@@ -57,6 +61,8 @@ SHAPE_VARIANTS = {
     "q12mr5": (CFG.with_(n_intervals=12, min_records=5), ("estimated", "exact")),
 }
 CLOUDS_MODES = {"CLOUDS-SS": "ss", "CLOUDS-SSE": "sse"}
+#: The exact baselines, whose categorical counts fill standalone histograms.
+BASELINES = {"RainForest": RainForestBuilder, "SPRINT": SprintBuilder, "SLIQ": SliqBuilder}
 
 
 def mixed_dataset(n: int, seed: int) -> Dataset:
@@ -161,6 +167,7 @@ def _case_ids() -> list[str]:
         "CMP-S/F2/budget2048-process2",
         "hist-gbdt/mixed/I3-process2",
     ]
+    ids += [f"{builder}/{data}/none" for builder in BASELINES for data in ("F2", "mixed")]
     return ids
 
 
@@ -178,6 +185,9 @@ def run_case(case: str) -> dict:
         pin = _pin(None, result.stats)
         pin["sha256"] = result.forest.compiled().fingerprint
         return pin
+    if builder in BASELINES:
+        result = BASELINES[builder](base.with_(prune=variant)).build(ds)
+        return _pin(tree_signature(result.tree), result.stats)
     if builder in CLOUDS_MODES:
         cfg = base.with_(clouds_mode=CLOUDS_MODES[builder], prune=variant)
         result = CloudsBuilder(cfg).build(ds)
