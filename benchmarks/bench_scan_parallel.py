@@ -3,8 +3,9 @@
 Standalone script (not a pytest benchmark): builds each CMP-family
 classifier serially, with ``--workers`` thread workers, and with
 ``--workers`` forked process workers; verifies every tree (including a
-kernel-disabled rebuild) is bit-identical; times the native gini-sweep
-kernel against the numpy sweep; and emits ``BENCH_scan.json``.  CI runs
+kernel-disabled rebuild) is bit-identical; times the native
+subset-split gini sweep against its numpy loop; and emits
+``BENCH_scan.json``.  CI runs
 it as a perf gate and uploads the JSON artifact::
 
     PYTHONPATH=src python benchmarks/bench_scan_parallel.py \
@@ -39,7 +40,7 @@ from repro.core import native_scan
 from repro.core.cmp_b import CMPBBuilder
 from repro.core.cmp_full import CMPBuilder
 from repro.core.cmp_s import CMPSBuilder
-from repro.core.gini import boundary_ginis
+from repro.core.histogram import CategoryHistogram, best_subset_splits
 from repro.core.serialize import tree_to_json
 from repro.data.synthetic import generate_agrawal
 
@@ -92,23 +93,32 @@ def _time_calls(fn, repeats: int, calls: int) -> float:
 
 
 def sweep_microbenchmark(repeats: int) -> dict[str, object]:
-    """Native boundary-gini sweep vs the numpy sweep on a large grid."""
+    """Native subset-split sweep vs numpy on one wide level's tables.
+
+    :func:`best_subset_splits` answers every categorical histogram of a
+    level in one ``cmp_subset_splits`` call; under ``force_numpy`` it
+    loops over :meth:`CategoryHistogram.best_subset_split`.
+    """
     rng = np.random.default_rng(0)
-    cum = rng.integers(0, 50, size=(4096, 4)).astype(np.float64).cumsum(axis=0)
-    totals = cum[-1].copy()
-    calls = 50
+    items = []
+    for j in range(400):
+        hist = CategoryHistogram(20, 2)
+        hist.counts[:] = rng.integers(0, 50, size=hist.counts.shape)
+        items.append((j, hist))
+    calls = 5
     native_available = native_scan.available()
     native_s = (
-        _time_calls(lambda: boundary_ginis(cum, totals), repeats, calls)
+        _time_calls(lambda: best_subset_splits(items), repeats, calls)
         if native_available
         else None
     )
     with native_scan.force_numpy():
-        numpy_s = _time_calls(lambda: boundary_ginis(cum, totals), repeats, calls)
-        reference = boundary_ginis(cum, totals)
+        numpy_s = _time_calls(lambda: best_subset_splits(items), repeats, calls)
+        reference = best_subset_splits(items)
     entry: dict[str, object] = {
-        "boundaries": int(cum.shape[0]),
-        "classes": int(cum.shape[1]),
+        "tables": len(items),
+        "categories": 20,
+        "classes": 2,
         "calls": calls,
         "native_available": native_available,
         "numpy_seconds": round(numpy_s, 5),
@@ -116,8 +126,10 @@ def sweep_microbenchmark(repeats: int) -> dict[str, object]:
     if native_s is not None:
         entry["native_seconds"] = round(native_s, 5)
         entry["native_speedup"] = round(numpy_s / max(native_s, 1e-9), 3)
-        entry["bit_identical"] = bool(
-            np.array_equal(reference, boundary_ginis(cum, totals))
+        native = best_subset_splits(items)
+        entry["bit_identical"] = all(
+            a.gini == b.gini and np.array_equal(a.mask, b.mask)
+            for a, b in zip(reference, native)
         )
     return entry
 
@@ -188,7 +200,7 @@ def run(records: int, workers: int, function: str, seed: int, repeats: int) -> d
     report["sweep_microbenchmark"] = sweep = sweep_microbenchmark(repeats)
     if "native_speedup" in sweep:
         print(
-            f"gini sweep: numpy={sweep['numpy_seconds']:.4f}s "
+            f"subset-split sweep: numpy={sweep['numpy_seconds']:.4f}s "
             f"native={sweep['native_seconds']:.4f}s "
             f"(x{sweep['native_speedup']:.2f})"
         )
@@ -228,11 +240,11 @@ def main(argv: list[str] | None = None) -> int:
     sweep = report["sweep_microbenchmark"]
     if sweep.get("native_available"):
         if not sweep.get("bit_identical"):
-            print("ERROR: native gini sweep diverged from numpy", file=sys.stderr)
+            print("ERROR: native subset-split sweep diverged from numpy", file=sys.stderr)
             failed = True
         if sweep.get("native_speedup", 0.0) <= 1.0:
             print(
-                f"ERROR: native gini sweep not faster than numpy "
+                f"ERROR: native subset-split sweep not faster than numpy "
                 f"(x{sweep.get('native_speedup')})",
                 file=sys.stderr,
             )

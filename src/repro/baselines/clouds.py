@@ -40,15 +40,14 @@ from repro.core.builder import (
     PendingScan,
     PendingSplit,
     alive_run_bounds,
-    best_cut,
     boundary_split,
-    prefix_cuts,
 )
 from repro.core.cmp_s import (
     CMPSBuilder,
     best_categorical_split,
     continuous_analyses,
 )
+from repro.core.gini import best_cut, prefix_cuts
 from repro.core.histogram import CategoryHistogram, ClassHistogram, SubsetSplit
 from repro.core.intervals import AttributeAnalysis
 from repro.core.parallel import ScanEngine

@@ -6,10 +6,8 @@ from repro.core.cmp_full import CMPBuilder
 from repro.core.cmp_s import CMPSBuilder
 from repro.core.estimation import gini_gradient, interval_estimate, interval_estimates
 from repro.core.gini import (
-    best_boundary,
     boundary_ginis,
     exact_best_threshold,
-    exact_best_threshold_sorted,
     gini,
     gini_gain,
     gini_partition,
@@ -46,10 +44,8 @@ __all__ = [
     "gini_partition",
     "gini_partition_many",
     "boundary_ginis",
-    "best_boundary",
     "gini_gain",
     "exact_best_threshold",
-    "exact_best_threshold_sorted",
     "gini_gradient",
     "interval_estimate",
     "interval_estimates",

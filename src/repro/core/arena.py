@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from repro.core import native_scan
+from repro.core.histogram import class_labels, fill_category, fill_class
 from repro.data.discretize import bin_index
 
 #: Array kinds a part's blocks live in.
@@ -166,28 +167,24 @@ class LevelArena:
 
     def accumulate(self, index: int, X, y, weights) -> None:
         """Fold a batch into part ``index``'s rows: one fused kernel call
-        on its slice of the plan, or the numpy reference below."""
+        on its slice of the plan, or the numpy reference below, which
+        fills each histogram through its kind's one numpy body."""
         if native_scan.fused_accum(self.plan.parts[index], X, y, weights):
             return
         c, x, conts, cats = self._specs[index]
         views = iter(self._views(index))
-        w = 1.0 if weights is None else np.asarray(weights, dtype=np.float64)
-        labels = np.asarray(y)
+        labels = class_labels(y, c)
         next(views)[:] += np.bincount(labels, weights=weights, minlength=c)
-        lead = ()
+        lead = None
         if x is not None:
             xv = X[:, x[0]]
-            lead = (bin_index(xv, x[1]),)
+            lead = bin_index(xv, x[1])
             for ext, op in zip(next(views), (np.fmin, np.fmax)):
-                op.at(ext, lead[0], xv)
+                op.at(ext, lead, xv)  # NaN is ignored
         for attr, edges in conts:
-            values = X[:, attr]
-            bins = bin_index(values, edges)
-            np.add.at(next(views), (*lead, bins, labels), 1 if lead else w)
-            for ext, op in zip(next(views), (np.fmin, np.fmax)):
-                op.at(ext, bins, values)  # NaN is ignored
+            fill_class(next(views), *next(views), edges, X[:, attr], labels, weights, lead)
         for attr, __ in cats:
-            np.add.at(next(views), (np.asarray(X[:, attr], dtype=np.intp), labels), w)
+            fill_category(next(views), X[:, attr], labels, weights)
 
 
 class ArenaPart:

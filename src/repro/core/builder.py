@@ -44,7 +44,7 @@ from repro.core.checkpoint import (
 )
 from repro.core import native_scan
 from repro.core.arena import ArenaPart, LevelArena
-from repro.core.gini import gini_partition
+from repro.core.gini import best_cut, prefix_cuts
 from repro.core.matrix import MatrixSet
 from repro.core.parallel import ScanEngine
 from repro.core.histogram import (
@@ -920,50 +920,6 @@ def resolve_exact_threshold(
     if not np.isfinite(best_gini):
         return None
     return ResolvedThreshold(best_thr, best_gini, best_from_buffer, n_candidates)
-
-
-def prefix_cuts(
-    values: np.ndarray,
-    labels: np.ndarray,
-    base: np.ndarray,
-    n_classes: int,
-    include_last: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cut points of a run of buffered records and the class counts left of each.
-
-    The records are sorted stably by value.  A cut falls after the last
-    record of each distinct value; the cut after the run's final record
-    is included only with ``include_last``.  Returns the cut thresholds
-    ``(k,)`` and, per cut, ``base`` plus the class counts of the sorted
-    prefix ``(k, n_classes)``.
-    """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    onehot = np.zeros((len(v), n_classes), dtype=np.float64)
-    onehot[np.arange(len(v)), labels[order]] = 1.0
-    cum = np.cumsum(onehot, axis=0) + base[None, :]
-    cuts = np.nonzero(v[:-1] < v[1:])[0]
-    if include_last and len(v):
-        cuts = np.append(cuts, len(v) - 1)
-    return v[cuts], cum[cuts]
-
-
-def best_cut(left: np.ndarray, totals: np.ndarray) -> tuple[int, float] | None:
-    """Index and gini of the best valid candidate split, or ``None``.
-
-    ``left`` holds each candidate's left-side class counts; a candidate
-    is valid when both sides are non-empty.  Ties go to the first
-    candidate.
-    """
-    n = totals.sum()
-    nl = left.sum(axis=1)
-    valid = (nl > 0) & (nl < n)
-    if not valid.any():
-        return None
-    ginis = np.asarray(gini_partition(left, totals[None, :] - left), dtype=np.float64)
-    ginis = np.where(valid, ginis, np.inf)
-    k = int(np.argmin(ginis))
-    return k, float(ginis[k])
 
 
 # ---------------------------------------------------------------------------

@@ -43,15 +43,13 @@ from repro.core.builder import (
     PendingSplit,
     adaptive_intervals,
     alive_run_bounds,
-    best_cut,
     boundary_split,
     classify_zones,
     estimated_fields,
-    prefix_cuts,
     resolve_exact_threshold,
     zone_boundaries,
 )
-from repro.core.gini import gini
+from repro.core.gini import best_cut, gini, prefix_cuts
 from repro.core.histogram import CategoryHistogram, ClassHistogram, SubsetSplit
 # ``analyze_attribute`` and ``edges_from_histogram`` stay bound here for
 # tools that patch them by name.

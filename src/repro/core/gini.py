@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import native_scan
-
 
 def gini(counts: np.ndarray) -> np.ndarray | float:
     """Gini index of one or many sets (Equation 1).
@@ -83,25 +81,7 @@ def boundary_ginis(cum: np.ndarray, totals: np.ndarray) -> np.ndarray:
     totals = np.asarray(totals, dtype=np.float64)
     if cum.ndim != 2 or cum.shape[1] != len(totals):
         raise ValueError("cum must be (boundaries, classes) aligned with totals")
-    native = native_scan.boundary_ginis(cum, totals)
-    if native is not None:
-        return native
-    return _boundary_ginis_numpy(cum, totals)
-
-
-def _boundary_ginis_numpy(cum: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Reference numpy sweep (the native kernel replicates it bit for bit)."""
-    right = totals[None, :] - cum
-    return np.asarray(gini_partition(cum, right), dtype=np.float64)
-
-
-def best_boundary(cum: np.ndarray, totals: np.ndarray) -> tuple[int, float]:
-    """Index and value of the lowest boundary gini; ties break leftward."""
-    ginis = boundary_ginis(cum, totals)
-    if len(ginis) == 0:
-        raise ValueError("no boundaries to evaluate")
-    k = int(np.argmin(ginis))
-    return k, float(ginis[k])
+    return np.asarray(gini_partition(cum, totals[None, :] - cum), dtype=np.float64)
 
 
 def gini_gain(parent_counts: np.ndarray, split_gini: float) -> float:
@@ -109,45 +89,67 @@ def gini_gain(parent_counts: np.ndarray, split_gini: float) -> float:
     return float(gini(parent_counts)) - split_gini
 
 
-def exact_best_threshold_sorted(
-    v: np.ndarray, lab: np.ndarray, n_classes: int
-) -> tuple[float, float]:
-    """Exact best ``a <= C`` split of records already sorted by value.
+def prefix_cuts(
+    values: np.ndarray,
+    labels: np.ndarray,
+    base: np.ndarray,
+    n_classes: int,
+    include_last: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cut points of a run of buffered records and the class counts left of each.
 
-    This is the primitive SPRINT applies to its presorted attribute lists.
-    Returns ``(threshold, gini)``; the threshold is the largest value of
-    the left side.  Raises ``ValueError`` when no split exists (fewer than
-    two distinct values).
+    The records are sorted stably by value.  A cut falls after the last
+    record of each distinct value; the cut after the run's final record
+    is included only with ``include_last``.  Returns the cut thresholds
+    ``(k,)`` and, per cut, ``base`` plus the class counts of the sorted
+    prefix ``(k, n_classes)``.
     """
-    v = np.asarray(v, dtype=np.float64)
-    lab = np.asarray(lab)
-    if len(v) != len(lab):
-        raise ValueError("values and labels must align")
-    # One-hot cumulative class counts after each record.
+    order = np.argsort(values, kind="stable")
+    v = values[order]
     onehot = np.zeros((len(v), n_classes), dtype=np.float64)
-    onehot[np.arange(len(v)), lab] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    # Candidate boundaries: between distinct consecutive values only.
-    distinct = np.nonzero(v[:-1] < v[1:])[0]
-    if len(distinct) == 0:
-        raise ValueError("fewer than two distinct values; no split exists")
-    totals = cum[-1]
-    ginis = boundary_ginis(cum[distinct], totals)
+    onehot[np.arange(len(v)), labels[order]] = 1.0
+    cum = np.cumsum(onehot, axis=0) + base[None, :]
+    cuts = np.nonzero(v[:-1] < v[1:])[0]
+    if include_last and len(v):
+        cuts = np.append(cuts, len(v) - 1)
+    return v[cuts], cum[cuts]
+
+
+def best_cut(left: np.ndarray, totals: np.ndarray) -> tuple[int, float] | None:
+    """Index and gini of the best valid candidate split, or ``None``.
+
+    ``left`` holds each candidate's left-side class counts; a candidate
+    is valid when both sides are non-empty.  Ties go to the first
+    candidate.
+    """
+    n = totals.sum()
+    nl = left.sum(axis=1)
+    valid = (nl > 0) & (nl < n)
+    if not valid.any():
+        return None
+    ginis = np.asarray(gini_partition(left, totals[None, :] - left), dtype=np.float64)
+    ginis = np.where(valid, ginis, np.inf)
     k = int(np.argmin(ginis))
-    return float(v[distinct[k]]), float(ginis[k])
+    return k, float(ginis[k])
 
 
 def exact_best_threshold(
     values: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> tuple[float, float]:
-    """Exact best ``a <= C`` split of an unsorted labelled sample.
+    """Exact best ``a <= C`` split of a labelled sample: the sorted-value
+    sweep of Quinlan's C4.5, as :func:`prefix_cuts` + :func:`best_cut`.
 
-    Sorts and delegates to :func:`exact_best_threshold_sorted` — the form
-    CMP applies to buffered alive-interval records.
+    Returns ``(threshold, gini)``; the threshold is the largest value of
+    the left side.  Raises ``ValueError`` when no split exists (fewer
+    than two distinct values).
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
     if len(values) != len(labels):
         raise ValueError("values and labels must align")
-    order = np.argsort(values, kind="stable")
-    return exact_best_threshold_sorted(values[order], labels[order], n_classes)
+    thresholds, left = prefix_cuts(values, labels, np.zeros(n_classes), n_classes)
+    best = best_cut(left, np.bincount(labels, minlength=n_classes).astype(np.float64))
+    if best is None:
+        raise ValueError("fewer than two distinct values; no split exists")
+    k, g = best
+    return float(thresholds[k]), g

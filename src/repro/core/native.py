@@ -14,10 +14,6 @@ resolve phase:
                         ``(qx, qy, c)`` int32 or int64 cube cell with its
                         y extrema (two variants), every category
                         histogram.
-``cmp_hist_accum``      one class histogram's update.
-``cmp_cat_accum``       one category histogram's update (float→int64
-                        code cast + scatter-add).
-``cmp_boundary_ginis``  partition gini at every interval boundary.
 ``cmp_subset_splits``   every (node, categorical attribute) best subset
                         split of a tree level.
 ``cmp_requantile``      every child grid of one node, re-quantiled from
@@ -28,11 +24,10 @@ resolve phase:
 ``cmp_forest_score``    a packed forest's summed leaf values per record.
 ======================  ===================================================
 
-``cmp_part_accum``, ``cmp_hist_accum`` and ``cmp_cat_accum`` also have
-``_w`` variants that add a bootstrap weight per record.  The fused
-accumulators read their part's block of a level's plan table of
-addresses (layout in the source) and validate a whole chunk before
-writing anything.
+``cmp_part_accum`` also has a ``_w`` variant that adds a bootstrap
+weight per record.  The fused accumulators read their part's block of
+a level's plan table of addresses (layout in the source) and validate
+a whole chunk before writing anything.
 ``cmp_route`` and ``cmp_forest_score`` share one per-record tree walk.
 The numpy loops they replace scan whole columns per node or per bin; a
 scalar C loop visits each record's row once while it sits in cache,
@@ -109,101 +104,6 @@ static void fold_max(double *slot, double v)
         *slot = v;
 }
 
-/* bins = searchsorted(edges, values); np.add.at(counts, (bins, labels), 1);
- * np.fmin.at(vmin, bins, values); np.fmax.at(vmax, bins, values).
- * Returns 1 on a label out of range (numpy raises IndexError). */
-int cmp_hist_accum(int64_t n, int64_t vstride, const double *values,
-                   const int64_t *labels, const double *edges, int64_t m,
-                   int64_t c, double *counts, double *vmin, double *vmax)
-{
-    for (int64_t r = 0; r < n; ++r) {
-        double v = values[r * vstride];
-        int64_t lab = labels[r];
-        if (lab < 0)
-            lab += c;
-        if (lab < 0 || lab >= c)
-            return 1;
-        int64_t b = bin_of(v, edges, m);
-        counts[b * c + lab] += 1.0;
-        fold_min(vmin + b, v);
-        fold_max(vmax + b, v);
-    }
-    return 0;
-}
-
-/* Weighted variant: np.add.at(counts, (bins, labels), weights).  Counts
- * stay exact (integer-valued weights on integer-valued counts), so a
- * weight-w add is bit-identical to w unit adds in any order.  Extrema
- * fold every record, like the unweighted kernel — callers drop
- * zero-weight records beforehand so phantom values never pollute the
- * per-bin min/max. */
-int cmp_hist_accum_w(int64_t n, int64_t vstride, const double *values,
-                     const int64_t *labels, const double *weights,
-                     const double *edges, int64_t m, int64_t c,
-                     double *counts, double *vmin, double *vmax)
-{
-    for (int64_t r = 0; r < n; ++r) {
-        double v = values[r * vstride];
-        int64_t lab = labels[r];
-        if (lab < 0)
-            lab += c;
-        if (lab < 0 || lab >= c)
-            return 1;
-        int64_t b = bin_of(v, edges, m);
-        counts[b * c + lab] += weights[r];
-        fold_min(vmin + b, v);
-        fold_max(vmax + b, v);
-    }
-    return 0;
-}
-
-/* np.add.at(counts, (codes.astype(intp), labels), 1) — C-cast code
- * conversion, negative indices wrap, out of range returns 1. */
-int cmp_cat_accum(int64_t n, int64_t vstride, const double *codes,
-                  const int64_t *labels, int64_t ncat, int64_t c,
-                  double *counts)
-{
-    for (int64_t r = 0; r < n; ++r) {
-        double cv = codes[r * vstride];
-        /* Guard the undefined float->int cast numpy performs on junk
-         * input: any such code indexes out of range either way. */
-        if (cv != cv || cv >= 9.2233720368547758e18 || cv < -9.2233720368547758e18)
-            return 1;
-        int64_t k = (int64_t)cv;
-        int64_t lab = labels[r];
-        if (k < 0)
-            k += ncat;
-        if (lab < 0)
-            lab += c;
-        if (k < 0 || k >= ncat || lab < 0 || lab >= c)
-            return 1;
-        counts[k * c + lab] += 1.0;
-    }
-    return 0;
-}
-
-/* Weighted variant: np.add.at(counts, (codes, labels), weights). */
-int cmp_cat_accum_w(int64_t n, int64_t vstride, const double *codes,
-                    const int64_t *labels, const double *weights,
-                    int64_t ncat, int64_t c, double *counts)
-{
-    for (int64_t r = 0; r < n; ++r) {
-        double cv = codes[r * vstride];
-        if (cv != cv || cv >= 9.2233720368547758e18 || cv < -9.2233720368547758e18)
-            return 1;
-        int64_t k = (int64_t)cv;
-        int64_t lab = labels[r];
-        if (k < 0)
-            k += ncat;
-        if (lab < 0)
-            lab += c;
-        if (k < 0 || k >= ncat || lab < 0 || lab >= c)
-            return 1;
-        counts[k * c + lab] += weights[r];
-    }
-    return 0;
-}
-
 /* The fused kernels below fold one chunk's rows into every histogram of
  * one part in a single pass.  A level's plan, built once per level arena
  * by repro.core.native_scan, is one int64 table holding every part's
@@ -272,8 +172,8 @@ static void cat_fold(const double *row, int64_t cs, int64_t lab, double w,
 }
 
 /* PartState.update: class counts, then per row every continuous
- * histogram (hist_accum's body) and every categorical one (cat_accum's),
- * through the part's block of its level's plan.  weights == NULL adds 1
+ * histogram (searchsorted, scatter-add, extrema) and every categorical
+ * one, through the part's block of its level's plan.  weights == NULL adds 1
  * per record. */
 static int part_accum(int64_t n, const double *X, int64_t rs, int64_t cs,
                       const int64_t *labels, const double *weights,
@@ -381,33 +281,6 @@ static double gini_one(const double *cnt, int64_t c, double s, double *p2)
     return 1.0 - total;
 }
 
-/* boundary_ginis(cum, totals): right = totals - cum per row, then
- * gini_partition(cum, right).  scratch holds 2*c doubles. */
-void cmp_boundary_ginis(int64_t b, int64_t c, const double *cum,
-                        const double *totals, double *out, double *scratch)
-{
-    double *right = scratch;
-    double *p2 = scratch + c;
-    for (int64_t k = 0; k < b; ++k) {
-        const double *left = cum + k * c;
-        double nl = 0.0, nr = 0.0;
-        for (int64_t j = 0; j < c; ++j) {
-            right[j] = totals[j] - left[j];
-            nl += left[j];
-            nr += right[j];
-        }
-        double n = nl + nr;
-        if (n > 0.0) {
-            double gl = gini_one(left, c, nl, p2);
-            double gr = gini_one(right, c, nr, p2);
-            double den = n > 1.0 ? n : 1.0;
-            out[k] = (nl * gl + nr * gr) / den;
-        } else {
-            out[k] = 0.0;
-        }
-    }
-}
-
 /* The two sequential sums below replicate numpy's reductions over fewer
  * than 8 elements (plain left-to-right); exact anyway on the integer-
  * valued counts every caller checks for. */
@@ -420,7 +293,7 @@ static double row_sum(const double *v, int64_t c)
 }
 
 /* gini_partition(left, totals - left) for one prefix: the arithmetic of
- * cmp_boundary_ginis.  right and p2 hold c doubles each. */
+ * gini.boundary_ginis.  right and p2 hold c doubles each. */
 static double partition_gini(const double *left, const double *totals,
                              int64_t c, double *right, double *p2,
                              double *nl_out)
@@ -1001,15 +874,10 @@ _FUSED = [_I64, _PTR, _I64, _I64, _PTR, _PTR]
 
 #: ``cmp_<name>`` -> (restype, argtypes) for every kernel in the library.
 _SIGNATURES = {
-    "hist_accum": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR]),
-    "hist_accum_w": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR]),
-    "cat_accum": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR]),
-    "cat_accum_w": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _I64, _I64, _PTR]),
     "part_accum": (ctypes.c_int, _FUSED),
     "part_accum_w": (ctypes.c_int, _FUSED[:5] + [_PTR] + _FUSED[5:]),
     "mset_accum32": (ctypes.c_int, _FUSED),
     "mset_accum64": (ctypes.c_int, _FUSED),
-    "boundary_ginis": (None, [_I64, _I64, _PTR, _PTR, _PTR, _PTR]),
     "subset_splits": (ctypes.c_int, [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR]),
     "requantile": (None, [_I64, _PTR, _I64, _PTR, _PTR, _PTR]),
     "slope_walks": (ctypes.c_int, [_I64, _PTR, _I64, _I64, _PTR, _PTR]),

@@ -1,18 +1,18 @@
 """Dispatch to the native training kernels of :mod:`repro.core.native`.
 
 The builders' per-chunk work — class-histogram and matrix accumulation —
-and the post-scan analysis sweeps — boundary ginis and the
+and the post-scan analysis sweeps — the subset splits and the
 ``giniNegativeSlope`` intercept walk — are tight per-record loops that
 numpy evaluates as a chain of whole-array temporaries.  The C versions
 live in the one native library.  A scan part (``PartState`` or
 ``MatrixSet``) fills all its histograms with one :func:`fused_accum`
 call per chunk, through its slice of its level arena's one
-:class:`AccumPlan`, which holds every part's block back to back.  The decide step's split
-searches over per-node aggregates are batched the same way: one
-:func:`subset_splits` call per tree level, one :func:`requantile` call
-per node's child grids, one :func:`slope_walks` call per matrix set.
-This module decides, call by call, whether a kernel may stand in for
-the numpy expression:
+:class:`AccumPlan`, which holds every part's block back to back.  The
+decide step's split searches over per-node aggregates are batched the
+same way: one :func:`subset_splits` call per tree level, one
+:func:`requantile` call per node's child grids, one :func:`slope_walks`
+call per matrix set.  This module decides, call by call, whether a
+kernel may stand in for the numpy expression:
 
 * **bit-identical to numpy** — every floating-point operation mirrors
   the numpy expression's op-by-op rounding, and the single
@@ -28,15 +28,16 @@ the numpy expression:
 
 Kernels bounds-check label/category indices and replicate
 ``np.searchsorted``'s sort-order comparison, under which NaN is larger
-than every number.  The per-histogram kernels mirror numpy's fancy
-indexing (``IndexError``, negative indices wrap).  The fused kernels
-mirror the part's numpy body, which counts classes with ``bincount``
-first: a label outside ``[0, c)`` raises ``ValueError``, a bad category
-code ``IndexError``, and nothing is written before the whole chunk
-validates.  Every applied call is counted per kernel, a fused call once
-per histogram it filled (:func:`kernel_counts`), a subset-split call
-once per table as ``boundary_ginis`` and a walks call once per walk as
-``slope_walk``; re-quantiling, routing and forest scoring are not
+than every number.  The fused kernels mirror the histograms' numpy
+bodies (:mod:`repro.core.histogram`): a label outside ``[0, c)`` raises
+``ValueError``, a category code outside ``[-k, k)`` or NaN
+``IndexError`` (negative codes wrap like numpy indexing), and nothing
+is written before the whole chunk validates.  Every applied call is
+counted (:func:`kernel_counts`): a fused call once per histogram it
+filled, as ``hist_accum`` per class histogram, ``cat_accum`` per
+category histogram and ``matrix_accum`` per matrix; a subset-split call
+once per table as ``boundary_ginis``; a walks call once per walk as
+``slope_walk``.  Re-quantiling, routing and forest scoring are not
 counted.
 """
 
@@ -50,12 +51,13 @@ import numpy as np
 from repro.core import native
 from repro.core.native import available, force_numpy, warm_up
 
-#: Class-count width above which the sweep kernels decline: numpy's sum
+#: Class-count width at which the sweep kernels decline: numpy's sum
 #: switches from plain sequential to pairwise/SIMD accumulation at 8
 #: elements, and only the sequential order is replicated in C.
 _MAX_SEQUENTIAL_CLASSES = 8
 
-#: Per-process tally of applied kernel calls, by kernel name.  Plain int
+#: Per-process tally of applied kernel calls, by tally name (the module
+#: docstring says what each counts).  Plain int
 #: increments under the GIL; read via :func:`kernel_counts`.  With the
 #: process scan backend, chunk-accumulation calls made inside forked
 #: workers are counted in the worker and folded back into the parent's
@@ -124,16 +126,6 @@ def merge_counts(delta: dict[str, int]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _f64_stride(a: np.ndarray) -> int | None:
-    """Element stride of a 1-D float64 view, or ``None`` if unsupported."""
-    if a.dtype != np.float64 or a.ndim != 1:
-        return None
-    stride = a.strides[0]
-    if stride % 8 != 0:
-        return None
-    return stride // 8
-
-
 def _labels_i64(labels: object, n: int) -> np.ndarray | None:
     """Labels as a contiguous int64 array, or ``None`` if unsupported.
 
@@ -172,122 +164,6 @@ def _weights_f64(weights: object, n: int) -> np.ndarray | None:
     if arr.dtype == np.bool_ or not np.issubdtype(arr.dtype, np.number):
         return None
     return np.ascontiguousarray(arr, dtype=np.float64)
-
-
-def hist_accum(
-    values: np.ndarray,
-    labels: object,
-    edges: np.ndarray,
-    counts: np.ndarray,
-    vmin: np.ndarray,
-    vmax: np.ndarray,
-    weights: object | None = None,
-) -> bool:
-    """Native ``ClassHistogram.update`` body; False = use numpy.
-
-    With ``weights`` (per-record multiplicities, e.g. bootstrap draw
-    counts), each record adds its weight instead of 1.  Integer-valued
-    float64 weights on integer-valued counts stay exact, so the result
-    is bit-identical to repeating each record ``weight`` times.
-    """
-    fns = native._resolve()
-    if fns is None:
-        return False
-    vstride = _f64_stride(values)
-    if vstride is None:
-        return False
-    lab = _labels_i64(labels, len(values))
-    if lab is None:
-        return False
-    if not (
-        _contiguous_f64(counts)
-        and _contiguous_f64(edges)
-        and _contiguous_f64(vmin)
-        and _contiguous_f64(vmax)
-    ):
-        return False
-    if weights is None:
-        rc = fns["hist_accum"](
-            len(values),
-            vstride,
-            values.ctypes.data,
-            lab.ctypes.data,
-            edges.ctypes.data,
-            len(edges),
-            counts.shape[1],
-            counts.ctypes.data,
-            vmin.ctypes.data,
-            vmax.ctypes.data,
-        )
-    else:
-        w = _weights_f64(weights, len(values))
-        if w is None:
-            return False
-        rc = fns["hist_accum_w"](
-            len(values),
-            vstride,
-            values.ctypes.data,
-            lab.ctypes.data,
-            w.ctypes.data,
-            edges.ctypes.data,
-            len(edges),
-            counts.shape[1],
-            counts.ctypes.data,
-            vmin.ctypes.data,
-            vmax.ctypes.data,
-        )
-    if rc:
-        raise IndexError("class label out of bounds for histogram counts")
-    _count("hist_accum")
-    return True
-
-
-def cat_accum(
-    codes: np.ndarray,
-    labels: object,
-    counts: np.ndarray,
-    weights: object | None = None,
-) -> bool:
-    """Native ``CategoryHistogram.update`` body; False = use numpy."""
-    fns = native._resolve()
-    if fns is None:
-        return False
-    vstride = _f64_stride(codes)
-    if vstride is None:
-        return False
-    lab = _labels_i64(labels, len(codes))
-    if lab is None:
-        return False
-    if not _contiguous_f64(counts):
-        return False
-    if weights is None:
-        rc = fns["cat_accum"](
-            len(codes),
-            vstride,
-            codes.ctypes.data,
-            lab.ctypes.data,
-            counts.shape[0],
-            counts.shape[1],
-            counts.ctypes.data,
-        )
-    else:
-        w = _weights_f64(weights, len(codes))
-        if w is None:
-            return False
-        rc = fns["cat_accum_w"](
-            len(codes),
-            vstride,
-            codes.ctypes.data,
-            lab.ctypes.data,
-            w.ctypes.data,
-            counts.shape[0],
-            counts.shape[1],
-            counts.ctypes.data,
-        )
-    if rc:
-        raise IndexError("category code or class label out of bounds")
-    _count("cat_accum")
-    return True
 
 
 def _addr(a: np.ndarray) -> int:
@@ -337,13 +213,12 @@ def fused_accum(
 ) -> bool:
     """Fold a batch into every histogram of one part of a level plan.
 
-    One native call replaces one per histogram.  Returns ``False`` (use
-    numpy) without kernels, without a plan, or for an ``X`` the kernel
-    cannot read.  Every label and category code is validated before
-    anything is written; a bad one raises what the numpy path raises:
-    ``ValueError`` for a label outside ``[0, c)``, ``IndexError`` for a
-    category code.  Counts one call per histogram filled, so the tally
-    matches the per-histogram dispatch it replaces.
+    Returns ``False`` (use numpy) without kernels, without a plan, or
+    for an ``X`` the kernel cannot read.  Every label and category code
+    is validated before anything is written; a bad one raises what the
+    numpy path raises: ``ValueError`` for a label outside ``[0, c)``,
+    ``IndexError`` for a category code.  Counts one call per histogram
+    filled.
     """
     fns = native._resolve()
     if fns is None or not plan:
@@ -380,30 +255,6 @@ def fused_accum(
         if calls:
             _count(name, calls)
     return True
-
-
-def boundary_ginis(cum: np.ndarray, totals: np.ndarray) -> np.ndarray | None:
-    """Native boundary-gini sweep, or ``None`` to use numpy.
-
-    Declines when ``n_classes >= 8``: beyond that numpy's class-axis sum
-    switches to pairwise (possibly SIMD-dispatched) accumulation whose
-    rounding the sequential C loop does not reproduce.
-    """
-    fns = native._resolve()
-    if fns is None:
-        return None
-    b, c = cum.shape
-    if c >= _MAX_SEQUENTIAL_CLASSES:
-        return None
-    if not (cum.flags.c_contiguous and totals.flags.c_contiguous):
-        return None
-    out = np.empty(b, dtype=np.float64)
-    scratch = np.empty(2 * c, dtype=np.float64)
-    fns["boundary_ginis"](
-        b, c, cum.ctypes.data, totals.ctypes.data, out.ctypes.data, scratch.ctypes.data
-    )
-    _count("boundary_ginis")
-    return out
 
 
 #: Count dtypes :func:`slope_walks` reads, by the kernel's kind code.
@@ -464,10 +315,11 @@ def subset_splits(
     is ``(left_mask, gini)`` exactly as
     ``CategoryHistogram.best_subset_split`` computes it, or
     ``(None, inf)`` for a table with fewer than two populated categories.
-    Declines like :func:`boundary_ginis` at ``n_classes >= 8``, and for a
-    table that is not C-contiguous float64 or whose counts are negative,
-    fractional or total 9e15 or more.  Counts one ``boundary_ginis`` call
-    per table: each is one sweep of the subset partitions.
+    Declines at ``n_classes >= 8`` (see :data:`_MAX_SEQUENTIAL_CLASSES`),
+    and for a table that is not C-contiguous float64 or whose counts are
+    negative, fractional or total 9e15 or more.  Counts one
+    ``boundary_ginis`` call per table: each is one sweep of the subset
+    partitions.
     """
     fns = native._resolve()
     if fns is None or not tables:
@@ -558,11 +410,8 @@ __all__ = [
     "force_numpy",
     "kernel_counts",
     "kernel_calls_total",
-    "hist_accum",
-    "cat_accum",
     "AccumPlan",
     "fused_accum",
-    "boundary_ginis",
     "slope_walks",
     "subset_splits",
     "requantile",

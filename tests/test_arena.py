@@ -6,8 +6,11 @@ neighbour's rows instead of outside an allocation, where AddressSanitizer
 could not see it.  These tests lay out multi-part arenas of hostile
 shapes, fill each part through the level plan and check it bit for bit
 against the same part filled alone on the numpy path, and that no other
-part's rows moved.
+part's rows moved.  A standalone histogram's ``update`` must fill the
+same counts as the histogram laid out as a one-part arena.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core import native_scan
 from repro.core.arena import LevelArena
 from repro.core.builder import PartState
+from repro.core.histogram import CategoryHistogram, ClassHistogram
 from repro.data.schema import Schema, categorical, continuous
 
 
@@ -208,3 +212,48 @@ class TestZeroedDelta:
                 alone = ac.part(i)
                 alone.update(X, y, w)
             assert_parts_equal(part, alone)
+
+
+@st.composite
+def standalone_cases(draw):
+    """One histogram's kind, grid or category count, classes and batch."""
+    return dict(
+        kind=draw(st.sampled_from(["cont", "cat"])),
+        # q = 1 (no edges) is as likely as any other grid.
+        q=draw(st.integers(1, 6)),
+        c=draw(st.integers(2, 7)),
+        n=draw(st.integers(1, 80)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestStandaloneUpdate:
+    @given(standalone_cases(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_update_equals_one_part_arena(self, case, numpy_only):
+        rng = np.random.default_rng(case["seed"])
+        q, c, n = case["q"], case["c"], case["n"]
+        y = rng.integers(0, c, size=n)
+        if case["kind"] == "cont":
+            edges = np.unique(np.round(rng.normal(size=q - 1), 1))
+            col = np.round(rng.normal(size=n), 1)
+            col[rng.random(n) < 0.2] = np.nan
+            col[rng.random(n) < 0.2] = rng.choice(edges) if len(edges) else 0.0
+            make = lambda: ClassHistogram(edges, c)  # noqa: E731
+        else:
+            col = rng.integers(-q, q, size=n).astype(np.float64)  # negatives wrap
+            make = lambda: CategoryHistogram(q, c)  # noqa: E731
+        alone = make()
+        alone.update(col, y)
+        part = PartState(0, c, {0: make()})
+        before = native_scan.kernel_counts()
+        with native_scan.force_numpy() if numpy_only else contextlib.nullcontext():
+            part.update(col[:, None], y)
+        if native_scan.available() and not numpy_only:
+            tally = "hist_accum" if case["kind"] == "cont" else "cat_accum"
+            assert native_scan.kernel_counts()[tally] == before[tally] + 1
+        got = part.hists[0]
+        np.testing.assert_array_equal(got.counts, alone.counts)
+        if case["kind"] == "cont":
+            np.testing.assert_array_equal(got.vmin, alone.vmin)
+            np.testing.assert_array_equal(got.vmax, alone.vmax)

@@ -180,3 +180,41 @@ class TestCategoryHistogram:
         lcounts = np.bincount(labels[left], minlength=3)
         rcounts = np.bincount(labels[~left], minlength=3)
         assert g == pytest.approx(gini_partition(lcounts, rcounts))
+
+
+def fill(kind, path, values, labels):
+    """Fill a fresh two-class histogram — continuous with one edge at 0,
+    or categorical with four categories — standalone or as a one-part
+    part, and return it."""
+    hist = ClassHistogram(np.array([0.0]), 2) if kind == "cont" else CategoryHistogram(4, 2)
+    if path == "standalone":
+        hist.update(np.asarray(values), np.asarray(labels))
+        return hist
+    part = part_of(hist)
+    part.update(np.asarray(values, dtype=np.float64)[:, None], np.asarray(labels))
+    return part.hists[0]
+
+
+@pytest.mark.parametrize("numpy_only", [False, True], ids=["native", "numpy"])
+@pytest.mark.parametrize("path", ["standalone", "part"])
+class TestIndexRange:
+    """Every fill path refuses a label outside ``[0, c)`` with
+    ``ValueError``; category codes index like numpy."""
+
+    @pytest.mark.parametrize("kind", ["cont", "cat"])
+    @pytest.mark.parametrize("bad", [-1, -3, 2, 9])
+    def test_bad_label_raises_value_error(self, kind, bad, path, numpy_only):
+        with native_scan.force_numpy() if numpy_only else contextlib.nullcontext():
+            with pytest.raises(ValueError, match="class label"):
+                fill(kind, path, [1.0, -1.0], [0, bad])
+
+    def test_negative_codes_wrap(self, path, numpy_only):
+        with native_scan.force_numpy() if numpy_only else contextlib.nullcontext():
+            hist = fill("cat", path, [-1.0, 3.0, -4.0, 0.0, 2.9, -0.5], [0, 1, 1, 0, 0, 1])
+        np.testing.assert_array_equal(hist.counts, [[1, 2], [0, 0], [1, 0], [1, 1]])
+
+    @pytest.mark.parametrize("bad", [4.0, -5.0, np.nan, np.inf, -np.inf, 1e19])
+    def test_bad_code_raises_index_error(self, bad, path, numpy_only):
+        with native_scan.force_numpy() if numpy_only else contextlib.nullcontext():
+            with pytest.raises(IndexError):
+                fill("cat", path, [0.0, bad], [0, 1])
