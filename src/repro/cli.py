@@ -345,14 +345,6 @@ def main(argv: list[str] | None = None) -> int:
         help="builders to verify (default: CMP-S CMP-B CMP CLOUDS SLIQ)",
     )
     p.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=[4],
-        metavar="N",
-        help="scan worker counts whose trees must be bit-identical to serial",
-    )
-    p.add_argument(
         "--checks",
         nargs="+",
         default=None,
@@ -762,7 +754,6 @@ def main(argv: list[str] | None = None) -> int:
                 seeds=range(args.seeds),
                 n=args.records,
                 builders=builders,
-                workers=tuple(args.workers),
                 safety=args.safety,
                 log=log,
             )
@@ -783,7 +774,6 @@ def main(argv: list[str] | None = None) -> int:
             seeds=args.seeds,
             profiles=profiles,
             builders=builders,
-            workers=tuple(args.workers),
             n=args.records,
             metamorphic_checks=tuple(args.checks) if args.checks else None,
             safety=args.safety,

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from repro.core import native_scan
-from repro.core.histogram import class_labels, fill_category, fill_class
+from repro.core.histogram import category_rows, class_labels, fill_category, fill_class
 from repro.data.discretize import bin_index
 
 #: Array kinds a part's blocks live in.
@@ -173,7 +173,9 @@ class LevelArena:
             return
         c, x, conts, cats = self._specs[index]
         views = iter(self._views(index))
+        # Check every input before the first write, as the kernel does.
         labels = class_labels(y, c)
+        cat_rows = [category_rows(X[:, attr], k) for attr, k in cats]
         next(views)[:] += np.bincount(labels, weights=weights, minlength=c)
         lead = None
         if x is not None:
@@ -183,8 +185,8 @@ class LevelArena:
                 op.at(ext, lead, xv)  # NaN is ignored
         for attr, edges in conts:
             fill_class(next(views), *next(views), edges, X[:, attr], labels, weights, lead)
-        for attr, __ in cats:
-            fill_category(next(views), X[:, attr], labels, weights)
+        for rows in cat_rows:
+            fill_category(next(views), rows, labels, weights)
 
 
 class ArenaPart:

@@ -69,23 +69,12 @@ def fill_class(
     _tally(counts, bins if lead is None else lead * len(vmin) + bins, labels, weights)
 
 
-def fill_category(
-    counts: np.ndarray,
-    codes: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> None:
-    """Fold a non-empty batch into one category histogram's ``(k, c)``
-    class counts.
-
-    The numpy body of :meth:`CategoryHistogram.update` and of the level
-    arena's reference fill.  Codes convert like the fused kernels' C
-    cast (truncation toward zero) and index like numpy: negative codes
-    wrap, while a code outside ``[-k, k)`` after truncation, or one
-    the cast cannot convert (NaN, infinite), raises ``IndexError``.
-    """
-    labels = class_labels(labels, counts.shape[-1])
-    k = counts.shape[0]
+def category_rows(codes: np.ndarray, k: int) -> np.ndarray:
+    """Category codes as a fresh array of row indices of a ``k``-category
+    histogram.  Codes convert like the fused kernels' C cast (truncation
+    toward zero) and index like numpy: negative codes wrap, while a code
+    outside ``[-k, k)`` after truncation, or one the cast cannot convert
+    (NaN, infinite), raises ``IndexError``."""
     try:
         with np.errstate(invalid="raise"):
             rows = np.asarray(codes).astype(np.intp)
@@ -96,6 +85,20 @@ def fill_category(
         raise IndexError("category code out of bounds for histogram counts")
     if lo < 0:
         rows[rows < 0] += k
+    return rows
+
+
+def fill_category(
+    counts: np.ndarray,
+    rows: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> None:
+    """Fold a non-empty batch, checked by :func:`category_rows` (whose
+    rows this overwrites) and :func:`class_labels`, into one category
+    histogram's ``(k, c)`` class counts.  The numpy body of
+    :meth:`CategoryHistogram.update` and of the level arena's reference
+    fill."""
     _tally(counts, rows, labels, weights)
 
 
@@ -181,9 +184,10 @@ class CategoryHistogram:
 
     def update(self, codes: np.ndarray, labels: np.ndarray) -> None:
         """Add a batch of records, ``codes`` their category codes
-        (:func:`fill_category`)."""
+        (:func:`category_rows` says which are valid)."""
         if len(codes):
-            fill_category(self.counts, codes, labels)
+            labels = class_labels(labels, self.counts.shape[-1])
+            fill_category(self.counts, category_rows(codes, self.n_categories), labels)
 
     def totals(self) -> np.ndarray:
         """Class counts of the whole node."""

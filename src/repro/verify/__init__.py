@@ -9,11 +9,12 @@ that claim into machine-checkable assertions:
   (exhaustive gini over every cut point of every attribute, exhaustive
   categorical subsets, optional exhaustive two-attribute linear splits on
   tiny data) used as ground truth.
-* :mod:`repro.verify.differential` — grows CMP-S/CMP-B/CMP (serial and
-  parallel) and the in-repo CLOUDS/SLIQ baselines on one dataset and
-  asserts per-node gini-optimality within the paper's estimator
-  guarantees, plus routing/count consistency and accuracy deltas against
-  the oracle.
+* :mod:`repro.verify.differential` — grows CMP-S/CMP-B/CMP and the
+  in-repo CLOUDS/SLIQ baselines on one dataset and asserts per-node
+  gini-optimality within the paper's estimator guarantees, plus
+  routing/count consistency and accuracy deltas against the oracle.
+* :mod:`repro.verify.conformance` — the bit-identity matrix of every
+  builder that scans through the scan engine (import the module).
 * :mod:`repro.verify.metamorphic` — invariance checks (row shuffling and
   duplication, label permutation, strictly monotone transforms, constant
   and ID column injection), each with a stated expected invariant.
@@ -21,8 +22,8 @@ that claim into machine-checkable assertions:
   shrinking of failing datasets into a replayable JSON corpus.
 * :mod:`repro.verify.forest` — shared-scan ensemble checks: every bagged
   member bit-identical to its solo build and oracle-verified on its own
-  bootstrap sample, plus a backend/worker bit-identity matrix for both
-  ensemble trainers and packed-scoring parity.
+  bootstrap sample, the conformance matrix of both ensemble trainers,
+  and packed-scoring parity.
 * :mod:`repro.verify.stream` — the streaming extension: every
   sketch-chosen split of the one-pass trainer replayed against the exact
   oracle within an explicit ε-derived bound, swept over seeds ×

@@ -1,14 +1,14 @@
 """Differential runner: every builder against the exact oracle.
 
 For one dataset, :func:`run_differential` grows trees with the CMP family
-and the in-repo baselines — serial and with parallel scan workers — and
-checks each tree against :mod:`repro.verify.oracle` ground truth:
+and the in-repo baselines and checks each tree against
+:mod:`repro.verify.oracle` ground truth (that parallel scans build the
+same trees is :mod:`repro.verify.conformance`'s check):
 
 * **Exact invariants** (no tolerance): node class counts match the
-  records that actually route to each node; parallel builds are
-  bit-identical to serial; the compiled prediction engine agrees with
-  the object walker; exhaustive baselines (SLIQ, SPRINT) achieve the
-  oracle optimum at every node.
+  records that actually route to each node; the compiled prediction
+  engine agrees with the object walker; exhaustive baselines (SLIQ,
+  SPRINT) achieve the oracle optimum at every node.
 * **Bounded invariants**: the CMP family's per-node split quality is
   allowed to trail the oracle by at most an explicit estimator bound
   derived from the paper's footnote 1 (see :func:`estimator_bound`), and
@@ -123,7 +123,7 @@ def tree_signature(tree: DecisionTree):
 
     Two trees compare equal iff every node's split parameters and class
     counts are bit-identical — the invariant the parallel scan engine
-    guarantees across worker counts.
+    guarantees across worker counts (:mod:`repro.verify.conformance`).
     """
 
     def key(node):
@@ -444,7 +444,6 @@ class BuilderOutcome:
     accuracy: float
     oracle_agreement: float
     stats: GapStats
-    parallel_identical: bool
 
     def as_row(self) -> dict:
         return {
@@ -458,7 +457,6 @@ class BuilderOutcome:
             "exact": self.stats.n_exact,
             "max_gap": round(self.stats.max_gap, 6),
             "max_bound": round(self.stats.max_bound, 6),
-            "parallel_ok": self.parallel_identical,
         }
 
 
@@ -484,7 +482,6 @@ def run_differential(
     dataset: Dataset,
     config: BuilderConfig,
     builders: tuple[str, ...] = ("CMP-S", "CMP-B", "CMP", "CLOUDS", "SLIQ"),
-    workers: tuple[int, ...] = (4,),
     safety: float = 2.0,
     tracer=None,
 ) -> DifferentialReport:
@@ -542,32 +539,6 @@ def run_differential(
                 )
             )
 
-        parallel_ok = True
-        serial_sig = tree_signature(tree)
-        for w in workers:
-            if w <= 1:
-                continue
-            try:
-                par = factory(cfg.with_(scan_workers=w), tracer=tracer).build(dataset)
-            except Exception as exc:  # noqa: BLE001
-                report.findings.append(
-                    Finding(
-                        name, "crash", f"workers={w}: {type(exc).__name__}: {exc}"
-                    )
-                )
-                parallel_ok = False
-                continue
-            if tree_signature(par.tree) != serial_sig:
-                parallel_ok = False
-                report.findings.append(
-                    Finding(
-                        name,
-                        "parallel_divergence",
-                        f"tree built with scan_workers={w} is not bit-identical "
-                        "to the serial tree",
-                    )
-                )
-
         report.outcomes.append(
             BuilderOutcome(
                 builder=name,
@@ -577,7 +548,6 @@ def run_differential(
                 accuracy=float(np.mean(compiled_pred == dataset.y)),
                 oracle_agreement=float(np.mean(compiled_pred == oracle_pred)),
                 stats=stats,
-                parallel_identical=parallel_ok,
             )
         )
     return report

@@ -12,10 +12,10 @@ Three layers of checks on top of :mod:`repro.verify.differential`:
    against the exact-split oracle *on its own bootstrap sample* with
    :func:`~repro.verify.differential.check_tree_against_oracle`, so the
    paper's estimator bound holds inside the ensemble too.
-3. **Bit-identity matrix** — the whole forest is rebuilt across
-   ``{thread, process} x workers {1, 4}`` and every member signature
-   must match the serial reference; the boosted forest is held to the
-   same matrix via its packed fingerprint.  Finally the packed
+3. **Conformance** — the bagged and boosted cases of
+   :mod:`repro.verify.conformance` run their engine, kernel, fault and
+   resume matrix on the dataset (member signatures for bagging, the
+   packed fingerprint for boosting).  Finally the packed
    :class:`~repro.core.compiled.CompiledForest` scoring path must agree
    bit-for-bit with an explicit per-member accumulation loop.
 """
@@ -42,15 +42,6 @@ from repro.verify.differential import (
     tree_signature,
 )
 
-#: The backend/worker grid every forest build must reproduce exactly.
-IDENTITY_MATRIX = (
-    ("thread", 1),
-    ("thread", 4),
-    ("process", 1),
-    ("process", 4),
-)
-
-
 @dataclass
 class ForestReport:
     """Everything :func:`run_forest_differential` learned about one dataset."""
@@ -75,7 +66,6 @@ def run_forest_differential(
     n_trees: int = 3,
     n_iterations: int = 2,
     safety: float = 2.0,
-    matrix: tuple = IDENTITY_MATRIX,
     tracer=None,
 ) -> ForestReport:
     """Verify the shared-scan ensembles on one dataset (module docstring)."""
@@ -117,61 +107,24 @@ def run_forest_differential(
         report.findings.extend(member_findings)
         report.member_stats.append(gaps)
 
-    # --- 3a: backend/worker bit-identity matrix (bagging). ----------------
-    ref_sigs = forest_signatures(shared.forest)
-    for backend, workers in matrix:
-        mcfg = cfg.with_(scan_backend=backend, scan_workers=workers)
-        try:
-            rebuilt = BaggedForestBuilder(mcfg, n_trees=n_trees, tracer=tracer).build(
-                dataset
-            )
-        except Exception as exc:  # noqa: BLE001
-            report.findings.append(
-                Finding(
-                    "bagged-CMP-S",
-                    "crash",
-                    f"{backend}/workers={workers}: {type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        if forest_signatures(rebuilt.forest) != ref_sigs:
-            report.findings.append(
-                Finding(
-                    "bagged-CMP-S",
-                    "forest_matrix_divergence",
-                    f"forest built with backend={backend} workers={workers} "
-                    "is not bit-identical to the serial reference",
-                )
-            )
+    # --- 3: the conformance matrix of both ensemble cases. --------------
+    # Imported here: ``import repro.verify`` loads no more than it needs.
+    from repro.verify.conformance import CASES_BY_NAME, check_case
 
-    # --- 3b: the same matrix for the boosted forest (fingerprints). -------
+    for name in ("bagged-CMP-S", "hist-gbdt"):
+        report.findings.extend(check_case(CASES_BY_NAME[name], dataset, cfg))
+
     boost_forest = None
     try:
-        boost_ref = HistGradientBoostingBuilder(
+        boost_forest = HistGradientBoostingBuilder(
             cfg, n_iterations=n_iterations, tracer=tracer
-        ).build(dataset)
-        boost_forest = boost_ref.forest
-        ref_fp = boost_forest.compiled().fingerprint
-        for backend, workers in matrix:
-            mcfg = cfg.with_(scan_backend=backend, scan_workers=workers)
-            rebuilt = HistGradientBoostingBuilder(
-                mcfg, n_iterations=n_iterations, tracer=tracer
-            ).build(dataset)
-            if rebuilt.forest.compiled().fingerprint != ref_fp:
-                report.findings.append(
-                    Finding(
-                        "hist-gbdt",
-                        "forest_matrix_divergence",
-                        f"boosted forest with backend={backend} "
-                        f"workers={workers} diverges from the serial reference",
-                    )
-                )
+        ).build(dataset).forest
     except Exception as exc:  # noqa: BLE001
         report.findings.append(
             Finding("hist-gbdt", "crash", f"{type(exc).__name__}: {exc}")
         )
 
-    # --- 3c: packed scoring vs explicit per-member accumulation. ----------
+    # --- Last: packed scoring vs explicit per-member accumulation. -------
     for label, forest in (
         ("bagged-CMP-S", shared.forest),
         ("hist-gbdt", boost_forest),
@@ -198,7 +151,6 @@ def run_forest_differential(
 
 __all__ = [
     "ForestReport",
-    "IDENTITY_MATRIX",
     "forest_signatures",
     "run_forest_differential",
 ]

@@ -56,7 +56,6 @@ class FailureCase:
     builders: list[str] = field(
         default_factory=lambda: ["CMP-S", "CMP-B", "CMP", "CLOUDS", "SLIQ"]
     )
-    workers: list[int] = field(default_factory=lambda: [4])
     metamorphic_checks: list[str] = field(
         default_factory=lambda: list(DEFAULT_METAMORPHIC)
     )
@@ -137,7 +136,6 @@ def load_case(path: str) -> FailureCase:
 def default_checks(
     config: BuilderConfig,
     builders: tuple[str, ...] = ("CMP-S", "CMP-B", "CMP", "CLOUDS", "SLIQ"),
-    workers: tuple[int, ...] = (4,),
     metamorphic_checks: tuple[str, ...] | None = DEFAULT_METAMORPHIC,
     safety: float = 2.0,
     accuracy_tol: float = 0.05,
@@ -152,9 +150,7 @@ def default_checks(
 
     def run(dataset: Dataset) -> list[Finding]:
         findings = []
-        report = run_differential(
-            dataset, config, builders=builders, workers=workers, safety=safety
-        )
+        report = run_differential(dataset, config, builders=builders, safety=safety)
         findings.extend(f for f in report.findings if f.severity == "error")
         if metamorphic_checks:
             meta = run_metamorphic(
@@ -176,7 +172,6 @@ def replay_case(case: FailureCase, base_config: BuilderConfig | None = None):
     checks = default_checks(
         case.config(base_config),
         builders=tuple(case.builders),
-        workers=tuple(case.workers),
         metamorphic_checks=tuple(case.metamorphic_checks) or None,
         safety=case.safety,
         accuracy_tol=case.accuracy_tol,
@@ -263,7 +258,6 @@ def run_fuzz(
     n: int = 300,
     n_classes: int = 3,
     builders: tuple[str, ...] = ("CMP-S", "CMP-B", "CMP", "CLOUDS", "SLIQ"),
-    workers: tuple[int, ...] = (4,),
     metamorphic_checks: tuple[str, ...] | None = DEFAULT_METAMORPHIC,
     safety: float = 2.0,
     accuracy_tol: float = 0.05,
@@ -280,7 +274,6 @@ def run_fuzz(
     checks = default_checks(
         config,
         builders=builders,
-        workers=workers,
         metamorphic_checks=metamorphic_checks,
         safety=safety,
         accuracy_tol=accuracy_tol,
@@ -321,7 +314,6 @@ def run_fuzz(
                     y=[int(v) for v in dataset.y],
                     config_overrides=_config_overrides(config),
                     builders=list(builders),
-                    workers=[int(w) for w in workers],
                     metamorphic_checks=list(metamorphic_checks or ()),
                     safety=safety,
                     accuracy_tol=accuracy_tol,

@@ -1,9 +1,9 @@
 """Orchestration behind ``cmp-repro verify``.
 
-Runs the differential and metamorphic suites over a battery of seeded
-adversarial datasets (profiles rotate across seeds so every profile is
-covered), collects findings, and feeds span tracing / metrics through
-the same :mod:`repro.obs` objects every other CLI path uses.
+Runs the differential, conformance and metamorphic suites over a battery
+of seeded adversarial datasets (profiles rotate across seeds so every
+profile is covered), collects findings, and feeds span tracing / metrics
+through the same :mod:`repro.obs` objects every other CLI path uses.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ class VerifySummary:
             a["max_bound"] = max(a["max_bound"], row["max_bound"])
             a["min_accuracy"] = min(a["min_accuracy"], row["accuracy"])
             a["min_oracle_agree"] = min(a["min_oracle_agree"], row["oracle_agree"])
+            # ``n/a`` (no scan engine) is truthy, so it stays ``n/a``.
             a["parallel_ok"] = a["parallel_ok"] and row["parallel_ok"]
         return list(agg.values())
 
@@ -67,7 +68,6 @@ def run_verify(
     seeds: int = 25,
     profiles: tuple[str, ...] = tuple(ADVERSARIAL_PROFILES),
     builders: tuple[str, ...] = DEFAULT_BUILDERS,
-    workers: tuple[int, ...] = (4,),
     n: int = 300,
     metamorphic_checks: tuple[str, ...] | None = None,
     safety: float = 2.0,
@@ -83,13 +83,17 @@ def run_verify(
     ``i`` — deterministic, and every profile is exercised once the seed
     count reaches the profile count.  ``metamorphic_checks=None`` runs
     the full metamorphic battery (including the soft accuracy-delta
-    checks).  Every ``forest_every``-th dataset (0 disables) also runs
+    checks).  :mod:`repro.verify.conformance` fills ``parallel_ok``
+    (``n/a``: no scan engine).  Every ``forest_every``-th dataset (0
+    disables) also runs
     :func:`repro.verify.forest.run_forest_differential`: each shared-scan
     bagged member is checked bit-identical to its solo build and against
     the exact-split oracle on its own bootstrap sample, and both ensemble
-    trainers must reproduce exactly across the backend/worker matrix.
+    trainers must conform across the same matrix.
     """
+    # Imported here: ``import repro.verify`` loads no more than it needs.
     from repro.obs.trace import NULL_TRACER
+    from repro.verify.conformance import CASES_BY_NAME, check_case
 
     tracer = tracer if tracer is not None else NULL_TRACER
     summary = VerifySummary()
@@ -109,12 +113,18 @@ def run_verify(
         with tracer.span("verify_dataset", profile=profile, seed=i) as span:
             with tracer.span("differential"):
                 diff = run_differential(
-                    dataset,
-                    config,
-                    builders=builders,
-                    workers=workers,
-                    safety=safety,
+                    dataset, config, builders=builders, safety=safety
                 )
+            conformance: dict[str, list[Finding]] = {}
+            with tracer.span("conformance"):
+                for outcome in diff.outcomes:
+                    name = outcome.builder
+                    if name == "CLOUDS":
+                        name = f"CLOUDS-{config.clouds_mode.upper()}"
+                    if name in CASES_BY_NAME:
+                        conformance[outcome.builder] = check_case(
+                            CASES_BY_NAME[name], dataset, config
+                        )
             with tracer.span("metamorphic"):
                 meta = run_metamorphic(
                     dataset,
@@ -133,16 +143,25 @@ def run_verify(
                 forest_findings = forest.findings
             n_errors = sum(
                 1
-                for f in diff.findings + meta.findings + forest_findings
+                for f in diff.findings
+                + meta.findings
+                + forest_findings
+                + [f for found in conformance.values() for f in found]
                 if f.severity == "error"
             )
             span.annotate(findings=n_errors)
         summary.datasets_run += 1
         summary.findings.extend(diff.findings)
+        for found in conformance.values():
+            summary.findings.extend(found)
         summary.findings.extend(meta.findings)
         summary.findings.extend(forest_findings)
         for row in diff.rows():
-            summary.rows.append({"profile": profile, "seed": i, **row})
+            found = conformance.get(row["builder"])
+            parallel_ok = "n/a" if found is None else not found
+            summary.rows.append(
+                {"profile": profile, "seed": i, **row, "parallel_ok": parallel_ok}
+            )
         for row in meta.rows:
             if row["status"] != "ok":
                 summary.meta_rows.append({"profile": profile, "seed": i, **row})

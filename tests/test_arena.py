@@ -257,3 +257,17 @@ class TestStandaloneUpdate:
         if case["kind"] == "cont":
             np.testing.assert_array_equal(got.vmin, alone.vmin)
             np.testing.assert_array_equal(got.vmax, alone.vmax)
+
+
+class TestBadInputWritesNothing:
+    @pytest.mark.parametrize("numpy_only", [False, True])
+    def test_bad_code_after_good_columns(self, numpy_only):
+        # The kernel and the numpy reference both check before any write.
+        schema = Schema((continuous("x"), categorical("c", ("a", "b", "d"))), ("n", "p"))
+        part = PartState.planned(0, schema, {0: np.array([0.0])})
+        with native_scan.force_numpy() if numpy_only else contextlib.nullcontext():
+            with pytest.raises(IndexError):
+                part.update(np.array([[1.0, 0.0], [-1.0, 7.0]]), np.array([0, 1]))
+        assert not part.class_counts.any()
+        assert not any(hist.counts.any() for hist in part.hists.values())
+        assert np.isposinf(part.hists[0].vmin).all()

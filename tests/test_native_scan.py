@@ -12,7 +12,7 @@ Three layers:
   bit-identity envelope, and honour ``CMP_NO_NATIVE`` / ``force_numpy``;
 * **build-level identity** — full CMP builds match with kernels on and
   off (spot-checked here; the backend × kernel matrix lives in
-  ``test_parallel.py``), and concurrent first-time compiles from separate
+  ``test_conformance.py``), and concurrent first-time compiles from separate
   processes are safe (the satellite compile-race bugfix).
 """
 
@@ -417,11 +417,13 @@ class TestFusedPartAccum:
         fused = pc.part()
         got = raised(lambda: fused.update(X, y, w))
         with native_scan.force_numpy():
-            want = raised(lambda: pc.part().update(X, y, w))
+            reference = pc.part()
+            want = raised(lambda: reference.update(X, y, w))
         assert want in (ValueError, IndexError)
         assert got is want
-        # Validation precedes every write.
+        # Validation precedes every write, on both paths.
         assert_parts_equal(fused, pc.part())
+        assert_parts_equal(reference, pc.part())
 
     def test_weighted_equals_repeated(self, rng):
         pc = PartCase(
@@ -488,13 +490,9 @@ class TestNoSilentFallback:
 
     @pytest.mark.parametrize("builder", ["CMP", "CMP-B", "CMP-S", "CLOUDS", "bagged"])
     def test_builds_take_the_fused_entry(self, builder, monkeypatch):
-        from repro.baselines.clouds import CloudsBuilder
-        from repro.core.cmp_b import CMPBBuilder
-        from repro.core.cmp_full import CMPBuilder
-        from repro.core.cmp_s import CMPSBuilder
         from repro.data.synthetic import generate_agrawal
-        from repro.ensemble import BaggedForestBuilder
         from repro.eval.experiments import default_config
+        from repro.verify.conformance import CASES_BY_NAME
 
         real = native_scan.fused_accum
         taken = []
@@ -513,15 +511,9 @@ class TestNoSilentFallback:
 
             monkeypatch.setattr(owner, "update", counted)
         monkeypatch.setattr(native_scan, "fused_accum", spy)
-        cfg = default_config()
-        make = {
-            "CMP": lambda: CMPBuilder(cfg),
-            "CMP-B": lambda: CMPBBuilder(cfg),
-            "CMP-S": lambda: CMPSBuilder(cfg),
-            "CLOUDS": lambda: CloudsBuilder(cfg),
-            "bagged": lambda: BaggedForestBuilder(cfg, n_trees=2),
-        }[builder]
-        make().build(generate_agrawal("F7", 20_000, seed=1))
+        name = {"CLOUDS": "CLOUDS-SSE", "bagged": "bagged-CMP-S"}.get(builder, builder)
+        data = generate_agrawal("F7", 20_000, seed=1)
+        CASES_BY_NAME[name].make(default_config()).build(data)
         assert sum(updates) > 0
         assert len(taken) == sum(updates)
         assert all(taken)

@@ -8,6 +8,7 @@ monotone model version per sticky route key.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -62,24 +63,42 @@ class TestHotSwapUnderTraffic:
                 threading.Thread(target=client, args=(f"client-{i}",), daemon=True)
                 for i in range(4)
             ]
+            # The refresher wins the GIL back from four busy clients after
+            # every call that drops it: at the default 5 ms switch interval
+            # a 0.06 s refresh takes seconds.  0.5 ms changes only the wait.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(0.0005)
             refresher.start()
             try:
                 for t in threads:
                     t.start()
+                # The worker coalesces wake signals (a refresh fits the
+                # newest window), so after each chunk that makes a
+                # refresh due, wait for that refresh to land; stop once
+                # four have.
+                fed, due = 0, 0
                 for lo in range(1_500, data.n_records, 500):
                     refresher.observe(data.X[lo : lo + 500], data.y[lo : lo + 500])
-                    time.sleep(0.002)
-                deadline = time.monotonic() + 30.0
-                while len(refresher.history) < 4 and time.monotonic() < deadline:
-                    time.sleep(0.01)
+                    fed += len(data.y[lo : lo + 500])
+                    if fed < refresher.refresh_every:
+                        continue
+                    fed, due = 0, due + 1
+                    deadline = time.monotonic() + 30.0
+                    while len(refresher.history) < 1 + due:
+                        assert time.monotonic() < deadline, "a due refresh never landed"
+                        time.sleep(0.002)
+                    if due == 4:
+                        break
+                background = len(refresher.history) - 1
             finally:
                 refresher.stop(final_refresh=True)
                 stop.set()
                 for t in threads:
                     t.join(timeout=10.0)
+                sys.setswitchinterval(interval)
 
         history = refresher.history
-        assert len(history) >= 4, "expected several background refreshes"
+        assert background >= 4, "expected several background refreshes"
         assert not client_errors, f"client saw errors: {client_errors[:3]}"
 
         records = access_log.records()

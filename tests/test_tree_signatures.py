@@ -167,6 +167,10 @@ def _case_ids() -> list[str]:
         "CMP-S/F2/budget2048-process2",
         "hist-gbdt/mixed/I3-process2",
     ]
+    # The process2 twins scan one 6,400-record chunk per pass, so one
+    # worker delta each; 10-record pages split every pass into 7 chunks
+    # over four forked workers, which pins the ledger charge of several.
+    ids += ["CMP-S/F2/pages10-process4"]
     ids += [f"{builder}/{data}/none" for builder in BASELINES for data in ("F2", "mixed")]
     return ids
 
@@ -176,10 +180,10 @@ def run_case(case: str) -> dict:
     builder, data, variant = case.split("/")
     ds = dataset(data)
     base = CFG
-    if variant.endswith("process2"):
-        # Two forked scan workers on top of the variant named before it.
-        base = CFG.with_(scan_workers=2, scan_backend="process")
-        variant = variant.removesuffix("process2").removesuffix("-") or "none"
+    if variant.endswith(("process2", "process4")):
+        # Forked scan workers on top of the variant named before it.
+        base = CFG.with_(scan_workers=int(variant[-1]), scan_backend="process")
+        variant = variant[: -len("process2")].removesuffix("-") or "none"
     if builder == "hist-gbdt":
         result = HistGradientBoostingBuilder(base, n_iterations=3).build(ds)
         pin = _pin(None, result.stats)
@@ -197,6 +201,8 @@ def run_case(case: str) -> dict:
         cfg, shape = SHAPE_VARIANTS[variant]
     elif variant == "budget2048":
         cfg = base.with_(buffer_budget_bytes=2048)
+    elif variant == "pages10":
+        cfg = base.with_(page_records=10)
     elif variant == "T3":
         cfg = base
     else:
@@ -223,7 +229,7 @@ def pinned() -> dict:
 
 @pytest.mark.parametrize("case", _case_ids())
 def test_tree_matches_pinned(case, pinned):
-    if "process2" in case and not process_backend_available():
+    if "process" in case and not process_backend_available():
         pytest.skip("fork start method unavailable")
     assert run_case(case) == pinned[case]
 

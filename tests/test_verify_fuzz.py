@@ -40,7 +40,6 @@ def small_case(tmp_path):
         X=[[float(v) for v in row] for row in ds.X],
         y=[int(v) for v in ds.y],
         builders=["CMP-S"],
-        workers=[],
         metamorphic_checks=[],
     ), ds
 
@@ -131,7 +130,6 @@ class TestMutationSelfTest:
                 seeds=range(2),
                 n=150,
                 builders=("CMP-S",),
-                workers=(),
                 metamorphic_checks=None,
                 max_shrink_evals=40,
             )
