@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import zlib
 
@@ -12,6 +13,8 @@ from repro.config import BuilderConfig
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema, categorical, continuous
 from repro.data.synthetic import generate_agrawal, generate_function_f
+from repro.eval.treegen import adversarial_dataset
+from repro.verify import conformance
 
 
 #: Base seed for the ``rng`` fixture.  Override with ``PYTEST_SEED=N``
@@ -116,6 +119,58 @@ def mixed_types() -> Dataset:
     )
     X = np.column_stack([noise[:, 0], cat.astype(float), noise[:, 1]])
     return Dataset(X, y, schema)
+
+
+class ConformanceMatrix:
+    """:mod:`repro.verify.conformance` on the test datasets: the tree
+    builders on Agrawal F2 and F7 (3k, seed 5), the ensembles on a 2k
+    mixed set.  Each case's datasets, references and engine findings
+    are computed once, so the tests that check a slice of the matrix
+    share ``tests/test_conformance.py``'s builds."""
+
+    config = BuilderConfig(n_intervals=16, max_depth=4, min_records=30)
+
+    @functools.lru_cache(maxsize=None)
+    def built(self, name: str, data: str):
+        """``(dataset, reference)`` of case ``name`` on ``data``."""
+        if data == "mixed":
+            dataset = adversarial_dataset("mixed", n=2_000, seed=5)
+        else:
+            dataset = generate_agrawal(data, 3_000, seed=5)
+        case = conformance.CASES_BY_NAME[name]
+        return dataset, conformance.reference(case, dataset, self.config)
+
+    @functools.lru_cache(maxsize=None)
+    def findings(self, name: str, data: str, engine) -> tuple:
+        """:func:`~repro.verify.conformance.check_engine`'s findings."""
+        dataset, ref = self.built(name, data)
+        case = conformance.CASES_BY_NAME[name]
+        return tuple(
+            conformance.check_engine(case, dataset, self.config, engine, ref)
+        )
+
+    def check(self, name: str, data: str, engine, *runs: str) -> None:
+        """Fail on the findings of the runs whose labels start with one
+        of ``runs`` (every run when none is given).  A resume run must
+        have happened: only checkpointing builds of 3 or more scans
+        crash and resume."""
+        if any(run.endswith(" resume") for run in runs):
+            ref = self.built(name, data)[1]["native"]
+            case = conformance.CASES_BY_NAME[name]
+            assert case.make(self.config).supports_checkpointing
+            assert ref.stats.io.scans >= 3, f"{name} on {data} never resumes"
+        found = [
+            str(f)
+            for f in self.findings(name, data, engine)
+            if f.message.startswith(runs or "")
+        ]
+        assert not found, "\n".join(found)
+
+
+@pytest.fixture(scope="session")
+def conformance_matrix() -> ConformanceMatrix:
+    """The session's :class:`ConformanceMatrix`."""
+    return ConformanceMatrix()
 
 
 @pytest.fixture()
